@@ -25,11 +25,13 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Fuzz the spec canonicalization/hashing invariants and the pattern
-# compiler's hostile-input handling (CI runs 10s each).
+# Fuzz the spec canonicalization/hashing invariants, the pattern
+# compiler's hostile-input handling, and the DRAM scheduler's per-bank
+# hit counts (CI runs 10s each).
 fuzz:
 	$(GO) test ./internal/exp -run '^$$' -fuzz FuzzSpecCanonical -fuzztime=30s
 	$(GO) test ./internal/workloads/pattern -run '^$$' -fuzz FuzzPatternCompile -fuzztime=30s
+	$(GO) test ./internal/dram -run '^$$' -fuzz FuzzBankHitCounts -fuzztime=30s
 
 # Regenerate every figure/table (tens of minutes; see EXPERIMENTS.md).
 bench:

@@ -9,6 +9,10 @@ type bank struct {
 	nextRead  uint64
 	nextWrite uint64
 	nextPre   uint64
+	// hits counts the queued requests that target openRow (0 while
+	// precharged), so FR-FCFS's "would a PRE close a row with pending
+	// hits?" check is O(1) instead of a queue scan.
+	hits int
 }
 
 // channel owns one DDR4 channel: its banks, the shared-bus and
@@ -75,6 +79,7 @@ func (ch *channel) maybeRefresh(dc uint64) bool {
 		for i := range ch.banks {
 			b := &ch.banks[i]
 			b.openRow = -1
+			b.hits = 0
 			b.nextAct = max64(b.nextAct, end)
 		}
 		ch.nextCASAny = max64(ch.nextCASAny, end)
@@ -91,21 +96,22 @@ func (ch *channel) enqueue(r *Request) {
 	ch.seq++
 	r.seq = ch.seq
 	ch.queue = append(ch.queue, r)
+	if b := ch.bankOf(r); b.openRow == r.coord.Row {
+		b.hits++
+	}
 	ch.hintValid = false
 }
 
-func (ch *channel) bankOf(c Coord) *bank { return &ch.banks[c.Slice(ch.p)] }
-
-func (ch *channel) bgOf(c Coord) int { return c.Rank*ch.p.BankGroups + c.BankGroup }
+// bankOf returns r's bank; r.slice was resolved once at Submit.
+func (ch *channel) bankOf(r *Request) *bank { return &ch.banks[r.slice] }
 
 // casReady reports whether the column command for r is legal at dc.
 func (ch *channel) casReady(r *Request, dc uint64) bool {
-	b := ch.bankOf(r.coord)
+	b := ch.bankOf(r)
 	if b.openRow != r.coord.Row {
 		return false
 	}
-	bg := ch.bgOf(r.coord)
-	if dc < ch.nextCASAny || dc < ch.nextCASPerBG[bg] {
+	if dc < ch.nextCASAny || dc < ch.nextCASPerBG[r.bg] {
 		return false
 	}
 	if r.Kind == Read {
@@ -116,12 +122,11 @@ func (ch *channel) casReady(r *Request, dc uint64) bool {
 
 // actReady reports whether an ACT to r's bank is legal at dc.
 func (ch *channel) actReady(r *Request, dc uint64) bool {
-	b := ch.bankOf(r.coord)
+	b := ch.bankOf(r)
 	if b.openRow != -1 || dc < b.nextAct {
 		return false
 	}
-	bg := ch.bgOf(r.coord)
-	if dc < ch.nextACTAny || dc < ch.nextACTPerBG[bg] {
+	if dc < ch.nextACTAny || dc < ch.nextACTPerBG[r.bg] {
 		return false
 	}
 	// tFAW: the 4th-most-recent ACT bounds the new one.
@@ -134,11 +139,10 @@ func (ch *channel) actReady(r *Request, dc uint64) bool {
 // issueCAS issues the column command for r at dc and returns the DRAM
 // cycle at which the data burst completes.
 func (ch *channel) issueCAS(r *Request, dc uint64) (doneAt uint64) {
-	b := ch.bankOf(r.coord)
-	bg := ch.bgOf(r.coord)
+	b := ch.bankOf(r)
 	ch.hintValid = false
 	ch.nextCASAny = dc + uint64(ch.p.TCCDS)
-	ch.nextCASPerBG[bg] = dc + uint64(ch.p.TCCDL)
+	ch.nextCASPerBG[r.bg] = dc + uint64(ch.p.TCCDL)
 	if r.Kind == Read {
 		doneAt = dc + uint64(ch.p.CL) + uint64(ch.p.TBURST)
 		if np := dc + uint64(ch.p.TRTP); np > b.nextPre {
@@ -155,19 +159,26 @@ func (ch *channel) issueCAS(r *Request, dc uint64) (doneAt uint64) {
 	return doneAt
 }
 
-// issueACT opens r's row at dc.
+// issueACT opens r's row at dc. The bank's hit count is recounted
+// here, once per ACT: the requests queued for the new row arrived
+// while it was closed, so no incremental update saw them.
 func (ch *channel) issueACT(r *Request, dc uint64) {
-	b := ch.bankOf(r.coord)
-	bg := ch.bgOf(r.coord)
+	b := ch.bankOf(r)
 	ch.hintValid = false
 	b.openRow = r.coord.Row
+	b.hits = 0
+	for _, q := range ch.queue {
+		if q.slice == r.slice && q.coord.Row == b.openRow {
+			b.hits++
+		}
+	}
 	b.nextRead = dc + uint64(ch.p.TRCD)
 	b.nextWrite = dc + uint64(ch.p.TRCD)
 	if np := dc + uint64(ch.p.TRAS); np > b.nextPre {
 		b.nextPre = np
 	}
 	ch.nextACTAny = dc + uint64(ch.p.TRRDS)
-	ch.nextACTPerBG[bg] = dc + uint64(ch.p.TRRDL)
+	ch.nextACTPerBG[r.bg] = dc + uint64(ch.p.TRRDL)
 	ch.actWindow[ch.actWindowPos] = dc
 	ch.actWindowPos = (ch.actWindowPos + 1) % len(ch.actWindow)
 	ch.actCount++
@@ -175,8 +186,9 @@ func (ch *channel) issueACT(r *Request, dc uint64) {
 
 // issuePRE closes the open row of r's bank at dc.
 func (ch *channel) issuePRE(r *Request, dc uint64) {
-	b := ch.bankOf(r.coord)
+	b := ch.bankOf(r)
 	b.openRow = -1
+	b.hits = 0
 	b.nextAct = max64(b.nextAct, dc+uint64(ch.p.TRP))
 	ch.hintValid = false
 }
@@ -184,24 +196,15 @@ func (ch *channel) issuePRE(r *Request, dc uint64) {
 // hasPendingHit reports whether any queued request targets the
 // currently open row of the same bank as r — FR-FCFS will not close a
 // row other requests can still hit.
-func (ch *channel) hasPendingHit(r *Request) bool {
-	b := ch.bankOf(r.coord)
-	if b.openRow == -1 {
-		return false
-	}
-	slice := r.coord.Slice(ch.p)
-	for _, q := range ch.queue {
-		if q.coord.Slice(ch.p) == slice && q.coord.Row == b.openRow {
-			return true
-		}
-	}
-	return false
-}
+func (ch *channel) hasPendingHit(r *Request) bool { return ch.bankOf(r).hits > 0 }
 
 func (ch *channel) remove(r *Request) {
 	for i, q := range ch.queue {
 		if q == r {
 			ch.queue = append(ch.queue[:i], ch.queue[i+1:]...)
+			if b := ch.bankOf(r); b.openRow == r.coord.Row {
+				b.hits--
+			}
 			ch.hintValid = false
 			return
 		}
@@ -212,8 +215,8 @@ func (ch *channel) remove(r *Request) {
 // command becomes legal, assuming its row is (and stays) open. The
 // trackers are frozen between commands, so the bound is exact.
 func (ch *channel) casReadyAt(r *Request) uint64 {
-	b := ch.bankOf(r.coord)
-	at := max64(ch.nextCASAny, ch.nextCASPerBG[ch.bgOf(r.coord)])
+	b := ch.bankOf(r)
+	at := max64(ch.nextCASAny, ch.nextCASPerBG[r.bg])
 	if r.Kind == Read {
 		return max64(at, max64(b.nextRead, ch.nextReadOK))
 	}
@@ -223,8 +226,8 @@ func (ch *channel) casReadyAt(r *Request) uint64 {
 // actReadyAt returns the earliest DRAM cycle at which an ACT to r's
 // bank becomes legal, assuming the bank is (and stays) precharged.
 func (ch *channel) actReadyAt(r *Request) uint64 {
-	b := ch.bankOf(r.coord)
-	at := max64(b.nextAct, max64(ch.nextACTAny, ch.nextACTPerBG[ch.bgOf(r.coord)]))
+	b := ch.bankOf(r)
+	at := max64(b.nextAct, max64(ch.nextACTAny, ch.nextACTPerBG[r.bg]))
 	if ch.actCount >= len(ch.actWindow) {
 		at = max64(at, ch.actWindow[ch.actWindowPos]+uint64(ch.p.TFAW))
 	}
@@ -247,7 +250,7 @@ func (ch *channel) earliestAction() uint64 {
 		min = ch.nextRefresh
 	}
 	for _, r := range ch.queue {
-		b := ch.bankOf(r.coord)
+		b := ch.bankOf(r)
 		var at uint64
 		switch {
 		case b.openRow == r.coord.Row:

@@ -90,6 +90,7 @@ func loadChannel(r *ckpt.Reader, ch *channel) error {
 	for i := range ch.banks {
 		b := &ch.banks[i]
 		b.openRow = int(r.I64())
+		b.hits = 0 // a checkpoint holds no queued requests
 		b.nextAct = r.U64()
 		b.nextRead = r.U64()
 		b.nextWrite = r.U64()

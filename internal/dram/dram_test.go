@@ -35,7 +35,7 @@ func TestMapperInterleaving(t *testing.T) {
 		t.Fatalf("line 2: ch=%d bg=%d, want ch=%d and bg != %d", c2.Channel, c2.BankGroup, c0.Channel, c0.BankGroup)
 	}
 	// Slice index is within range.
-	if s := c0.Slice(p); s < 0 || s >= p.BanksPerChannel() {
+	if s := c0.Slice(&p); s < 0 || s >= p.BanksPerChannel() {
 		t.Fatalf("slice %d out of range", s)
 	}
 }

@@ -18,12 +18,12 @@ type Coord struct {
 
 // Slice returns the flattened (rank, bank-group, bank) index within the
 // coordinate's channel — the Row Table slice DX100 uses (§3.2).
-func (c Coord) Slice(p Params) int {
+func (c Coord) Slice(p *Params) int {
 	return (c.Rank*p.BankGroups+c.BankGroup)*p.Banks + c.Bank
 }
 
 // GlobalBank returns a unique bank id across all channels.
-func (c Coord) GlobalBank(p Params) int {
+func (c Coord) GlobalBank(p *Params) int {
 	return c.Channel*p.BanksPerChannel() + c.Slice(p)
 }
 

@@ -113,7 +113,7 @@ func checkProtocol(t *testing.T, p Params, trace []obs.Event) (casCount int) {
 	actTimes := map[int][]uint64{}
 	for i, e := range trace {
 		c, dc := coordOf(e), dcOf(e)
-		bk := bankKey{c.Channel, c.Slice(p)}
+		bk := bankKey{c.Channel, c.Slice(&p)}
 		switch e.Kind {
 		case obs.EvDRAMAct:
 			if seenPRE[bk] && dc < lastPRE[bk]+uint64(p.TRP) {

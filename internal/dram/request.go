@@ -29,7 +29,10 @@ type Request struct {
 	Kind   Kind
 	OnDone func(now sim.Cycle)
 
-	coord       Coord
+	coord Coord
+	// slice and bg index the channel's bank array and bank-group
+	// trackers; Submit resolves them once from coord.
+	slice, bg   int
 	seq         uint64
 	requiredAct bool
 	requiredPre bool

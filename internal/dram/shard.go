@@ -19,10 +19,14 @@ import (
 // Two parallel regimes exist:
 //
 //   - TickSharded fans a single DRAM clock edge out over the pool when
-//     the queues are deep enough to pay for the dispatch. This is the
-//     win in DX100-mode runs, where the accelerator keeps every
-//     channel's request buffer near capacity and FR-FCFS scans (and
-//     their O(queue²) pending-hit checks) dominate the profile.
+//     at least parallelTickMinQueued requests are queued, which is the
+//     steady state of DX100-mode runs. It does not pay on the one host
+//     measured (2 vCPUs, Intel Xeon @ 2.10GHz, GOMAXPROCS=2). On
+//     BenchmarkShardedRun/IS-dx100, shards=2, where this fan-out and
+//     the core array's run on two lanes, took 3.58 s against 3.26 s at
+//     shards=1, where everything runs inline, while a channel tick was
+//     O(queue²); now that per-bank hit counts make it O(queue), it
+//     takes 2.14 s against 1.40 s.
 //   - AdvanceShards replays each channel's own action edges through a
 //     whole epoch (see sim/epoch.go) without returning to the engine
 //     loop between them. This is the win in baseline-mode runs, where
@@ -156,8 +160,11 @@ func (s *System) applyEdge(fx *chanFx) {
 func (s *System) ShardUnits() int { return len(s.chans) }
 
 // parallelTickMinQueued is the total queued-request count below which
-// TickSharded ticks the channels inline: a pool dispatch costs a few
-// hundred nanoseconds, which shallow FR-FCFS scans do not repay.
+// TickSharded ticks the channels inline. BenchmarkDRAMTick, which keeps
+// both channels' buffers topped up, measures about 350 ns per simulated
+// CPU cycle on the host above, against 3,300 ns before the per-bank hit
+// counts, so even a full-queue edge leaves little work to split; the
+// IS-dx100 numbers above show the fan-out losing at this threshold.
 const parallelTickMinQueued = 16
 
 // TickSharded implements sim.ShardedTicker: Tick, with the per-channel
@@ -180,13 +187,7 @@ func (s *System) TickSharded(now sim.Cycle, p sim.Parallel) bool {
 	wide, _ := p.(interface{ Wide() bool })
 	if wide == nil || !wide.Wide() ||
 		queued < parallelTickMinQueued || len(s.chans) < 2 {
-		for i, ch := range s.chans {
-			s.cOccupancy.Add(float64(len(ch.queue)))
-			s.hOccupancy.Observe(float64(len(ch.queue)))
-			if s.tickChannel(ch, &s.fx[i], dc, now) {
-				s.applyEdge(&s.fx[i])
-			}
-		}
+		s.tickInline(dc, now)
 		return s.busy()
 	}
 	s.tickDC, s.tickNow = dc, now

@@ -134,6 +134,8 @@ func (s *System) Submit(r *Request) bool {
 	if ch.full() {
 		return false
 	}
+	r.slice = r.coord.Slice(&s.p)
+	r.bg = r.coord.Rank*s.p.BankGroups + r.coord.BankGroup
 	ch.enqueue(r)
 	return true
 }
@@ -144,8 +146,15 @@ func (s *System) Tick(now sim.Cycle) bool {
 	if uint64(now)%uint64(s.p.ClkDiv) != 0 {
 		return s.busy()
 	}
-	dc := uint64(now) / uint64(s.p.ClkDiv)
 	s.cCycles.Inc()
+	s.tickInline(uint64(now)/uint64(s.p.ClkDiv), now)
+	return s.busy()
+}
+
+// tickInline ticks every channel at DRAM edge dc on the calling
+// goroutine, sampling occupancy before each channel's tick and
+// applying its effects as soon as it acts.
+func (s *System) tickInline(dc uint64, now sim.Cycle) {
 	for i, ch := range s.chans {
 		s.cOccupancy.Add(float64(len(ch.queue)))
 		s.hOccupancy.Observe(float64(len(ch.queue)))
@@ -153,7 +162,6 @@ func (s *System) Tick(now sim.Cycle) bool {
 			s.applyEdge(&s.fx[i])
 		}
 	}
-	return s.busy()
 }
 
 // NextWake implements sim.WakeHinter: the earliest CPU cycle at which
@@ -245,7 +253,7 @@ func (s *System) tickChannel(ch *channel, fx *chanFx, dc uint64, now sim.Cycle) 
 	// FCFS: oldest request that needs its row opened, provided we
 	// would not close a row that still has pending hits.
 	for _, r := range ch.queue {
-		b := ch.bankOf(r.coord)
+		b := ch.bankOf(r)
 		if b.openRow == r.coord.Row {
 			continue // only waiting on CAS timing
 		}

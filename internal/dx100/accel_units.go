@@ -192,7 +192,12 @@ func (a *Accel) issueColumn(fl *inflight, req ColumnReq, now sim.Cycle) bool {
 		a.cReqLLC.Inc()
 		return true
 	}
-	// DRAM Interface: read the line directly from memory.
+	// DRAM Interface: read the line directly from memory. A full
+	// channel buffer is the common refusal while DX100 keeps them
+	// topped up; check it before building the request and its closure.
+	if !a.mem.CanAccept(pa) {
+		return false
+	}
 	r := &dram.Request{Addr: pa, Kind: dram.Read, OnDone: func(n sim.Cycle) {
 		a.respond(fl, req)
 		if fl.ins.Op == IST || fl.ins.Op == IRMW {

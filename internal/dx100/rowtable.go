@@ -156,7 +156,7 @@ func (rt *RowTable) Outstanding() int { return rt.pendingCols + rt.sentCols }
 // reports false when the target slice is full, in which case the fill
 // stage must stall until a drain frees entries.
 func (rt *RowTable) Insert(iter int, c dram.Coord, wordOff int, snoop func() bool) bool {
-	gs := c.GlobalBank(rt.p)
+	gs := c.GlobalBank(&rt.p)
 	s := &rt.slices[gs]
 	var freeRow = -1
 	for r := range s.rows {

@@ -152,18 +152,19 @@ type Event struct {
 	Args  [6]int64
 }
 
-// Sink collects events into a fixed-capacity ring. Without a spill
-// writer the ring keeps the most recent Cap events (older ones are
-// overwritten and counted as dropped). With a spill writer the ring
-// becomes a batch buffer: it is encoded and flushed whenever full, so
-// nothing is lost. A nil *Sink is the disabled state: Emit on a nil
-// receiver returns immediately, which is what makes tracing zero-cost
-// when off.
+// Sink collects events into a bounded ring that grows on demand up to
+// its capacity. Without a spill writer the ring keeps the most recent
+// capacity events (older ones are overwritten and counted as dropped).
+// With a spill writer the ring becomes a batch buffer: it is encoded
+// and flushed whenever full, so nothing is lost. A nil *Sink is the
+// disabled state: Emit on a nil receiver returns immediately, which is
+// what makes tracing zero-cost when off.
 //
 // A sink is single-goroutine, like the simulation it observes.
 type Sink struct {
 	mask    Mask
 	ring    []Event
+	limit   int // ring capacity; the slice grows by append up to it
 	start   int // oldest event's slot, ring mode only
 	count   int
 	total   uint64
@@ -181,12 +182,13 @@ type Sink struct {
 const DefaultSinkCap = 1 << 16
 
 // NewSink returns a sink recording all kinds into a ring of capacity
-// n (DefaultSinkCap when n <= 0).
+// n (DefaultSinkCap when n <= 0). The ring's memory is allocated as
+// events arrive, so a sink that records little costs little.
 func NewSink(n int) *Sink {
 	if n <= 0 {
 		n = DefaultSinkCap
 	}
-	return &Sink{mask: MaskAll, ring: make([]Event, 0, n)}
+	return &Sink{mask: MaskAll, limit: n}
 }
 
 // SetMask restricts the sink to the masked kinds.
@@ -218,13 +220,13 @@ func (s *Sink) Emit(ev Event) {
 	}
 	s.total++
 	if s.spill != nil {
-		if len(s.ring) == cap(s.ring) {
+		if len(s.ring) == s.limit {
 			s.flushRing()
 		}
 		s.ring = append(s.ring, ev)
 		return
 	}
-	if len(s.ring) < cap(s.ring) {
+	if len(s.ring) < s.limit {
 		s.ring = append(s.ring, ev)
 		return
 	}

@@ -49,6 +49,31 @@ func TestRingKeepsMostRecentAndCountsDrops(t *testing.T) {
 	}
 }
 
+func TestDefaultRingGrowsOnDemand(t *testing.T) {
+	// dx100d builds a default-capacity sink per submitted job; an idle
+	// one must not hold a full ring.
+	s := NewSink(0)
+	if c := cap(s.ring); c != 0 {
+		t.Fatalf("NewSink(0) allocated a %d-event ring up front", c)
+	}
+	const extra = 10
+	for i := uint64(0); i < DefaultSinkCap+extra; i++ {
+		s.Emit(ev(EvCacheFill, i))
+	}
+	if s.Dropped() != extra {
+		t.Fatalf("dropped = %d, want %d", s.Dropped(), extra)
+	}
+	got := s.Events()
+	if len(got) != DefaultSinkCap {
+		t.Fatalf("kept %d events, want %d", len(got), DefaultSinkCap)
+	}
+	for i, e := range got {
+		if want := uint64(extra + i); e.Cycle != want {
+			t.Fatalf("event %d at cycle %d, want %d (oldest-first order lost)", i, e.Cycle, want)
+		}
+	}
+}
+
 func TestMaskFilters(t *testing.T) {
 	s := NewSink(16)
 	s.SetMask(MaskDRAM)

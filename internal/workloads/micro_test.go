@@ -66,7 +66,7 @@ func measureOrdering(t *testing.T, cfg AllMissConfig) (sameRowFrac, sameChFrac, 
 	for i := 0; i < n; i++ {
 		pa := paBase + memspace.PAddr(inst.Read("B", i)*4)
 		c := m.Map(pa)
-		gb := c.GlobalBank(p)
+		gb := c.GlobalBank(&p)
 		if last, ok := lastRowOfBank[gb]; ok {
 			samebankCnt++
 			if last == c.Row {
