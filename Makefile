@@ -37,18 +37,17 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -timeout=120m .
 
-# Engine microbenchmarks (event heap, dense/sparse stepping, DRAM tick,
-# sharded epoch scheduler) plus the end-to-end fast-forward-on/off and
-# serial-vs-sharded comparisons; numbers land in BENCH_engine.json.
+# Engine microbenchmarks (event heap, dense/sparse stepping, DRAM tick)
+# plus the end-to-end fast-forward-on/off comparison; numbers land in
+# BENCH_engine.json.
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedulePop|BenchmarkEngineStep|BenchmarkShardedEpochAdvance' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkSchedulePop|BenchmarkEngineStep' -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkDRAMTick -benchmem ./internal/dram
-	$(GO) test -run '^$$' -bench BenchmarkShardedRun -benchtime=1x -timeout=30m ./internal/exp
 	$(GO) test -run '^$$' -bench BenchmarkFigureRun -benchtime=1x -timeout=60m .
 
 # Compare fresh microbenchmarks against the committed baseline in
 # BENCH_engine.json: fails on a >10% ns/op regression or a broken
-# speedup gate (epoch batching, sharded-run neutrality).
+# speedup gate (sampled-run speedup).
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 

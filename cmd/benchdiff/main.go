@@ -6,15 +6,11 @@
 // accidental hot-loop regression is caught before the numbers in the
 // JSON go stale. Second, it enforces the baseline's speedup_gates:
 // each gate names two benchmarks from the same fresh run and a minimum
-// ns/op ratio between them — e.g. the serial engine must stay at least
-// 1.3x slower than the 4-shard epoch scheduler on the wide-window
-// benchmark. Because a gate compares two measurements from one host
-// and one binary, it is machine-independent where the absolute ns/op
-// comparison is not, and it fails hard rather than drifting with the
-// hardware. Gates that demand real parallelism (the sharded end-to-end
-// speedup) declare min_procs: on hosts whose GOMAXPROCS is below it
-// they are enforced at a documented fallback ratio instead, visibly
-// marked in the report.
+// ns/op ratio between them — e.g. a full-detail run must stay at least
+// 3x slower than the same run under interval sampling. Because a gate
+// compares two measurements from one host and one binary, it is
+// machine-independent where the absolute ns/op comparison is not, and
+// it fails hard rather than drifting with the hardware.
 //
 // Usage:
 //
@@ -51,42 +47,28 @@ type baseline struct {
 // speedupGate is one enforced ratio between two benchmarks of the same
 // fresh run: numerator ns/op divided by denominator ns/op must be at
 // least MinRatio. Gates express "A must stay N times slower than B"
-// invariants (the epoch scheduler's batching win, the sharded engine's
-// end-to-end speedup) that absolute ns/op budgets cannot.
-//
-// A gate may be proc-conditional: when MinProcs is set and the fresh
-// run's GOMAXPROCS (read from the benchmark names' -N suffix) is below
-// it, FallbackMinRatio is enforced instead of MinRatio. This is how a
-// real multi-core speedup requirement (cores fanned across worker
-// goroutines) degrades to a neutrality floor on hosts without the
-// parallelism to deliver it — the worker pool clamps to GOMAXPROCS, so
-// below MinProcs the sharded engine can only be asked not to tax the
-// run, not to accelerate it.
+// invariants (the sampler's wall-clock win) that absolute ns/op
+// budgets cannot.
 type speedupGate struct {
 	Name        string  `json:"name"`
 	Numerator   string  `json:"numerator"`
 	Denominator string  `json:"denominator"`
 	MinRatio    float64 `json:"min_ratio"`
-	// MinProcs, when > 0, is the GOMAXPROCS the MinRatio requirement
-	// assumes; below it FallbackMinRatio applies.
-	MinProcs         int     `json:"min_procs,omitempty"`
-	FallbackMinRatio float64 `json:"fallback_min_ratio,omitempty"`
-	Note             string  `json:"note,omitempty"`
+	Note        string  `json:"note,omitempty"`
 }
 
 // benchPackages lists where the baselined microbenchmarks and the
 // speedup-gated benchmarks live; kept in sync with the `microbench`
 // Makefile target (minus the minutes-long end-to-end figure run, which
-// has no ns_per_op entry to gate on). The end-to-end sharded runs take
-// seconds per iteration, so they run with -benchtime=1x — the gates on
-// them are coarse by design.
+// has no ns_per_op entry to gate on). The sampled runs take seconds
+// per iteration, so they run with -benchtime=1x — the gate on them is
+// coarse by design.
 var benchPackages = []struct {
 	pattern, pkg string
 	extra        []string
 }{
-	{"BenchmarkSchedulePop|BenchmarkEngineStep|BenchmarkShardedEpochAdvance", "./internal/sim", nil},
+	{"BenchmarkSchedulePop|BenchmarkEngineStep", "./internal/sim", nil},
 	{"BenchmarkDRAMTick", "./internal/dram", nil},
-	{"BenchmarkShardedRun/XRAGE-large16", "./internal/exp", []string{"-benchtime=1x", "-timeout=30m"}},
 	{"BenchmarkSampledRun", "./internal/exp", []string{"-benchtime=1x", "-timeout=30m"}},
 }
 
@@ -106,19 +88,18 @@ func main() {
 		fatal(err)
 	}
 	var fresh map[string]float64
-	var procs int
 	if *input != "" {
 		f, err := os.Open(*input)
 		if err != nil {
 			fatal(err)
 		}
-		fresh, procs, err = parseBench(f)
+		fresh, err = parseBench(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
 	} else {
-		fresh, procs, err = runBenchmarks()
+		fresh, err = runBenchmarks()
 		if err != nil {
 			fatal(err)
 		}
@@ -126,7 +107,7 @@ func main() {
 
 	regressions, report := diff(base, fresh, *threshold)
 	fmt.Print(report)
-	gateFailures, gateReport := checkGates(gates, fresh, procs)
+	gateFailures, gateReport := checkGates(gates, fresh)
 	fmt.Print(gateReport)
 	if regressions > 0 {
 		fmt.Printf("benchdiff: %d regression(s) beyond %.0f%%\n", regressions, 100**threshold)
@@ -156,9 +137,6 @@ func loadBaseline(path string) (map[string]float64, []speedupGate, error) {
 		if g.Name == "" || g.Numerator == "" || g.Denominator == "" || g.MinRatio <= 0 {
 			return nil, nil, fmt.Errorf("%s: malformed speedup gate %+v", path, g)
 		}
-		if g.MinProcs > 0 && g.FallbackMinRatio <= 0 {
-			return nil, nil, fmt.Errorf("%s: gate %s sets min_procs without fallback_min_ratio", path, g.Name)
-		}
 	}
 	out := make(map[string]float64, len(doc.Microbenchmarks))
 	for name, e := range doc.Microbenchmarks {
@@ -168,11 +146,9 @@ func loadBaseline(path string) (map[string]float64, []speedupGate, error) {
 }
 
 // runBenchmarks executes the gated benchmark sets and folds their
-// output into one result map, along with the highest GOMAXPROCS any
-// benchmark ran at.
-func runBenchmarks() (map[string]float64, int, error) {
+// output into one result map.
+func runBenchmarks() (map[string]float64, error) {
 	all := map[string]float64{}
-	procs := 0
 	for _, set := range benchPackages {
 		args := []string{"test", "-run", "^$", "-bench", set.pattern, "-benchmem"}
 		args = append(args, set.extra...)
@@ -181,32 +157,26 @@ func runBenchmarks() (map[string]float64, int, error) {
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
-			return nil, 0, fmt.Errorf("go test -bench %s %s: %w", set.pattern, set.pkg, err)
+			return nil, fmt.Errorf("go test -bench %s %s: %w", set.pattern, set.pkg, err)
 		}
-		got, p, err := parseBench(strings.NewReader(string(out)))
+		got, err := parseBench(strings.NewReader(string(out)))
 		if err != nil {
-			return nil, 0, err
-		}
-		if p > procs {
-			procs = p
+			return nil, err
 		}
 		for k, v := range got {
 			all[k] = v
 		}
 	}
-	return all, procs, nil
+	return all, nil
 }
 
 // parseBench extracts ns/op per benchmark from standard `go test
-// -bench` output. The -N GOMAXPROCS suffix is stripped from the keys
-// but its maximum is returned alongside: proc-conditional gates use it
-// to decide whether the run had the parallelism their full ratio
-// assumes. When the same benchmark appears multiple times (e.g.
+// -bench` output, keyed by name with the -N GOMAXPROCS suffix
+// stripped. When the same benchmark appears multiple times (e.g.
 // -count), the fastest run wins — the minimum is the least noisy
 // estimate of the code's cost.
-func parseBench(r io.Reader) (map[string]float64, int, error) {
+func parseBench(r io.Reader) (map[string]float64, error) {
 	out := map[string]float64{}
-	procs := 0
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -220,7 +190,7 @@ func parseBench(r io.Reader) (map[string]float64, int, error) {
 			if fields[i+1] == "ns/op" {
 				v, err := strconv.ParseFloat(fields[i], 64)
 				if err != nil {
-					return nil, 0, fmt.Errorf("bad ns/op %q in %q", fields[i], sc.Text())
+					return nil, fmt.Errorf("bad ns/op %q in %q", fields[i], sc.Text())
 				}
 				ns, found = v, true
 				break
@@ -231,18 +201,15 @@ func parseBench(r io.Reader) (map[string]float64, int, error) {
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
-				if p > procs {
-					procs = p
-				}
 			}
 		}
 		if prev, ok := out[name]; !ok || ns < prev {
 			out[name] = ns
 		}
 	}
-	return out, procs, sc.Err()
+	return out, sc.Err()
 }
 
 // diff compares fresh results against the baseline and renders the
@@ -281,11 +248,8 @@ func diff(base, fresh map[string]float64, threshold float64) (int, string) {
 // checkGates enforces the baseline's speedup gates against the fresh
 // results and renders the gate table. A gate whose benchmarks are
 // missing from the run fails: a silently skipped gate would read as a
-// pass. procs is the run's GOMAXPROCS (from parseBench); a gate with
-// min_procs above it is enforced at its documented fallback ratio
-// instead, and the report says so — the downgrade is visible, never
-// silent.
-func checkGates(gates []speedupGate, fresh map[string]float64, procs int) (int, string) {
+// pass.
+func checkGates(gates []speedupGate, fresh map[string]float64) (int, string) {
 	if len(gates) == 0 {
 		return 0, ""
 	}
@@ -293,12 +257,6 @@ func checkGates(gates []speedupGate, fresh map[string]float64, procs int) (int, 
 	failures := 0
 	fmt.Fprintf(&b, "\n%-26s %8s %8s\n", "speedup gate", "ratio", "min")
 	for _, g := range gates {
-		min := g.MinRatio
-		note := ""
-		if g.MinProcs > 0 && procs < g.MinProcs {
-			min = g.FallbackMinRatio
-			note = fmt.Sprintf("  (fallback: %d procs < %d)", procs, g.MinProcs)
-		}
 		num, okN := fresh[g.Numerator]
 		den, okD := fresh[g.Denominator]
 		if !okN || !okD || den == 0 {
@@ -306,17 +264,17 @@ func checkGates(gates []speedupGate, fresh map[string]float64, procs int) (int, 
 			if okN {
 				missing = g.Denominator
 			}
-			fmt.Fprintf(&b, "%-26s %8s %8.2f  FAIL (%s missing)\n", g.Name, "-", min, missing)
+			fmt.Fprintf(&b, "%-26s %8s %8.2f  FAIL (%s missing)\n", g.Name, "-", g.MinRatio, missing)
 			failures++
 			continue
 		}
 		ratio := num / den
 		mark := ""
-		if ratio < min {
+		if ratio < g.MinRatio {
 			mark = "  FAIL"
 			failures++
 		}
-		fmt.Fprintf(&b, "%-26s %8.2f %8.2f%s%s\n", g.Name, ratio, min, mark, note)
+		fmt.Fprintf(&b, "%-26s %8.2f %8.2f%s\n", g.Name, ratio, g.MinRatio, mark)
 	}
 	return failures, b.String()
 }

@@ -18,7 +18,7 @@ BenchmarkDRAMTick-8        	  876543	      1400 ns/op	      12 B/op	       0 all
 `
 
 func TestParseBench(t *testing.T) {
-	got, procs, err := parseBench(strings.NewReader(cannedBench))
+	got, err := parseBench(strings.NewReader(cannedBench))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,11 @@ func TestParseBench(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got[name], ns)
 		}
 	}
-	if procs != 8 {
-		t.Errorf("procs = %d, want 8 (from the -8 suffix)", procs)
-	}
 }
 
 func TestParseBenchKeepsFastestDuplicate(t *testing.T) {
 	in := "BenchmarkX-8 100 50.0 ns/op\nBenchmarkX-8 100 40.0 ns/op\nBenchmarkX-8 100 45.0 ns/op\n"
-	got, _, err := parseBench(strings.NewReader(in))
+	got, err := parseBench(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,57 +90,37 @@ func TestLoadBaselineFromRepoRoot(t *testing.T) {
 			t.Errorf("baseline %s = %v, want > 0", name, base[name])
 		}
 	}
-	if len(gates) == 0 {
-		t.Fatal("committed baseline carries no speedup gates")
-	}
-	var epochGate, runGate *speedupGate
+	var sampled *speedupGate
 	for i := range gates {
-		switch gates[i].Denominator {
-		case "BenchmarkShardedEpochAdvance/shards=4":
-			epochGate = &gates[i]
-		case "BenchmarkShardedRun/XRAGE-large16/shards=4":
-			runGate = &gates[i]
+		if gates[i].Denominator == "BenchmarkSampledRun/GZZ-base8/sampled" {
+			sampled = &gates[i]
 		}
 	}
-	if epochGate == nil {
-		t.Fatal("no gate on BenchmarkShardedEpochAdvance/shards=4")
+	if sampled == nil {
+		t.Fatal("no gate on BenchmarkSampledRun/GZZ-base8/sampled")
 	}
-	if epochGate.MinRatio < 1.3 {
-		t.Errorf("epoch batching gate min_ratio = %v, want >= 1.3", epochGate.MinRatio)
-	}
-	if runGate == nil {
-		t.Fatal("no gate on BenchmarkShardedRun/XRAGE-large16/shards=4")
-	}
-	// The end-to-end gate is a real multi-core speedup requirement with
-	// a documented single-CPU neutrality fallback, not a bare floor.
-	if runGate.MinRatio < 1.2 {
-		t.Errorf("sharded run gate min_ratio = %v, want >= 1.2", runGate.MinRatio)
-	}
-	if runGate.MinProcs < 4 {
-		t.Errorf("sharded run gate min_procs = %v, want >= 4", runGate.MinProcs)
-	}
-	if runGate.FallbackMinRatio < 0.85 {
-		t.Errorf("sharded run gate fallback_min_ratio = %v, want >= 0.85", runGate.FallbackMinRatio)
+	if sampled.MinRatio < 3.0 {
+		t.Errorf("sampled run gate min_ratio = %v, want >= 3.0", sampled.MinRatio)
 	}
 }
 
 func TestCheckGates(t *testing.T) {
 	gates := []speedupGate{
-		{Name: "batch", Numerator: "BenchmarkA/serial", Denominator: "BenchmarkA/shards=4", MinRatio: 1.3},
-		{Name: "floor", Numerator: "BenchmarkB/serial", Denominator: "BenchmarkB/shards=4", MinRatio: 0.85},
+		{Name: "speedup", Numerator: "BenchmarkA/full", Denominator: "BenchmarkA/fast", MinRatio: 1.3},
+		{Name: "floor", Numerator: "BenchmarkB/full", Denominator: "BenchmarkB/fast", MinRatio: 0.85},
 	}
 	fresh := map[string]float64{
-		"BenchmarkA/serial":   140,
-		"BenchmarkA/shards=4": 100, // 1.40x: passes the 1.3 gate
-		"BenchmarkB/serial":   90,
-		"BenchmarkB/shards=4": 100, // 0.90x: above the 0.85 floor
+		"BenchmarkA/full": 140,
+		"BenchmarkA/fast": 100, // 1.40x: passes the 1.3 gate
+		"BenchmarkB/full": 90,
+		"BenchmarkB/fast": 100, // 0.90x: above the 0.85 floor
 	}
-	if n, report := checkGates(gates, fresh, 8); n != 0 {
+	if n, report := checkGates(gates, fresh); n != 0 {
 		t.Fatalf("failures = %d, want 0\n%s", n, report)
 	}
 
-	fresh["BenchmarkA/serial"] = 120 // 1.20x: below the gate
-	n, report := checkGates(gates, fresh, 8)
+	fresh["BenchmarkA/full"] = 120 // 1.20x: below the gate
+	n, report := checkGates(gates, fresh)
 	if n != 1 {
 		t.Fatalf("failures = %d, want 1\n%s", n, report)
 	}
@@ -151,45 +128,8 @@ func TestCheckGates(t *testing.T) {
 		t.Errorf("report does not flag the failed gate:\n%s", report)
 	}
 
-	delete(fresh, "BenchmarkB/shards=4") // a missing side must fail, not skip
-	if n, _ := checkGates(gates, fresh, 8); n != 2 {
+	delete(fresh, "BenchmarkB/fast") // a missing side must fail, not skip
+	if n, _ := checkGates(gates, fresh); n != 2 {
 		t.Errorf("failures with missing benchmark = %d, want 2", n)
-	}
-}
-
-// TestCheckGatesProcFallback pins the proc-conditional downgrade: a
-// gate demanding a 1.2x multi-core speedup enforces its 0.85 neutrality
-// fallback when the run had fewer procs than min_procs, and the report
-// names the downgrade. With enough procs the full ratio applies again.
-func TestCheckGatesProcFallback(t *testing.T) {
-	gates := []speedupGate{{
-		Name:             "run",
-		Numerator:        "BenchmarkR/serial",
-		Denominator:      "BenchmarkR/shards=4",
-		MinRatio:         1.2,
-		MinProcs:         4,
-		FallbackMinRatio: 0.85,
-	}}
-	fresh := map[string]float64{
-		"BenchmarkR/serial":   95,
-		"BenchmarkR/shards=4": 100, // 0.95x: neutral, no speedup
-	}
-	n, report := checkGates(gates, fresh, 1)
-	if n != 0 {
-		t.Fatalf("single-proc neutrality should pass the fallback:\n%s", report)
-	}
-	if !strings.Contains(report, "fallback: 1 procs < 4") {
-		t.Errorf("report does not name the fallback downgrade:\n%s", report)
-	}
-	if n, report := checkGates(gates, fresh, 4); n != 1 {
-		t.Fatalf("0.95x at 4 procs must fail the 1.2 gate:\n%s", report)
-	}
-	fresh["BenchmarkR/serial"] = 130 // 1.30x at 4 procs: real speedup
-	if n, report := checkGates(gates, fresh, 4); n != 0 {
-		t.Fatalf("1.30x at 4 procs should pass:\n%s", report)
-	}
-	fresh["BenchmarkR/serial"] = 80 // 0.80x: below even the fallback
-	if n, _ := checkGates(gates, fresh, 1); n != 1 {
-		t.Error("0.80x must fail the 0.85 fallback floor")
 	}
 }

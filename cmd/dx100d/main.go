@@ -49,7 +49,6 @@ func main() {
 		cacheDir   = flag.String("cache", "", "result cache directory (empty = in-memory only)")
 		timeout    = flag.Duration("timeout", 0, "per-job wall-clock budget (0 = none)")
 		figWorkers = flag.Int("figworkers", 0, "per-figure experiment pool width (0 = one per CPU)")
-		shards     = flag.Int("shards", 0, "default goroutine lanes per simulation on the sharded engine, fanning cores and memory channels between epoch barriers; per-request \"shards\" overrides (0 = serial engine; results are byte-identical)")
 		profWin    = flag.Int64("profile-window", int64(prof.DefaultWindow), "telemetry sampling interval in cycles for run jobs: live `timeline` SSE events plus GET /v1/runs/{id}/timeline (0 = off)")
 		drain      = flag.Duration("drain", 2*time.Minute, "graceful-shutdown budget before in-flight jobs are canceled")
 		pprof      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (operator-only: exposes heap contents)")
@@ -69,7 +68,6 @@ func main() {
 		JobTimeout:    *timeout,
 		CacheDir:      *cacheDir,
 		FigWorkers:    *figWorkers,
-		Shards:        *shards,
 		ProfileWindow: sim.Cycle(*profWin),
 		Logger:        logger,
 		Pprof:         *pprof,

@@ -11,7 +11,6 @@
 //	dx100sim -fig 9 -scale 8                # regenerate a figure
 //	dx100sim -fig all -scale 8              # everything (slow)
 //	dx100sim -fig all -scale 8 -jobs 4      # ... on 4 worker goroutines
-//	dx100sim -run GZZ -mode baseline -shards 4   # sharded engine, identical results
 //	dx100sim -pattern traces/p.json -json   # compile a Spatter pattern file and run it
 //	dx100sim -fig skew                      # skewed-graph sweep (sampled)
 //	dx100sim -table4                        # area/power model
@@ -50,7 +49,6 @@ func main() {
 		fig      = flag.String("fig", "", "regenerate a figure: 8a, 8bc, 9, 10, 11, 12, 13, 14, ablation, skew or all")
 		names    = flag.String("workloads", "", "comma-separated workload subset for -fig")
 		jobs     = flag.Int("jobs", 0, "concurrent experiment runs (0 = one per CPU, 1 = serial)")
-		shards   = flag.Int("shards", 0, "goroutine lanes advancing each simulation's cores and memory channels between deterministic epoch barriers (0 = serial engine; results are byte-identical; speedup needs >= 4 procs, baseline/dmp modes benefit most)")
 		verbose  = flag.Bool("v", false, "dump raw statistics after -run")
 		asJSON   = flag.Bool("json", false, "emit -run results as JSON (the dx100d wire form)")
 		trace    = flag.String("trace", "", "with -run, stream the event trace to this file (.json = Chrome trace_event for chrome://tracing or Perfetto; anything else = JSON Lines)")
@@ -68,7 +66,7 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	runner := exp.Runner{Workers: *jobs, NoFastForward: *noFF, Shards: *shards}
+	runner := exp.Runner{Workers: *jobs, NoFastForward: *noFF}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -107,8 +105,7 @@ func main() {
 		runOne(*run, *patt, *mode, *scale, runFlags{
 			verbose: *verbose, asJSON: *asJSON,
 			trace: *trace, metrics: *metrics, spanTrace: *spanTr,
-			profileWindow: *profWin, timeline: *timeline,
-			shards: *shards, noFF: *noFF,
+			profileWindow: *profWin, timeline: *timeline, noFF: *noFF,
 			sampleInterval: *sampleI, sampleDetail: *sampleD, sampleWarmup: *sampleW,
 			checkpointTo: *ckptTo, restoreFrom: *restore,
 		})
@@ -183,7 +180,6 @@ type runFlags struct {
 	spanTrace       string
 	profileWindow   int64
 	timeline        string
-	shards          int
 	noFF            bool
 	sampleInterval  int
 	sampleDetail    int64
@@ -229,7 +225,6 @@ func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 	if f.timeline != "" && opts.ProfileWindow == 0 {
 		opts.ProfileWindow = prof.DefaultWindow
 	}
-	opts.Shards = f.shards
 	opts.Sampling = samplingFrom(f.sampleInterval, f.sampleDetail, f.sampleWarmup)
 	opts.CheckpointTo = f.checkpointTo
 	opts.RestoreFrom = f.restoreFrom

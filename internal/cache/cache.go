@@ -97,14 +97,6 @@ type Cache struct {
 	lastMiss   memspace.PAddr
 	lastStride int64
 
-	// def, when non-nil, receives event scheduling and tick-time
-	// counter bumps instead of the engine, so Access can be called from
-	// a core tick fanned out to a worker goroutine (see cpu.Array).
-	// Counters must ride the mailbox even though the cache itself is
-	// core-private: all L1s (and all L2s) share one stats prefix, so
-	// the counter objects are shared across units.
-	def *sim.Deferred
-
 	cAccesses   *sim.Counter
 	cHits       *sim.Counter
 	cMisses     *sim.Counter
@@ -154,16 +146,11 @@ func (c *Cache) Config() Config { return c.cfg }
 // AttachTrace directs fill/eviction events into sink (nil detaches).
 func (c *Cache) AttachTrace(sink *obs.Sink) { c.trace = sink }
 
-// SetDeferred implements sim.Deferrable (nil restores direct engine
-// access). Only meaningful for core-private levels.
-func (c *Cache) SetDeferred(d *sim.Deferred) { c.def = d }
-
 // SetAccessClasses installs a demand-access classifier: classify maps
 // a line address to an index into hits/misses (negative leaves the
-// access unattributed). Class bumps ride the same deferral path as the
-// base counters, so installation is shard-safe; a nil classify
-// uninstalls. MSHR-merged accesses are neither hits nor misses in the
-// base model and stay unattributed here too.
+// access unattributed); a nil classify uninstalls. MSHR-merged
+// accesses are neither hits nor misses in the base model and stay
+// unattributed here too.
 func (c *Cache) SetAccessClasses(classify func(line memspace.PAddr) int, hits, misses []*sim.Counter) {
 	if classify != nil && len(hits) != len(misses) {
 		panic("cache: SetAccessClasses needs matching hit/miss counter slices")
@@ -180,30 +167,10 @@ func (c *Cache) bumpClass(line memspace.PAddr, hit bool) {
 		return
 	}
 	if hit {
-		c.bump(c.classHits[k])
+		c.classHits[k].Inc()
 	} else {
-		c.bump(c.classMisses[k])
+		c.classMisses[k].Inc()
 	}
-}
-
-// after schedules fn like eng.After, routed through the deferral
-// buffer while one is attached.
-func (c *Cache) after(delay sim.Cycle, fn func(sim.Cycle)) {
-	if c.def != nil {
-		c.def.After(delay, fn)
-		return
-	}
-	c.eng.After(delay, fn)
-}
-
-// bump increments ctr, routed through the deferral buffer while one is
-// attached (counter handles are shared across same-level caches).
-func (c *Cache) bump(ctr *sim.Counter) {
-	if c.def != nil {
-		c.def.Count(ctr, 1)
-		return
-	}
-	ctr.Inc()
 }
 
 func (c *Cache) indexTag(addr memspace.PAddr) (set int, tag uint64) {
@@ -308,7 +275,7 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 	if m, ok := c.mshrs[lineAddr]; ok {
 		c.portUsed++
 		if kind != Prefetch {
-			c.bump(c.cAccesses)
+			c.cAccesses.Inc()
 			if onDone != nil {
 				m.waiters = append(m.waiters, onDone)
 			}
@@ -324,8 +291,8 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 		if kind == Prefetch {
 			return true
 		}
-		c.bump(c.cAccesses)
-		c.bump(c.cHits)
+		c.cAccesses.Inc()
+		c.cHits.Inc()
 		if c.classify != nil {
 			c.bumpClass(lineAddr, true)
 		}
@@ -335,7 +302,7 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 			ln.dirty = true
 		}
 		if onDone != nil {
-			c.after(c.cfg.Latency, onDone)
+			c.eng.After(c.cfg.Latency, onDone)
 		}
 		return true
 	}
@@ -346,13 +313,13 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 	}
 	c.portUsed++
 	if kind != Prefetch {
-		c.bump(c.cAccesses)
-		c.bump(c.cMisses)
+		c.cAccesses.Inc()
+		c.cMisses.Inc()
 		if c.classify != nil {
 			c.bumpClass(lineAddr, false)
 		}
 	} else {
-		c.bump(c.cPrefetches)
+		c.cPrefetches.Inc()
 	}
 	m := &mshr{addr: lineAddr, kind: kind}
 	if onDone != nil {
@@ -361,7 +328,7 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 	c.mshrs[lineAddr] = m
 	// After the tag-check latency, forward below; on return, fill and
 	// wake the waiters.
-	c.after(c.cfg.Latency, func(n sim.Cycle) {
+	c.eng.After(c.cfg.Latency, func(n sim.Cycle) {
 		c.retryAccess(n, lineAddr, Load, func(n2 sim.Cycle) { c.fill(n2, m) })
 	})
 	if kind != Prefetch {
@@ -400,7 +367,7 @@ func (c *Cache) trainPrefetcher(now sim.Cycle, missAddr memspace.PAddr) {
 		for d := 1; d <= c.cfg.PrefetchDegree; d++ {
 			pa := memspace.PAddr(int64(missAddr) + stride*int64(d))
 			addr := pa
-			c.after(1, func(n sim.Cycle) {
+			c.eng.After(1, func(n sim.Cycle) {
 				// Best effort: dropped if ports/MSHRs are busy.
 				c.Access(n, addr, Prefetch, nil)
 			})

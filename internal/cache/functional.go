@@ -13,9 +13,7 @@ import (
 // the only cache state the functional mode has to maintain.
 //
 // Touch bumps the same access/hit/miss/prefetch/writeback counters as
-// the timed path (directly, never through the epoch deferral buffer —
-// functional execution is strictly single-threaded between detailed
-// windows), so sampled statistics stay comparable to full-detail
+// the timed path, so sampled statistics stay comparable to full-detail
 // runs. It does not emit trace events: tracing is a timing-path
 // observation.
 

@@ -83,20 +83,6 @@ type Core struct {
 	pending    MicroOp // fetched op awaiting ROB space (valid when hasPending)
 	hasPending bool
 
-	// Fan-out support (see Array). def, when non-nil, receives the
-	// core's engine-bound effects instead of the engine itself, so a
-	// tick can run on a worker goroutine. peek buffers ops pulled from
-	// the stream ahead of fetch so the Array can classify the upcoming
-	// tick before running it; fetch drains peek before touching the
-	// stream again, so buffering never changes the op sequence or the
-	// cycle at which the stream end is discovered.
-	def      *sim.Deferred
-	peek     []MicroOp
-	peekHead int
-	peekExt  int  // engine-external ops currently buffered in peek
-	peekEnd  bool // stream end observed while peeking
-	extOps   int  // engine-external ops currently in the window
-
 	ring          []entry
 	head          uint64 // oldest unretired seq
 	tail          uint64 // next seq to allocate
@@ -134,7 +120,7 @@ type Core struct {
 	cLoads  *sim.Counter
 	cStores *sim.Counter
 	cAtomic *sim.Counter
-	cDone   *sim.Counter // done_cycle gauge, pre-resolved for worker ticks
+	cDone   *sim.Counter // done_cycle gauge
 }
 
 // NewCore builds a core over the given L1 and translation function,
@@ -166,81 +152,6 @@ func (c *Core) Run(s Stream) {
 	c.stream = s
 	c.streamDone = false
 	c.finished = false
-	c.peek = c.peek[:0]
-	c.peekHead = 0
-	c.peekExt = 0
-	c.peekEnd = false
-}
-
-// SetDeferred implements sim.Deferrable: while d is non-nil the core's
-// event scheduling goes through d instead of the engine, so Tick can
-// run off the coordinating goroutine. All counters the core writes are
-// under its own unique prefix, so they stay direct.
-func (c *Core) SetDeferred(d *sim.Deferred) { c.def = d }
-
-// after schedules fn like eng.After, routed through the deferral
-// buffer while one is attached.
-func (c *Core) after(delay sim.Cycle, fn func(sim.Cycle)) {
-	if c.def != nil {
-		c.def.After(delay, fn)
-		return
-	}
-	c.eng.After(delay, fn)
-}
-
-// opExternal reports whether executing op can touch state outside the
-// core and its deferral targets: Effect emitters and Barrier
-// predicates are arbitrary closures over shared simulation state.
-func opExternal(op MicroOp) bool {
-	return (op.Kind == Effect && op.Emit != nil) || (op.Kind == Barrier && op.Ready != nil)
-}
-
-// nextOp returns the next µop, draining the peek buffer before the
-// stream so classification look-ahead is invisible to fetch.
-func (c *Core) nextOp() (MicroOp, bool) {
-	if c.peekHead < len(c.peek) {
-		op := c.peek[c.peekHead]
-		c.peekHead++
-		if c.peekHead == len(c.peek) {
-			c.peek = c.peek[:0]
-			c.peekHead = 0
-		}
-		if opExternal(op) {
-			c.peekExt--
-		}
-		return op, true
-	}
-	if c.peekEnd {
-		return MicroOp{}, false
-	}
-	return c.stream.Next()
-}
-
-// fanSafe reports whether this cycle's tick can run on a worker
-// goroutine. It refills the peek buffer up to fetch width — every op
-// weighs at least one, so fetch consumes at most Width ops per cycle
-// and the buffer covers everything the tick can pull into the window —
-// then requires that no engine-external op is in the window, held
-// pending, or within fetch reach. Must be called on the coordinator
-// (it reads the stream).
-func (c *Core) fanSafe() bool {
-	if c.stream != nil && !c.streamDone && !c.peekEnd {
-		for len(c.peek)-c.peekHead < c.cfg.Width {
-			op, ok := c.stream.Next()
-			if !ok {
-				c.peekEnd = true
-				break
-			}
-			c.peek = append(c.peek, op)
-			if opExternal(op) {
-				c.peekExt++
-			}
-		}
-	}
-	if c.extOps > 0 || c.peekExt > 0 {
-		return false
-	}
-	return !(c.hasPending && opExternal(c.pending))
 }
 
 // AttachProfile points the core's cycle attribution at a. Every
@@ -440,9 +351,6 @@ func (c *Core) retire() {
 		budget -= w
 		c.robUsed -= w
 		c.cInstr.Add(float64(w))
-		if opExternal(e.op) {
-			c.extOps--
-		}
 		e.wakers = e.wakers[:0]
 		c.head++
 		c.acted = true
@@ -465,7 +373,7 @@ func (c *Core) fetch() {
 			op = c.pending
 		} else {
 			var ok bool
-			op, ok = c.nextOp()
+			op, ok = c.stream.Next()
 			if !ok {
 				c.streamDone = true
 				return
@@ -484,9 +392,6 @@ func (c *Core) fetch() {
 		seq := c.tail
 		c.tail++
 		c.robUsed += w
-		if opExternal(op) {
-			c.extOps++
-		}
 		e := c.at(seq)
 		*e = entry{op: op, state: stWaiting, wakers: e.wakers[:0]}
 		for _, d := range [2]uint32{op.Dep1, op.Dep2} {
@@ -578,7 +483,7 @@ func (c *Core) issueALU(now sim.Cycle) {
 			lat = 1
 		}
 		s := seq
-		c.after(lat, func(sim.Cycle) { c.complete(s) })
+		c.eng.After(lat, func(sim.Cycle) { c.complete(s) })
 	}
 }
 

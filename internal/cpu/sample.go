@@ -116,9 +116,6 @@ func (c *Core) retireHeadFunc() int {
 	w := e.op.weight()
 	c.robUsed -= w
 	c.cInstr.Add(float64(w))
-	if opExternal(e.op) {
-		c.extOps--
-	}
 	e.wakers = e.wakers[:0]
 	c.head++
 	return w
@@ -141,7 +138,7 @@ func (c *Core) dropRetiredReady() {
 }
 
 // FuncNext yields the next architectural op for functional execution:
-// the held pending op first, then the peek buffer, then the stream.
+// the held pending op first, then the stream.
 // ok=false marks the stream exhausted (Done() then holds once the
 // window is empty).
 func (c *Core) FuncNext() (MicroOp, bool) {
@@ -149,7 +146,7 @@ func (c *Core) FuncNext() (MicroOp, bool) {
 		c.hasPending = false
 		return c.pending, true
 	}
-	op, ok := c.nextOp()
+	op, ok := c.stream.Next()
 	if !ok {
 		c.streamDone = true
 		return MicroOp{}, false

@@ -11,9 +11,9 @@ import (
 // Each bank counts the queued requests that target its open row, so
 // FR-FCFS's pending-hit check is O(1). These tests drive random streams
 // confined to a few rows per bank — requests both hit and conflict —
-// through Submit, Tick, TickSharded, AdvanceShards and a checkpoint
-// round trip, and after every submit and every advance compare each
-// count with the O(queue) scan the check used to run.
+// through Submit, single-edge Ticks, fast-forward jumps and a
+// checkpoint round trip, and after every submit and every advance
+// compare each count with the O(queue) scan the check used to run.
 
 // scanHits is the reference: how many requests queued on ch target
 // the open row of bank slice.
@@ -52,10 +52,11 @@ func checkHitCounts(t testing.TB, s *System, when string) {
 
 // driveHitCounts submits n random reads and writes over `rows` rows
 // per bank into a system with a short refresh interval, advancing it
-// by a random mix of Tick, TickSharded and AdvanceShards and checking
-// the hit counts after every submit and every advance. Once half the
-// stream is in, it drains the queues, checkpoints, and carries on with
-// a system restored from that checkpoint. It returns the shared stats.
+// by a random mix of single-edge Ticks and fast-forward jumps and
+// checking the hit counts after every submit and every advance. Once
+// half the stream is in, it drains the queues, checkpoints, and
+// carries on with a system restored from that checkpoint. It returns
+// the shared stats.
 func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 	t.Helper()
 	p := DDR4_3200()
@@ -63,8 +64,6 @@ func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 	p.TRFC = 60
 	stats := sim.NewStats()
 	s := NewSystem(sim.NewEngine(), p, stats, "dram.")
-	pool := sim.NewShardPool(2)
-	defer pool.Close()
 	rng := rand.New(rand.NewSource(seed))
 	m := s.Mapper()
 	div := sim.Cycle(p.ClkDiv)
@@ -108,21 +107,22 @@ func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 			checkHitCounts(t, s, "submit")
 		}
 		next := (now/div + 1) * div
-		switch rng.Intn(3) {
-		case 0:
+		if rng.Intn(2) == 0 {
 			s.Tick(next)
 			now = next
 			checkHitCounts(t, s, "Tick")
-		case 1:
-			s.TickSharded(next, pool)
-			now = next
-			checkHitCounts(t, s, "TickSharded")
-		default:
-			upTo := next + sim.Cycle(rng.Intn(16))*div
-			s.AdvanceShards(now, upTo, pool, new(sim.Epoch))
-			now = upTo
-			checkHitCounts(t, s, "AdvanceShards")
+			continue
 		}
+		// Jump the way the engine's fast-forward does: account the
+		// inert edges before the next wake, then tick at it.
+		w, _ := s.NextWake(now)
+		if w == sim.NeverWake {
+			w = next
+		}
+		s.SkipCycles(now, w)
+		s.Tick(w)
+		now = w
+		checkHitCounts(t, s, "jump")
 	}
 	if !restored {
 		t.Fatalf("seed %d: stream ended before the checkpoint", seed)

@@ -19,23 +19,6 @@ type System struct {
 	prefix string
 	chans  []*channel
 
-	// fx holds one effect mailbox per channel (see shard.go):
-	// tickChannel records command effects there instead of applying
-	// them inline, so the same state machine serves the serial tick,
-	// the parallel per-edge tick, and the epoch advance; mergeIdx is
-	// the k-way merge cursor scratch, sized once.
-	fx       []chanFx
-	mergeIdx []int
-
-	// tickFn/advFn are the persistent unit closures dispatched to the
-	// shard pool; their cycle arguments travel through tickDC/tickNow
-	// and advFrom/advUpTo so steady-state dispatches allocate nothing.
-	tickFn           func(u int)
-	advFn            func(u int)
-	tickDC           uint64
-	tickNow          sim.Cycle
-	advFrom, advUpTo sim.Cycle
-
 	// Per-DRAM-cycle counter handles, resolved once so the tick loop
 	// does no string concatenation or map lookups.
 	cCycles    *sim.Counter
@@ -85,14 +68,6 @@ func NewSystem(eng *sim.Engine, p Params, stats *sim.Stats, prefix string) *Syst
 		ch.idx = i
 		s.chans = append(s.chans, ch)
 	}
-	s.fx = make([]chanFx, p.Channels)
-	s.mergeIdx = make([]int, p.Channels)
-	s.tickFn = func(u int) {
-		fx := &s.fx[u]
-		fx.preLen = len(s.chans[u].queue)
-		fx.acted1 = s.tickChannel(s.chans[u], fx, s.tickDC, s.tickNow)
-	}
-	s.advFn = func(u int) { s.advanceChannel(u, s.advFrom, s.advUpTo) }
 	eng.Register(s)
 	return s
 }
@@ -147,21 +122,14 @@ func (s *System) Tick(now sim.Cycle) bool {
 		return s.busy()
 	}
 	s.cCycles.Inc()
-	s.tickInline(uint64(now)/uint64(s.p.ClkDiv), now)
-	return s.busy()
-}
-
-// tickInline ticks every channel at DRAM edge dc on the calling
-// goroutine, sampling occupancy before each channel's tick and
-// applying its effects as soon as it acts.
-func (s *System) tickInline(dc uint64, now sim.Cycle) {
-	for i, ch := range s.chans {
+	dc := uint64(now) / uint64(s.p.ClkDiv)
+	for _, ch := range s.chans {
+		// Occupancy is sampled before the channel's tick.
 		s.cOccupancy.Add(float64(len(ch.queue)))
 		s.hOccupancy.Observe(float64(len(ch.queue)))
-		if s.tickChannel(ch, &s.fx[i], dc, now) {
-			s.applyEdge(&s.fx[i])
-		}
+		s.tickChannel(ch, dc, now)
 	}
+	return s.busy()
 }
 
 // NextWake implements sim.WakeHinter: the earliest CPU cycle at which
@@ -225,29 +193,26 @@ func (s *System) busy() bool {
 	return false
 }
 
-// tickChannel issues at most one command on ch at DRAM cycle dc,
-// recording every externally visible effect — counter deltas, trace
-// events, completion callbacks — into fx rather than applying it. The
-// caller (serial tick, parallel tick merge, or epoch merge) applies
-// the mailbox in deterministic order; this is what lets the same state
-// machine run on a worker goroutine unchanged. It reports whether the
-// channel acted (issued any command or refreshed).
-func (s *System) tickChannel(ch *channel, fx *chanFx, dc uint64, now sim.Cycle) bool {
+// tickChannel issues at most one command on ch at DRAM cycle dc:
+// a refresh, else FR-FCFS over the request buffer. Each command bumps
+// its counter, emits its trace event, and a column command schedules
+// the request's completion on the engine.
+func (s *System) tickChannel(ch *channel, dc uint64, now sim.Cycle) {
 	if ch.maybeRefresh(dc) {
-		fx.refreshes++
+		s.cRefreshes.Inc()
 		if s.trace != nil {
-			fx.events = append(fx.events, obs.Event{
+			s.trace.Emit(obs.Event{
 				Cycle: uint64(now), Kind: obs.EvDRAMRefresh, Src: s.prefix,
 				Args: [6]int64{int64(ch.idx), int64(dc)},
 			})
 		}
-		return true
+		return
 	}
 	// First-ready: oldest request whose column command can issue now.
 	for _, r := range ch.queue {
 		if ch.casReady(r, dc) {
-			s.completeCAS(ch, fx, r, dc, now)
-			return true
+			s.completeCAS(ch, r, dc, now)
+			return
 		}
 	}
 	// FCFS: oldest request that needs its row opened, provided we
@@ -264,30 +229,30 @@ func (s *System) tickChannel(ch *channel, fx *chanFx, dc uint64, now sim.Cycle) 
 			if dc >= b.nextPre {
 				ch.issuePRE(r, dc)
 				r.requiredPre = true
-				fx.pre++
+				s.cPre.Inc()
 				if s.trace != nil {
-					fx.events = append(fx.events, cmdEvent(obs.EvDRAMPre, s.prefix, now, r.coord, dc))
+					s.trace.Emit(cmdEvent(obs.EvDRAMPre, s.prefix, now, r.coord, dc))
 				}
-				return true
+				return
 			}
 			continue
 		}
 		if ch.actReady(r, dc) {
 			ch.issueACT(r, dc)
 			r.requiredAct = true
-			fx.act++
+			s.cAct.Inc()
 			if s.trace != nil {
-				fx.events = append(fx.events, cmdEvent(obs.EvDRAMAct, s.prefix, now, r.coord, dc))
+				s.trace.Emit(cmdEvent(obs.EvDRAMAct, s.prefix, now, r.coord, dc))
 			}
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // completeCAS issues r's column command, records its row-buffer
-// classification, and buffers the completion callback.
-func (s *System) completeCAS(ch *channel, fx *chanFx, r *Request, dc uint64, now sim.Cycle) {
+// classification, and schedules the completion callback for the cycle
+// its data burst ends.
+func (s *System) completeCAS(ch *channel, r *Request, dc uint64, now sim.Cycle) {
 	doneAt := ch.issueCAS(r, dc)
 	ch.remove(r)
 	if s.trace != nil {
@@ -295,28 +260,24 @@ func (s *System) completeCAS(ch *channel, fx *chanFx, r *Request, dc uint64, now
 		if r.Kind == Write {
 			kind = obs.EvDRAMWrite
 		}
-		fx.events = append(fx.events, cmdEvent(kind, s.prefix, now, r.coord, dc))
+		s.trace.Emit(cmdEvent(kind, s.prefix, now, r.coord, dc))
 	}
 	switch {
 	case !r.requiredAct:
-		fx.rowHits++
+		s.cRowHits.Inc()
 	case r.requiredPre:
-		fx.confl++
+		s.cRowConfl.Inc()
 	default:
-		fx.rowMiss++
+		s.cRowMiss.Inc()
 	}
 	if r.Kind == Read {
-		fx.reads++
+		s.cReads.Inc()
 	} else {
-		fx.writes++
+		s.cWrites.Inc()
 	}
-	fx.bytes += memspace.LineSize
+	s.cBytes.Add(memspace.LineSize)
 	if r.OnDone != nil {
-		cpuDone := sim.Cycle(doneAt * uint64(s.p.ClkDiv))
-		if cpuDone <= now {
-			cpuDone = now + 1
-		}
-		fx.comps = append(fx.comps, pendingDone{asOf: now, at: cpuDone, fn: r.OnDone})
+		s.eng.Schedule(sim.Cycle(doneAt*uint64(s.p.ClkDiv)), r.OnDone)
 	}
 }
 

@@ -407,19 +407,6 @@ func (a *Accel) Tick(now sim.Cycle) bool {
 	return !a.Idle()
 }
 
-// ShardUnits implements sim.EpochComponent: the accelerator's
-// execution units contend on shared LLC ports, the dispatch queue, and
-// the DRAM request buffers every cycle, so they are not independently
-// advanceable — the accelerator schedules as one unit.
-func (a *Accel) ShardUnits() int { return 1 }
-
-// TickSharded implements sim.EpochComponent by ticking inline. The
-// point of the binding is scheduling, not parallelism: as an epoch
-// component the accelerator is visited inside epoch windows, so its
-// now+1 wake hints while executing no longer force the engine out of
-// the sharded window path the way an outside ticker's would.
-func (a *Accel) TickSharded(now sim.Cycle, p sim.Parallel) bool { return a.Tick(now) }
-
 // stallWake returns the cycle a stalled instruction resumes at, when
 // that lies in the future (dispatch latency, directory transfer, TLB
 // miss). Until then its unit does nothing.

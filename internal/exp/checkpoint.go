@@ -19,7 +19,7 @@ import (
 // name, scale, seed) re-derives it exactly; warm-up only reads it.
 // Restoring into a freshly built identical system and running is
 // byte-identical to the uninterrupted run (pinned by
-// TestCheckpointRestoreIdentity across modes and shard counts).
+// TestCheckpointRestoreIdentity across modes and workloads).
 
 // ckptLayout is the checkpoint's leading guard section: a fingerprint
 // of the system topology and workload, validated before any component
@@ -115,9 +115,9 @@ func (s *system) restore(workload string, data []byte) error {
 // region layout plus the full system configuration (canonical JSON).
 // Two runs with equal keys build byte-identical systems and perform
 // byte-identical warm-ups, so the first run's post-warm-up checkpoint
-// substitutes for every later one. Execution policy (shards, worker
-// counts) is deliberately absent — like the Spec hash, the key names
-// the experiment, not how it is scheduled.
+// substitutes for every later one. Execution policy (worker counts)
+// is deliberately absent — like the Spec hash, the key names the
+// experiment, not how it is scheduled.
 func warmKey(inst *workloads.Instance, cfg SystemConfig) (string, error) {
 	b, err := json.Marshal(cfg)
 	if err != nil {

@@ -141,11 +141,9 @@ func Scale8Baseline() SystemConfig {
 }
 
 // LargeBaseline is the biggest baseline system the repository models: a
-// 16-core, 8-channel, 32 MB-LLC machine for production-scale sweeps.
-// It is the system behind the sharded-engine benchmarks in
-// BENCH_engine.json — with this much memory-level parallelism the DRAM
-// channels carry deep queues, which is exactly the regime where the
-// epoch scheduler's batched channel advances pay off.
+// 16-core, 8-channel, 32 MB-LLC machine for production-scale sweeps;
+// with this much memory-level parallelism the DRAM channels carry deep
+// queues.
 func LargeBaseline() SystemConfig {
 	cfg := Default(Baseline)
 	cfg.Cores = 16

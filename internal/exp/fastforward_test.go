@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"testing"
 
 	"dx100/internal/workloads"
@@ -35,6 +36,18 @@ func TestFastForwardResultEquivalence(t *testing.T) {
 			if k1, k2 := resultKey(on), resultKey(off); k1 != k2 {
 				t.Errorf("%s/%s: fast-forward changed the results\n--- ff on ---\n%s\n--- ff off ---\n%s",
 					name, mode, k1, k2)
+			}
+			w1, err := ResultJSON(on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w2, err := ResultJSON(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w1, w2) {
+				t.Errorf("%s/%s: fast-forward changed the wire form\n--- ff on ---\n%s\n--- ff off ---\n%s",
+					name, mode, w1, w2)
 			}
 		}
 	}

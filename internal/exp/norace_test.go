@@ -4,8 +4,6 @@ package exp
 
 // raceDetectorEnabled mirrors whether this test binary was built with
 // -race. The deterministic equivalence sweeps trim themselves under
-// the detector — each cell costs ~10x there, and the full matrix would
-// push the package past go test's default timeout — while
-// TestShardSoakRace re-checks byte-identity under the pool's real
-// interleavings, which is the part only a -race build can do.
+// the detector: each cell costs ~10x there, and the full sweeps would
+// push the package past go test's default timeout.
 const raceDetectorEnabled = false

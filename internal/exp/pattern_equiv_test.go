@@ -13,8 +13,8 @@ import (
 
 // Compiled pattern files are not Registry workloads, so they cannot
 // ride the detNames matrices — these instance-based twins give them the
-// same byte-identity pins: sharded vs serial, checkpoint save/restore,
-// and interval sampling under both engines.
+// same byte-identity pins: fast-forward on vs off, checkpoint
+// save/restore, and interval sampling under both stepping strategies.
 
 // patternFile loads and parses the committed golden pattern file.
 func patternFile(t *testing.T) *pattern.File {
@@ -50,19 +50,19 @@ func runPatternJSON(t *testing.T, scale int, cfg SystemConfig, opts RunOptions) 
 	return out
 }
 
-// TestPatternShardEquivalence: a compiled-pattern run on the sharded
-// engine is byte-identical to the serial engine, in every mode.
-func TestPatternShardEquivalence(t *testing.T) {
+// TestPatternFastForwardEquivalence: a compiled-pattern run with
+// fast-forward is byte-identical to the same run stepped cycle by
+// cycle, in every mode.
+func TestPatternFastForwardEquivalence(t *testing.T) {
 	for _, mode := range []Mode{Baseline, DMP, DX} {
 		mode := mode
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			t.Parallel()
 			cfg := Default(mode)
-			serial := runPatternJSON(t, 1, cfg, RunOptions{})
-			for _, shards := range []int{1, 4} {
-				if got := runPatternJSON(t, 1, cfg, RunOptions{Shards: shards}); !bytes.Equal(got, serial) {
-					t.Errorf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, serial, got)
-				}
+			ff := runPatternJSON(t, 1, cfg, RunOptions{})
+			cfg.NoFastForward = true
+			if exact := runPatternJSON(t, 1, cfg, RunOptions{}); !bytes.Equal(ff, exact) {
+				t.Errorf("fast-forward changed the result:\n%s\nvs\n%s", ff, exact)
 			}
 		})
 	}
@@ -91,18 +91,22 @@ func TestPatternCheckpointRestoreIdentity(t *testing.T) {
 	}
 }
 
-// TestSampledShardEquivalence: interval sampling composes with the
-// sharded engine — a sampled run at any lane count is byte-identical to
-// the sampled serial run — for both new workload families (the skewed
-// graph via the registry, the compiled pattern via its instance path).
-func TestSampledShardEquivalence(t *testing.T) {
+// TestSampledFastForwardEquivalence: interval sampling composes with
+// fast-forward — a sampled run is byte-identical with fast-forward on
+// and off — for both new workload families (the skewed graph via the
+// registry, the compiled pattern via its instance path). The detailed
+// windows end at fixed cycle bounds, so this pins Engine.RunUntil's
+// clamp: a jump that crossed a window edge would shift every later
+// window.
+func TestSampledFastForwardEquivalence(t *testing.T) {
 	scfg := &SamplingConfig{Interval: 20_000, Detail: 5_000, Warmup: 1_000}
 	t.Run("graph.pr.push", func(t *testing.T) {
 		t.Parallel()
-		cfg := Default(Baseline)
-		run := func(shards int) []byte {
+		run := func(noFF bool) []byte {
+			cfg := Default(Baseline)
+			cfg.NoFastForward = noFF
 			res, err := RunInstanceOpts(workloads.Registry["graph.pr.push"](1), cfg,
-				RunOptions{Shards: shards, Sampling: scfg})
+				RunOptions{Sampling: scfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,17 +116,17 @@ func TestSampledShardEquivalence(t *testing.T) {
 			}
 			return out
 		}
-		serial := run(0)
-		if got := run(4); !bytes.Equal(got, serial) {
-			t.Errorf("sampled sharded run diverges from sampled serial:\n%s\nvs\n%s", serial, got)
+		if ff, exact := run(false), run(true); !bytes.Equal(ff, exact) {
+			t.Errorf("sampled run differs with fast-forward off:\n%s\nvs\n%s", ff, exact)
 		}
 	})
 	t.Run("pattern", func(t *testing.T) {
 		t.Parallel()
 		cfg := Default(Baseline)
-		serial := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg})
-		if got := runPatternJSON(t, 4, cfg, RunOptions{Shards: 4, Sampling: scfg}); !bytes.Equal(got, serial) {
-			t.Errorf("sampled sharded run diverges from sampled serial:\n%s\nvs\n%s", serial, got)
+		ff := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg})
+		cfg.NoFastForward = true
+		if exact := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg}); !bytes.Equal(ff, exact) {
+			t.Errorf("sampled run differs with fast-forward off:\n%s\nvs\n%s", ff, exact)
 		}
 	})
 }

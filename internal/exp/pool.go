@@ -17,7 +17,8 @@ import (
 // goroutines. The experiment drivers fan their runs out over a bounded
 // worker pool and reassemble results in submission order, which keeps
 // every figure byte-identical to a serial run (proved by
-// TestMainEvaluationSerialParallelIdentical).
+// TestMainEvaluationSerialParallelIdentical, and cell by cell by the
+// TestShardEquivalence sweeps).
 //
 // Execution policy is carried by a Runner value, not package globals,
 // so concurrent callers — two dx100d requests, two tests — cannot race
@@ -45,12 +46,6 @@ type Runner struct {
 	// be called from multiple worker goroutines; implementations must
 	// be safe for concurrent use.
 	OnRun func(done, total int)
-	// Shards, when positive, runs every simulation this Runner
-	// dispatches on the sharded engine with that many lanes (see
-	// RunOptions.Shards). It composes with Workers: Workers bounds the
-	// across-run fan-out, Shards the within-run fan-out, so total
-	// goroutine pressure is roughly Workers × Shards.
-	Shards int
 }
 
 // Config returns the Table 3 default for the mode with this Runner's
@@ -149,7 +144,7 @@ func namedSpec(name string, scale int, cfg SystemConfig) (runSpec, error) {
 func (r Runner) runAll(specs []runSpec) ([]Result, error) {
 	out := make([]Result, len(specs))
 	var completed atomic.Int64
-	opts := RunOptions{Context: r.Context, Shards: r.Shards}
+	opts := RunOptions{Context: r.Context}
 	err := r.forEach(len(specs), func(i int) error {
 		o := opts
 		o.Sampling = specs[i].sampling

@@ -181,13 +181,6 @@ func (p *profiler) maybeSample(now sim.Cycle) {
 	if p == nil || !p.armed {
 		return
 	}
-	if p.eng.InEpochWindow() {
-		// Probes read shared counters that units may still be batching
-		// into mailboxes mid-window; a sample here would see a state no
-		// serial run ever exposes. Epoch windows are bounded by the check
-		// cadence, so the hook must only ever fire between windows.
-		panic(fmt.Sprintf("exp: profiler sampled inside an epoch window at cycle %d", now))
-	}
 	if p.sampler.Due(uint64(now)) {
 		p.sampler.Sample(uint64(now))
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"dx100/internal/obs"
@@ -51,106 +50,6 @@ func checkConservation(t *testing.T, res Result) {
 			t.Errorf("core %d: buckets sum to %d, cycles counter says %.0f (counts %v)",
 				i, sum, cycles, counts)
 		}
-	}
-}
-
-// TestProfiledShardEquivalence extends the conservation suite to the
-// sharded engine: a profiled run at any shard count must reproduce the
-// serial run's entire wire form byte-for-byte — every Timeline row,
-// the stall breakdown, the statistics registry — and the sharded run's
-// buckets must independently conserve. The sampler fires from the
-// engine's Check hook, which the epoch scheduler clamps windows to, so
-// every sample lands at the exact serial cycle with the exact serial
-// counter values.
-func TestProfiledShardEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode Mode
-	}{
-		{"GZZ", Baseline},
-		{"GZZ", DMP}, // deferred shared-counter path (dmp./l1d./l2.) under fan-out
-		{"micro.gather", DX},
-		{"IS", DX},
-	} {
-		tc := tc
-		t.Run(fmt.Sprintf("%s/%s", tc.name, tc.mode), func(t *testing.T) {
-			t.Parallel()
-			serial, err := RunOpts(tc.name, 1, Default(tc.mode), RunOptions{ProfileWindow: profileWindow})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ResultJSON(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shardSet := []int{2, 8}
-			if raceDetectorEnabled {
-				shardSet = shardSet[:1] // trimmed under -race (see norace_test.go)
-			}
-			for _, n := range shardSet {
-				res, err := RunOpts(tc.name, 1, Default(tc.mode), RunOptions{ProfileWindow: profileWindow, Shards: n})
-				if err != nil {
-					t.Fatalf("shards=%d: %v", n, err)
-				}
-				got, err := ResultJSON(res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want, got) {
-					t.Errorf("shards=%d: profiled wire form diverges from serial:\n--- serial ---\n%s\n--- shards=%d ---\n%s",
-						n, want, n, got)
-				}
-				checkConservation(t, res)
-			}
-		})
-	}
-}
-
-// TestProfiledShardFFSkipAndConservation names the two telemetry
-// invariants that mailbox completion delivery must preserve, beyond
-// whole-wire identity: the ff_skip probe (skipped cycles / elapsed
-// cycles, sampled at every window edge) matches the serial run sample
-// by sample — so routing DRAM completions through the epoch mailbox
-// changed neither how far the engine jumps nor what the probe reads at
-// each barrier — and the per-core stall buckets still sum exactly to
-// each core's cycle counter when those buckets were filled by fanned-out
-// core ticks. GOMAXPROCS is forced to 4 so the worker-pool path runs
-// even on single-CPU hosts (hence no t.Parallel(); see the wide-fanout
-// shard test). The profiler independently panics if the sampler ever
-// fires inside an open epoch window, so a pass here also certifies that
-// every sample landed on a barrier.
-func TestProfiledShardFFSkipAndConservation(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, mode := range []Mode{Baseline, DMP} {
-		serial, err := RunOpts("GZZ", 1, Default(mode), RunOptions{ProfileWindow: profileWindow})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := RunOpts("GZZ", 1, Default(mode), RunOptions{ProfileWindow: profileWindow, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want, got []float64
-		for _, s := range serial.Timeline.Series {
-			if s.Name == "ff_skip" {
-				want = s.Values
-			}
-		}
-		for _, s := range sharded.Timeline.Series {
-			if s.Name == "ff_skip" {
-				got = s.Values
-			}
-		}
-		if len(want) == 0 || len(want) != len(got) {
-			t.Fatalf("%s: ff_skip series lengths: serial %d, sharded %d", mode, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Errorf("%s: ff_skip[%d] = %v sharded, %v serial", mode, i, got[i], want[i])
-			}
-		}
-		checkConservation(t, sharded)
 	}
 }
 

@@ -56,7 +56,6 @@ type system struct {
 	mem    *dram.System
 	hier   *cache.Hierarchy
 	cores  []*cpu.Core
-	arr    *cpu.Array
 	accels []*dx100.Accel
 	dmps   []*prefetch.DMP
 }
@@ -72,16 +71,6 @@ func build(inst *workloads.Instance, cfg SystemConfig) *system {
 	s.mem = dram.NewSystem(s.eng, cfg.DRAM, s.stats, "dram.")
 	hcfg := cache.SkylakeLike(cfg.Cores, cfg.LLCBytes)
 	s.hier = cache.NewHierarchy(s.eng, hcfg, s.mem, s.stats, "")
-	// Bundle the cache tickers into one epoch component, in their exact
-	// registration order. They tick inline (no fan-out) but must live
-	// inside epoch windows: the memory adapter and the caches hint now+1
-	// whenever retries are pending, which as outside tickers would keep
-	// every window shut.
-	cacheTickers := []sim.Ticker{s.hier.Mem, s.hier.LLC}
-	for i := 0; i < cfg.Cores; i++ {
-		cacheTickers = append(cacheTickers, s.hier.L2[i], s.hier.L1[i])
-	}
-	s.eng.BindEpoch(sim.NewTickerGroup(cacheTickers...), cacheTickers...)
 
 	var dir *dx100.RegionDirectory
 	if cfg.Mode == DX && cfg.Instances > 1 {
@@ -116,30 +105,6 @@ func build(inst *workloads.Instance, cfg SystemConfig) *system {
 			front = d
 		}
 		s.cores = append(s.cores, cpu.NewCore(s.eng, cfg.Core, front, translate, s.stats, fmt.Sprintf("core%d.", i)))
-	}
-	// Bind the core array over the cores' contiguous registration span.
-	// In Baseline and DMP modes safe core ticks may fan out over the
-	// shard pool; each unit's deferral targets are the components its
-	// tick calls into synchronously (its private cache path). DX mode
-	// keeps cores inline: scratchpad loads reach the shared accelerator
-	// port directly, which classification cannot see.
-	s.arr = cpu.NewArray(s.eng, s.cores)
-	coreTickers := make([]sim.Ticker, len(s.cores))
-	for i, c := range s.cores {
-		coreTickers[i] = c
-	}
-	s.eng.BindEpoch(s.arr, coreTickers...)
-	switch cfg.Mode {
-	case Baseline:
-		for i := range s.cores {
-			s.arr.AddUnitTargets(i, s.hier.L1[i])
-		}
-		s.arr.EnableFanout()
-	case DMP:
-		for i := range s.cores {
-			s.arr.AddUnitTargets(i, s.dmps[i], s.hier.L1[i], s.hier.L2[i])
-		}
-		s.arr.EnableFanout()
 	}
 	return s
 }
@@ -246,24 +211,10 @@ type RunOptions struct {
 	// (valid only during the call). It runs on the simulating
 	// goroutine; dx100d uses it to stream live timeline events.
 	OnSample func(cycle uint64, names []string, values []float64)
-	// Shards, when positive, runs the simulation on the sharded engine:
-	// up to Shards goroutine lanes advance the machine's independent
-	// units — the DRAM channels between bulk epoch barriers, and the
-	// cores within each visited cycle (Baseline/DMP modes) — while
-	// completions ride the epoch effect mailbox instead of the serial
-	// event heap. Sharding is an execution strategy, not part of the
-	// experiment: results are byte-identical for every value (the
-	// equivalence matrix in determinism_test.go pins this), which is
-	// also why Shards lives here and not in SystemConfig — it must not
-	// perturb a Spec's content address. Zero selects the serial engine;
-	// lanes beyond the host's GOMAXPROCS add nothing and are clamped by
-	// the pool.
-	Shards int
 	// OnEngineDone, when non-nil, observes the engine right after the
 	// run completes, before the Result is collected. It exists for
 	// tests and benchmarks that read scheduler telemetry outside the
-	// Result wire form — EpochStats (mean epoch window width),
-	// FastForwarded — and must not mutate anything.
+	// Result wire form (FastForwarded) and must not mutate anything.
 	OnEngineDone func(*sim.Engine)
 	// Sampling, when non-nil, runs the simulation under SMARTS-style
 	// interval sampling: detailed measurement windows alternating with
@@ -410,15 +361,6 @@ func RunInstance(inst *workloads.Instance, cfg SystemConfig) (Result, error) {
 // cancellation and progress reporting.
 func RunInstanceOpts(inst *workloads.Instance, cfg SystemConfig, opts RunOptions) (Result, error) {
 	s := build(inst, cfg)
-	if opts.Shards > 0 {
-		// No cap at the channel count anymore: lanes also fan out core
-		// ticks, so the useful ceiling is the total unit count (cores +
-		// channels + accelerators), and the pool itself clamps the lane
-		// count to GOMAXPROCS.
-		s.eng.SetShards(opts.Shards)
-		// Release the pool's worker goroutines however the run ends.
-		defer s.eng.Close()
-	}
 	var p *profiler
 	if opts.ProfileWindow > 0 {
 		p = newProfiler(s, inst, opts)

@@ -150,10 +150,10 @@ func (s *system) runSampled(scfg SamplingConfig, onPhase func(string, bool)) (si
 	for !done() {
 		// Detailed window: unmeasured warm-up first, then measurement.
 		// RunUntil (not a Now() >= edge predicate) so the window edges
-		// land on exactly the same cycle under every stepping strategy —
-		// a caller-side predicate overshoots by a jump- or epoch-window-
-		// dependent amount, which would make sampled estimates differ
-		// between the serial and sharded engines.
+		// land on exactly the same cycle with fast-forward on and off —
+		// a caller-side predicate overshoots by a jump-dependent amount,
+		// which would make sampled estimates depend on the stepping
+		// strategy.
 		phase("sample.detail", true)
 		if scfg.Warmup > 0 {
 			if _, err := s.eng.RunUntil(s.eng.Now()+scfg.Warmup, done); err != nil {

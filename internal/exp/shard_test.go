@@ -5,151 +5,129 @@ import (
 	"runtime"
 	"testing"
 
-	"dx100/internal/sim"
 	"dx100/internal/workloads"
 )
 
-// The sharded engine's contract is stronger than "same figures": a run
-// executed with any shard count must be byte-identical to the serial
-// engine — every statistic, every derived rate, the exact wire JSON —
-// for every workload, mode, and stepping strategy. These tests pin that
-// contract as a matrix; shard.go and epoch.go in internal/sim document
-// why it holds.
+// The across-run pool (Runner.Workers, the CLIs' -jobs flag) is how the
+// simulator uses more than one core: a batch of runs is sharded across
+// the pool's workers, each run on its own engine, statistics registry,
+// channels and caches. Sharding must be invisible. Every cell of a
+// pooled batch is byte-identical — every statistic, every derived rate,
+// the exact wire JSON — to the same cell run one at a time, for every
+// workload, mode and stepping strategy. TestMainEvaluationSerialParallelIdentical
+// pins this for the assembled figures; these tests pin it cell by cell.
 
-// shardCell runs one (workload, mode, noFF, shards) cell at scale 1 and
-// renders everything observable about it: the full-precision result key
-// (all measured fields plus the statistics registry) and the wire JSON
-// the daemon would serve. shards == 0 is the serial engine.
-func shardCell(t *testing.T, name string, mode Mode, noFF bool, shards int) string {
-	t.Helper()
-	cfg := Default(mode)
-	cfg.NoFastForward = noFF
-	res, err := RunOpts(name, 1, cfg, RunOptions{Shards: shards})
+// shardSpec is one cell of a batch: a registered workload at scale 1
+// in one mode and stepping strategy.
+type shardSpec struct {
+	name string
+	mode Mode
+	noFF bool
+}
+
+// shardCell runs one cell and renders everything observable about it:
+// the full-precision result key (all measured fields plus the
+// statistics registry) and the wire JSON the daemon would serve.
+func shardCell(c shardSpec) (string, error) {
+	cfg := Default(c.mode)
+	cfg.NoFastForward = c.noFF
+	res, err := Run(c.name, 1, cfg)
 	if err != nil {
-		t.Fatalf("%s/%s noff=%v shards=%d: %v", name, mode, noFF, shards, err)
+		return "", fmt.Errorf("%s/%s noff=%v: %w", c.name, c.mode, c.noFF, err)
 	}
 	wire, err := ResultJSON(res)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	return resultKey(res) + string(wire)
+	return resultKey(res) + string(wire), nil
 }
 
-// shardCounts spans the interesting pool shapes: 1 (epoch batching with
-// no worker goroutines), an even split, the core/channel count, and
-// more lanes than any single component has units (excess lanes idle in
-// that component's dispatch but still serve the wider ones — cores and
-// channels shard independently, there is no cap at the channel count).
-var shardCounts = []int{1, 2, 4, 8}
-
-// TestShardEquivalenceMatrix is the equivalence matrix: three
-// representative workloads × all three measured systems (baseline
-// cores+DRAM, DMP with its deferred shared counters, DX100 with the
-// accelerator bound as an epoch component) × fast-forward on/off ×
-// every shard count, each cell compared byte-for-byte against the
-// serial engine.
-func TestShardEquivalenceMatrix(t *testing.T) {
-	counts := shardCounts
-	if raceDetectorEnabled {
-		// One count suffices for the detector: 4 lanes exercises real
-		// fan-out on multi-core hosts and degrades to the single-lane
-		// epoch path under GOMAXPROCS=1.
-		counts = []int{4}
-	}
-	for _, name := range detNames {
-		for _, mode := range []Mode{Baseline, DMP, DX} {
-			for _, noFF := range []bool{false, true} {
-				name, mode, noFF := name, mode, noFF
-				t.Run(fmt.Sprintf("%s/%s/noff=%v", name, mode, noFF), func(t *testing.T) {
-					t.Parallel()
-					if noFF && raceDetectorEnabled {
-						t.Skip("exact-stepping cells are serial-engine physics; trimmed under -race (see norace_test.go)")
-					}
-					serial := shardCell(t, name, mode, noFF, 0)
-					for _, n := range counts {
-						if got := shardCell(t, name, mode, noFF, n); got != serial {
-							t.Errorf("shards=%d diverges from serial:\n--- serial ---\n%s\n--- shards=%d ---\n%s",
-								n, serial, n, got)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestEpochWindowWidth pins the payoff of mailbox completion delivery.
-// Before it, every DRAM CAS parked a completion event on the engine
-// heap a fixed latency out, so the heap head sat one CAS latency ahead
-// of the present and held epoch windows to ~1.5 acted cycles on the
-// 16-core LargeBaseline — the barrier cadence the whole sharded design
-// amortizes against. With completions riding the per-channel mailboxes
-// (delivered in deterministic (cycle, unit) order at the barrier), the
-// heap only carries genuinely global events and the mean window must
-// stay wide. 8 acted cycles per epoch is the floor the end-to-end
-// speedup budget assumes; regressing it means some component started
-// scheduling per-action events on the heap again.
-func TestEpochWindowWidth(t *testing.T) {
-	inst := workloads.Registry["XRAGE"](4)
-	var epochs, acted uint64
-	_, err := RunInstanceOpts(inst, LargeBaseline(), RunOptions{
-		Shards:       4,
-		OnEngineDone: func(e *sim.Engine) { epochs, acted = e.EpochStats() },
+// shardBatch renders every cell with the batch sharded across workers
+// pool workers; workers == 1 runs the cells one at a time.
+func shardBatch(t *testing.T, cells []shardSpec, workers int) []string {
+	t.Helper()
+	out := make([]string, len(cells))
+	err := Runner{Workers: workers}.forEach(len(cells), func(i int) (err error) {
+		out[i], err = shardCell(cells[i])
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epochs == 0 {
-		t.Fatal("sharded LargeBaseline run opened no epoch windows")
-	}
-	width := float64(acted) / float64(epochs)
-	t.Logf("epochs=%d actedCycles=%d mean width=%.2f", epochs, acted, width)
-	if width < 8 {
-		t.Errorf("mean epoch window = %.2f acted cycles, want >= 8", width)
+	return out
+}
+
+// checkShardEquivalence runs cells one at a time, then sharded across
+// workers pool workers, and compares each cell in its own subtest.
+func checkShardEquivalence(t *testing.T, cells []shardSpec, workers int, label func(shardSpec) string) {
+	t.Helper()
+	alone := shardBatch(t, cells, 1)
+	pooled := shardBatch(t, cells, workers)
+	for i, c := range cells {
+		t.Run(label(c), func(t *testing.T) {
+			if alone[i] != pooled[i] {
+				t.Errorf("sharded across %d workers diverges from one at a time:\n--- alone ---\n%s\n--- sharded ---\n%s",
+					workers, alone[i], pooled[i])
+			}
+		})
 	}
 }
 
-// TestShardEquivalenceAllWorkloads sweeps every registered workload
-// once with an odd lane count (uneven channel partition) against
-// serial, on both systems — the breadth pass complementing the deep
-// matrix above.
-// TestShardEquivalenceWideFanout pins byte-identity with the worker
-// pool forced wide. The pool clamps its width to GOMAXPROCS, so on a
-// single-CPU host the default test run degrades core fan-out to the
-// inline path; this test raises GOMAXPROCS to 4 for its duration so the
-// parallel core-tick path (mailbox counters, deferred cache events,
-// per-unit replay order) genuinely executes regardless of host shape.
-// It must not call t.Parallel(): GOMAXPROCS is process-global, and the
-// sequential phase of the package run is the only safe place to flip it.
+// TestShardEquivalenceMatrix is the deep matrix: the determinism
+// workloads × all three measured systems × fast-forward on/off, sharded
+// across four workers.
+func TestShardEquivalenceMatrix(t *testing.T) {
+	var cells []shardSpec
+	for _, name := range detNames {
+		for _, mode := range []Mode{Baseline, DMP, DX} {
+			for _, noFF := range []bool{false, true} {
+				if noFF && raceDetectorEnabled {
+					continue // exact stepping adds no interleavings; trimmed under -race (see norace_test.go)
+				}
+				cells = append(cells, shardSpec{name, mode, noFF})
+			}
+		}
+	}
+	checkShardEquivalence(t, cells, 4, func(c shardSpec) string {
+		return fmt.Sprintf("%s/%s/noff=%v", c.name, c.mode, c.noFF)
+	})
+}
+
+// TestShardEquivalenceWideFanout pins byte-identity with the pool's
+// workers genuinely running in parallel. forEach starts the workers it
+// is asked for, but under GOMAXPROCS=1 they take turns on one thread;
+// raising GOMAXPROCS to 4 for the duration makes the runs overlap on
+// any host. It must not call t.Parallel(): GOMAXPROCS is
+// process-global, and the sequential phase of the package run is the
+// only safe place to flip it.
 func TestShardEquivalenceWideFanout(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	// Baseline fans the bare cores; DMP adds the deferred shared
-	// "dmp."/"l2." counters on the fanned trigger path.
-	for _, mode := range []Mode{Baseline, DMP} {
-		serial := shardCell(t, "GZZ", mode, false, 0)
-		if got := shardCell(t, "GZZ", mode, false, 4); got != serial {
-			t.Errorf("%s: shards=4 under GOMAXPROCS=4 diverges from serial:\n--- serial ---\n%s\n--- shards=4 ---\n%s",
-				mode, serial, got)
+	var cells []shardSpec
+	for _, name := range []string{"GZZ", "IS"} {
+		for _, mode := range []Mode{Baseline, DMP} {
+			cells = append(cells, shardSpec{name, mode, false})
 		}
 	}
+	checkShardEquivalence(t, cells, 4, func(c shardSpec) string {
+		return fmt.Sprintf("%s/%s", c.name, c.mode)
+	})
 }
 
+// TestShardEquivalenceAllWorkloads sweeps every registered workload in
+// every mode, sharded across an odd worker count (the batch does not
+// divide evenly) — the breadth pass complementing the deep matrix.
 func TestShardEquivalenceAllWorkloads(t *testing.T) {
 	if raceDetectorEnabled {
-		t.Skip("breadth sweep checks byte-identity semantics, not interleavings; trimmed under -race (see norace_test.go)")
+		t.Skip("breadth sweep checks byte-identity, not interleavings; trimmed under -race (see norace_test.go)")
 	}
+	var cells []shardSpec
 	for _, name := range workloads.Order {
 		for _, mode := range []Mode{Baseline, DMP, DX} {
-			name, mode := name, mode
-			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
-				t.Parallel()
-				serial := shardCell(t, name, mode, false, 0)
-				if got := shardCell(t, name, mode, false, 3); got != serial {
-					t.Errorf("shards=3 diverges from serial:\n--- serial ---\n%s\n--- shards=3 ---\n%s",
-						serial, got)
-				}
-			})
+			cells = append(cells, shardSpec{name, mode, false})
 		}
 	}
+	checkShardEquivalence(t, cells, 3, func(c shardSpec) string {
+		return fmt.Sprintf("%s/%s", c.name, c.mode)
+	})
 }

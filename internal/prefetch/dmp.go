@@ -63,12 +63,6 @@ type DMP struct {
 	// element region; indexed parallel to patterns.
 	lastElem []int
 	cIssued  *sim.Counter
-	// def, when non-nil, receives event scheduling instead of the
-	// engine: a DMP is private to one core and its trigger path runs
-	// inside that core's tick, which may be fanned out to a worker
-	// goroutine (see cpu.Array). The index values it reads from memspace
-	// are immutable during a run, so only engine access needs rerouting.
-	def *sim.Deferred
 }
 
 // New builds a DMP observing `forward` and prefetching into `into`.
@@ -84,10 +78,6 @@ func New(eng *sim.Engine, cfg Config, space *memspace.Space, forward, into cache
 		cIssued: stats.Counter(prefix + "issued"),
 	}
 }
-
-// SetDeferred implements sim.Deferrable (nil restores direct engine
-// access).
-func (d *DMP) SetDeferred(buf *sim.Deferred) { d.def = buf }
 
 // Register adds an indirect pattern for the idealized detector.
 func (d *DMP) Register(p Pattern) {
@@ -147,22 +137,12 @@ func (d *DMP) chase(now sim.Cycle, p *Pattern, i int) {
 	idx := d.space.ReadWord(idxVA, p.IndexSize)
 	tgtVA := p.TargetBase + memspace.VAddr(idx*uint64(p.TargetSize))
 	pa := d.space.Translate(tgtVA)
-	if d.def != nil {
-		// The issued counter's name is shared across all cores' DMPs, so
-		// it must ride the mailbox like the event scheduling does.
-		d.def.Count(d.cIssued, 1)
-	} else {
-		d.cIssued.Inc()
-	}
+	d.cIssued.Inc()
 	d.into.Access(now, pa, cache.Prefetch, nil)
 	if p.Next != nil {
 		// Multi-level chase after the first level would be ready; the
 		// timing charge is folded into the prefetch pipeline.
 		next := p.Next
-		if d.def != nil {
-			d.def.After(8, func(n sim.Cycle) { d.chase(n, next, int(idx)) })
-		} else {
-			d.eng.After(8, func(n sim.Cycle) { d.chase(n, next, int(idx)) })
-		}
+		d.eng.After(8, func(n sim.Cycle) { d.chase(n, next, int(idx)) })
 	}
 }

@@ -12,8 +12,7 @@ import (
 // Access. The demand touch warms the wrapped level, and index-stream
 // loads trigger the same indirect chase — prefetch touches into the
 // L2, multi-level patterns chased immediately instead of through a
-// delayed event. Functional phases are single-threaded, so the issued
-// counter is bumped directly rather than through the mailbox.
+// delayed event.
 func (d *DMP) Touch(addr memspace.PAddr, kind cache.Kind) {
 	cache.TouchLevel(d.forward, addr, kind)
 	if kind != cache.Load {

@@ -32,7 +32,7 @@ import (
 // Version is the current checkpoint format version. Bump it whenever
 // any component's section layout changes; old checkpoints then fail
 // with ErrVersion instead of decoding garbage.
-const Version uint16 = 1
+const Version uint16 = 2
 
 var magic = [4]byte{'D', 'X', 'C', 'K'}
 

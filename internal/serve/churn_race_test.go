@@ -1,12 +1,12 @@
 //go:build race
 
 // This file only builds under the race detector: it is the -race pin
-// for the sharded engine running inside the daemon. The assertions are
-// deliberately weak — the point is the interleaving, not the values —
-// so the ordinary test matrix stays fast while `go test -race` gets a
-// workload that overlaps shard-pool workers, metrics scraping, Check
-// hooks (per-job context polling plus simprof sampling), and
-// mid-flight cancellation, mirroring TestMetricsScrapeUnderChurn.
+// for profiled runs inside the daemon. The assertions are deliberately
+// weak — the point is the interleaving, not the values — so the
+// ordinary test matrix stays fast while `go test -race` gets a workload
+// that overlaps worker-pool runs, metrics scraping, Check hooks
+// (per-job context polling plus simprof sampling), and mid-flight
+// cancellation, mirroring TestMetricsScrapeUnderChurn.
 
 package serve
 
@@ -17,12 +17,10 @@ import (
 	"testing"
 )
 
-func TestShardedChurnRace(t *testing.T) {
-	// Daemon-wide default of 2 lanes; individual submissions override
-	// it per request. The profile window arms the simprof sampler so
-	// every run's Check hook does real work concurrently with the
-	// shard pool.
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 256, Shards: 2, ProfileWindow: 4096})
+func TestProfiledChurnRace(t *testing.T) {
+	// The profile window arms the simprof sampler so every run's Check
+	// hook does real work concurrently with the other workers' runs.
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 256, ProfileWindow: 4096})
 
 	const (
 		submitters = 4
@@ -36,13 +34,12 @@ func TestShardedChurnRace(t *testing.T) {
 			defer subWG.Done()
 			for i := 0; i < perWorker; i++ {
 				seq := g*perWorker + i
-				// Distinct max_cycles defeats coalescing (shards alone
-				// would not: it is execution policy, outside the content
-				// address). The cap is high enough that the sharded
-				// engine runs real epochs before the limit fires.
+				// Distinct max_cycles defeats coalescing. The cap is high
+				// enough that the profiler samples several windows
+				// before the limit fires.
 				body := fmt.Sprintf(
-					`{"workload":"micro.gather","scale":1,"shards":%d,"overrides":{"max_cycles":%d}}`,
-					seq%9, 40000+seq)
+					`{"workload":"micro.gather","scale":1,"overrides":{"max_cycles":%d}}`,
+					40000+seq)
 				sr, code := postRun(t, ts, body)
 				if code != http.StatusAccepted {
 					continue // queue full under churn is fine
@@ -50,7 +47,7 @@ func TestShardedChurnRace(t *testing.T) {
 				if i%3 == 0 {
 					// Cancel some jobs mid-flight: the per-job context is
 					// polled from the engine's Check hook, so this races a
-					// cancellation against live shard-pool dispatches.
+					// cancellation against a live run.
 					req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+sr.ID, nil)
 					if resp, err := http.DefaultClient.Do(req); err == nil {
 						resp.Body.Close()

@@ -29,7 +29,6 @@ type figSpec struct {
 	Workloads     []string `json:"workloads,omitempty"`
 	NoFastForward bool     `json:"no_fast_forward,omitempty"`
 	Workers       int      `json:"-"`
-	Shards        int      `json:"-"` // execution policy, like Workers
 }
 
 // hash returns the spec's content address. Figure specs and run specs
@@ -57,9 +56,6 @@ func parseFigSpec(r *http.Request) (figSpec, error) {
 	}
 	if f.Workers, err = parsePositiveInt(q.Get("workers"), 0); err != nil {
 		return f, fmt.Errorf("workers: %w", err)
-	}
-	if f.Shards, err = parsePositiveInt(q.Get("shards"), 0); err != nil {
-		return f, fmt.Errorf("shards: %w", err)
 	}
 	f.NoFastForward = parseBoolParam(q.Get("noff"))
 	if ws := q.Get("workloads"); ws != "" {
@@ -96,14 +92,9 @@ func (s *Server) executeFigure(ctx context.Context, j *job) (json.RawMessage, er
 	if workers == 0 {
 		workers = s.cfg.FigWorkers
 	}
-	shards := f.Shards
-	if shards == 0 {
-		shards = s.cfg.Shards
-	}
 	runner := exp.Runner{
 		Workers:       workers,
 		NoFastForward: f.NoFastForward,
-		Shards:        shards,
 		Context:       ctx,
 		OnRun: func(done, total int) {
 			s.simRuns.Add(1)

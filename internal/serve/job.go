@@ -52,10 +52,6 @@ type job struct {
 	spec    exp.Spec
 	fig     figSpec
 	created time.Time
-	// shards is the job's sharded-engine lane count (0 = the daemon
-	// default applies at execution time). Execution policy only: it is
-	// not part of id, so submissions differing only here coalesce.
-	shards int
 
 	// Lifecycle tracing: spans records the job's phase spans (served at
 	// GET /v1/runs/{id}/trace), trace is the job's root span context

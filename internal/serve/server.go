@@ -59,14 +59,6 @@ type Config struct {
 	// FigWorkers bounds the per-figure experiment pool (0 = one per
 	// CPU).
 	FigWorkers int
-	// Shards is the daemon-wide default lane count for the sharded
-	// engine: every simulation a job executes advances its memory
-	// channels on up to this many goroutine lanes between deterministic
-	// epoch barriers (see exp.RunOptions.Shards). Results are
-	// byte-identical for every value, so sharding is execution policy —
-	// it never enters a job's content address, and a per-request
-	// "shards" field overrides it per job. 0 selects the serial engine.
-	Shards int
 	// ProfileWindow, when positive, profiles every single-run job at
 	// this sampling interval: live timeline rows go out over the run's
 	// SSE stream, and the finished timeline plus stall breakdown is
@@ -271,14 +263,9 @@ func (s *Server) execute(j *job) {
 
 func (s *Server) executeRun(ctx context.Context, j *job) (json.RawMessage, error) {
 	s.simRuns.Add(1)
-	shards := j.shards
-	if shards == 0 {
-		shards = s.cfg.Shards
-	}
 	runSpan := j.spans.Start("run", j.trace)
 	opts := exp.RunOptions{
 		Context: ctx,
-		Shards:  shards,
 		OnPhase: phaseSpans(j.spans, runSpan.Context()),
 		Progress: func(p exp.ProgressSample) {
 			if b, err := json.Marshal(p); err == nil {
@@ -396,17 +383,11 @@ type runRequest struct {
 	Mode      string     `json:"mode"`
 	Scale     int        `json:"scale"`
 	Overrides *Overrides `json:"overrides,omitempty"`
-	// Shards selects the sharded engine for this job (0 = the daemon's
-	// configured default). It is execution policy, not part of the
-	// experiment: results are byte-identical for every value, so it
-	// deliberately stays outside Overrides and the content hash — two
-	// submissions differing only in shards coalesce onto one job.
-	Shards int `json:"shards,omitempty"`
 	// Sampling, when non-nil, runs the job under SMARTS interval
-	// sampling (see exp.SamplingConfig). Unlike Shards it changes what
-	// is computed — a sampled result is an estimate with confidence
-	// intervals — so it joins the Spec and therefore the content hash:
-	// sampled and full-detail submissions never coalesce.
+	// sampling (see exp.SamplingConfig). It changes what is computed —
+	// a sampled result is an estimate with confidence intervals — so it
+	// joins the Spec and therefore the content hash: sampled and
+	// full-detail submissions never coalesce.
 	Sampling *exp.SamplingConfig `json:"sampling,omitempty"`
 	// Pattern, when non-nil, submits a Spatter-style gather/scatter
 	// pattern file instead of a registry workload (Workload must then be
@@ -502,7 +483,6 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	}
 	j := newJob(id, "run")
 	j.spec = spec
-	j.shards = rr.Shards
 	s.initTrace(j, r)
 	s.finishSubmit(w, j)
 }

@@ -8,31 +8,28 @@ import (
 
 // Checkpointing: the engine and the stats registry serialize into the
 // ckpt container. The engine only checkpoints at quiescent points —
-// no pending events on either lane — because an event closure cannot
-// be serialized; the experiment harness arranges such a point (after
-// functional warm-up, before streams attach) and the Save methods
-// enforce it.
+// no pending events — because an event closure cannot be serialized;
+// the experiment harness arranges such a point (after functional
+// warm-up, before streams attach) and the Save methods enforce it.
 
-// EventsPending reports whether either event lane holds undelivered
-// events. A checkpoint requires both empty; the sampler's drain
+// EventsPending reports whether the event heap holds undelivered
+// events. A checkpoint requires it empty; the sampler's drain
 // predicate also polls this.
 func (e *Engine) EventsPending() bool {
-	return e.events.len() > 0 || e.comps.len() > 0
+	return e.events.len() > 0
 }
 
 // CheckpointSave implements ckpt.Checkpointable: clock position,
-// event sequence and the fast-forward/epoch accounting. Scheduled
-// events cannot be serialized, so a non-quiescent engine refuses.
+// event sequence and the fast-forward accounting. Scheduled events
+// cannot be serialized, so a non-quiescent engine refuses.
 func (e *Engine) CheckpointSave(w *ckpt.Writer) error {
 	if e.EventsPending() {
-		return fmt.Errorf("sim: engine has %d pending events at checkpoint", e.events.len()+e.comps.len())
+		return fmt.Errorf("sim: engine has %d pending events at checkpoint", e.events.len())
 	}
 	w.U64(uint64(e.now))
 	w.U64(e.seq)
 	w.U64(e.ffJumps)
 	w.U64(e.ffSkipped)
-	w.U64(e.epochs)
-	w.U64(e.epochActed)
 	return nil
 }
 
@@ -45,8 +42,6 @@ func (e *Engine) CheckpointLoad(r *ckpt.Reader) error {
 	e.seq = r.U64()
 	e.ffJumps = r.U64()
 	e.ffSkipped = r.U64()
-	e.epochs = r.U64()
-	e.epochActed = r.U64()
 	return r.Err()
 }
 

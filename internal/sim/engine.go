@@ -194,51 +194,15 @@ type Engine struct {
 	skippers []CycleSkipper
 	allHint  bool
 
-	// Sharded scheduler state (see shard.go/epoch.go): pool is non-nil
-	// once SetShards enabled intra-run parallelism, epochComps is the
-	// multi-component registry built by Register (auto-binding) and
-	// BindEpoch — each entry covers a contiguous span of registered
-	// tickers driven through one EpochComponent.TickSharded call — and
-	// epoch is the reusable effect mailbox for bulk window advances.
-	//
-	// comps is the completion mailbox: a second event lane, ordered by
-	// the same (cycle, seq) key as the main heap, that carries
-	// cross-component completions (DRAM read/write done callbacks,
-	// cache fills) while the sharded scheduler runs. Both lanes are
-	// popped merged, so splitting them is invisible in results; the
-	// split is what lets the epoch window runner treat completions as
-	// in-window deliveries instead of window-capping heap heads.
-	pool       *ShardPool
-	epochComps []epochComp
-	epoch      Epoch
-	comps      minHeap[event]
-
-	// Window-runner working state, rebuilt per Run: compAt maps each
-	// ticker index to its epoch component (>= 0 at a component's first
-	// member, -2 at its remaining members, -1 outside any component),
-	// outside lists the uncovered ticker indices, bulkIdx locates the
-	// first component supporting bulk window advances (ShardedTicker),
-	// lastOtherBusy / lastCompBusy capture the busy reports of the most
-	// recent sharded step, and epochs/epochActed count opened windows
-	// and the cycles visited inside them (diagnostics, not Stats).
-	compAt        []int
-	outside       []int
-	bulkIdx       int
-	lastOtherBusy bool
-	lastCompBusy  []bool
-	epochs        uint64
-	epochActed    uint64
-	inWindow      bool
-
 	// MaxCycles aborts the run when reached; it guards against
 	// deadlocked models in tests. Zero means no limit.
 	MaxCycles Cycle
 	// runBound, when non-zero, is the hard time ceiling installed by
-	// RunUntil: clock jumps clamp to it and epoch windows close at it,
-	// so the engine lands exactly on the bound instead of overshooting
-	// by a jump- or window-dependent amount. That exactness is what
-	// makes time-bounded phases (the interval sampler's detailed
-	// windows) byte-identical across stepping strategies.
+	// RunUntil: clock jumps clamp to it, so the engine lands exactly on
+	// the bound instead of overshooting by a jump-dependent amount.
+	// That exactness is what makes time-bounded phases (the interval
+	// sampler's detailed windows) byte-identical with fast-forward on
+	// and off.
 	runBound Cycle
 	// DisableFastForward forces exact cycle-by-cycle stepping even
 	// when every ticker hints. Results must be identical either way;
@@ -271,7 +235,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{allHint: true, bulkIdx: -1}
+	return &Engine{allHint: true}
 }
 
 // Now returns the current cycle.
@@ -285,28 +249,7 @@ func (e *Engine) FastForwarded() (jumps, skippedCycles uint64) {
 	return e.ffJumps, e.ffSkipped
 }
 
-// EpochStats reports how many epoch windows the sharded scheduler has
-// opened and how many cycles it visited inside them — the mean
-// actedCycles/epochs is the window width that decides whether the
-// parallel engine pays. Diagnostics only, kept out of the Stats
-// registry (like FastForwarded) so results stay independent of the
-// stepping strategy.
-func (e *Engine) EpochStats() (epochs, actedCycles uint64) {
-	return e.epochs, e.epochActed
-}
-
-// InEpochWindow reports whether the engine is currently inside an
-// epoch window runner invocation. The Check hook never fires there —
-// windows are bounded by the check cadence — so observers sampling
-// from Check (the simprof profiler) use this to assert they never read
-// mid-window state.
-func (e *Engine) InEpochWindow() bool { return e.inWindow }
-
-// Register adds a ticker stepped every cycle. A ticker that implements
-// EpochComponent is automatically bound as a single-member epoch
-// component (the DRAM system and the DX100 accelerators register this
-// way); multi-member components — the core array, the cache
-// hierarchy — are declared explicitly with BindEpoch.
+// Register adds a ticker stepped every cycle.
 func (e *Engine) Register(t Ticker) {
 	e.tickers = append(e.tickers, t)
 	h, ok := t.(WakeHinter)
@@ -316,61 +259,6 @@ func (e *Engine) Register(t Ticker) {
 	e.hinters = append(e.hinters, h)
 	s, _ := t.(CycleSkipper)
 	e.skippers = append(e.skippers, s)
-	if ec, ok := t.(EpochComponent); ok {
-		e.bindEpoch(ec, len(e.tickers)-1, 1)
-	}
-}
-
-// BindEpoch declares that component c drives the given registered
-// tickers when the sharded scheduler runs: at their position in
-// registration order, one c.TickSharded call replaces the members'
-// individual Tick calls (and must be observably identical to them).
-// The members must have been registered, in this exact order,
-// contiguously; they keep their own WakeHinter/CycleSkipper roles for
-// the serial engine and for jump accounting. Call before Run.
-func (e *Engine) BindEpoch(c EpochComponent, members ...Ticker) {
-	if len(members) == 0 {
-		panic("sim: BindEpoch needs at least one member")
-	}
-	first := -1
-	for i, t := range e.tickers {
-		if t == members[0] {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		panic("sim: BindEpoch member not registered")
-	}
-	if first+len(members) > len(e.tickers) {
-		panic("sim: BindEpoch members exceed registered tickers")
-	}
-	for k, m := range members {
-		if e.tickers[first+k] != m {
-			panic("sim: BindEpoch members must be contiguous in registration order")
-		}
-	}
-	e.bindEpoch(c, first, len(members))
-}
-
-// bindEpoch inserts the component covering tickers [first, first+n)
-// into the registry, kept sorted by first member index.
-func (e *Engine) bindEpoch(c EpochComponent, first, n int) {
-	nc := epochComp{c: c, first: first, n: n}
-	nc.bulk, _ = c.(ShardedTicker)
-	pos := len(e.epochComps)
-	for i := range e.epochComps {
-		ec := &e.epochComps[i]
-		if first < ec.first+ec.n && ec.first < first+n {
-			panic("sim: BindEpoch ranges overlap")
-		}
-		if first < ec.first && i < pos {
-			pos = i
-		}
-	}
-	e.epochComps = append(e.epochComps, epochComp{})
-	copy(e.epochComps[pos+1:], e.epochComps[pos:])
-	e.epochComps[pos] = nc
 }
 
 // Schedule runs fn at cycle `at`. Scheduling in the past (or at the
@@ -388,73 +276,21 @@ func (e *Engine) After(delay Cycle, fn func(now Cycle)) {
 	e.Schedule(e.now+delay, fn)
 }
 
-// ScheduleCompletion is Schedule for cross-component completion
-// callbacks (a DRAM CAS finishing, a deferred cache response). On the
-// serial engine it is identical to Schedule. While the sharded
-// scheduler runs, the callback goes into the completion mailbox
-// instead of the main heap: both lanes share the (cycle, seq) order
-// and are popped merged, so delivery order is byte-identical — but the
-// epoch window runner delivers mailbox entries inside its windows
-// rather than letting them cap the window at the completion rate.
-func (e *Engine) ScheduleCompletion(at Cycle, fn func(now Cycle)) {
-	if at <= e.now {
-		at = e.now + 1
-	}
-	e.seq++
-	if e.shardedActive() {
-		e.comps.push(event{at: at, seq: e.seq, fn: fn})
-		return
-	}
-	e.events.push(event{at: at, seq: e.seq, fn: fn})
-}
-
-// fireDue pops and runs every event due at or before the current
-// cycle, merging the main heap and the completion mailbox in (cycle,
-// seq) order. The mailbox is empty on the serial engine, so the hot
-// serial path pays one length check.
-func (e *Engine) fireDue() (fired bool) {
-	if e.comps.len() == 0 {
-		for e.events.len() > 0 && e.events.items[0].at <= e.now {
-			ev := e.events.pop()
-			ev.fn(e.now)
-			fired = true
-		}
-		return fired
-	}
-	for {
-		he := e.events.len() > 0 && e.events.items[0].at <= e.now
-		hc := e.comps.len() > 0 && e.comps.items[0].at <= e.now
-		var ev event
-		switch {
-		case he && hc:
-			if e.events.items[0].before(e.comps.items[0]) {
-				ev = e.events.pop()
-			} else {
-				ev = e.comps.pop()
-			}
-		case he:
-			ev = e.events.pop()
-		case hc:
-			ev = e.comps.pop()
-		default:
-			return fired
-		}
-		ev.fn(e.now)
-		fired = true
-	}
-}
-
-// Step advances the clock one cycle: fires due events, then ticks every
-// ticker. It reports whether any component is still busy.
+// Step advances the clock one cycle: fires due events in (cycle, seq)
+// order, then ticks every ticker. It reports whether any component is
+// still busy.
 func (e *Engine) Step() (busy bool) {
 	e.now++
-	e.fireDue()
+	for e.events.len() > 0 && e.events.items[0].at <= e.now {
+		ev := e.events.pop()
+		ev.fn(e.now)
+	}
 	for _, t := range e.tickers {
 		if t.Tick(e.now) {
 			busy = true
 		}
 	}
-	return busy || e.events.len() > 0 || e.comps.len() > 0
+	return busy || e.events.len() > 0
 }
 
 // fastForward jumps the clock to just before the next cycle at which
@@ -465,9 +301,6 @@ func (e *Engine) fastForward() {
 	target := NeverWake
 	if e.events.len() > 0 {
 		target = e.events.items[0].at
-	}
-	if e.comps.len() > 0 && e.comps.items[0].at < target {
-		target = e.comps.items[0].at
 	}
 	// Query latest-registered tickers first: cores and accelerators
 	// (cheap, registered last) usually decline during dense phases,
@@ -506,14 +339,6 @@ func (e *Engine) fastForward() {
 			return
 		}
 	}
-	e.jumpTo(target)
-}
-
-// jumpTo moves the clock to just before target and accounts the elided
-// cycles: SkipCycles on every skipper, the jump counters, and the trace
-// event. Callers own the decision that the jump is legal (no component
-// can act before target).
-func (e *Engine) jumpTo(target Cycle) {
 	from := e.now
 	e.now = target - 1 // the next Step lands exactly on target
 	for _, s := range e.skippers {
@@ -552,18 +377,9 @@ func (e *Engine) Run(done func() bool) (Cycle, error) {
 	if interval == 0 {
 		interval = DefaultCheckEvery
 	}
-	sharded := e.shardedActive()
-	if sharded {
-		e.buildEpochPlan()
-	}
 	nextCheck := e.now + interval
 	for {
-		var busy bool
-		if sharded {
-			busy = e.stepSharded()
-		} else {
-			busy = e.Step()
-		}
+		busy := e.Step()
 		if done != nil && done() {
 			return e.now, nil
 		}
@@ -585,15 +401,7 @@ func (e *Engine) Run(done func() bool) (Cycle, error) {
 			nextCheck = e.now + interval
 		}
 		if e.allHint && !e.DisableFastForward {
-			if sharded {
-				// epochStep folds the epoch attempt and the fast-forward
-				// jump into one hinter scan; it performs the jump itself.
-				if end, at, err := e.epochStep(nextCheck, done); end {
-					return at, err
-				}
-			} else {
-				e.fastForward()
-			}
+			e.fastForward()
 		}
 	}
 }
@@ -602,11 +410,11 @@ func (e *Engine) Run(done func() bool) (Cycle, error) {
 // first visited cycle >= bound (or earlier, when done reports true),
 // and — unlike a caller-side `Now() >= bound` stop predicate — it
 // never overshoots the bound. Overshoot is stepping-strategy-dependent
-// (a serial fast-forward jump and a sharded bulk window cross the
-// bound by different amounts), so a time-bounded phase is
-// byte-identical across shard counts only when the engine itself
-// clamps to the bound; the interval sampler's detailed windows rely on
-// this (TestSampledShardEquivalence). Quiescing before the bound with
+// (a fast-forward jump crosses the bound, exact stepping lands on it),
+// so a time-bounded phase is byte-identical with fast-forward on and
+// off only when the engine itself clamps to the bound; the interval
+// sampler's detailed windows rely on this
+// (TestSampledFastForwardEquivalence). Quiescing before the bound with
 // done unsatisfied is a deadlock, exactly as in Run.
 func (e *Engine) RunUntil(bound Cycle, done func() bool) (Cycle, error) {
 	e.runBound = bound

@@ -166,7 +166,7 @@ func TestSkewedClusteringFraction(t *testing.T) {
 
 // TestGraphByteDeterministic: equal configs build byte-identical
 // instances — the property every rebuild site (per-mode runs, -jobs
-// workers, shard lanes, checkpoint restore) relies on. Checked at a
+// workers, checkpoint restore) relies on. Checked at a
 // non-default sweep point, since the registered defaults are already
 // covered by the builder-determinism sweep.
 func TestGraphByteDeterministic(t *testing.T) {

@@ -126,8 +126,8 @@ func TestCompiledPatternMatchesInterpreter(t *testing.T) {
 }
 
 // TestCompileDeterministic: two compiles of the same file are
-// byte-identical — required for rebuild sites (per-mode runs, shard
-// lanes, checkpoint restore) and the content-addressed cache.
+// byte-identical — required for rebuild sites (per-mode runs,
+// checkpoint restore) and the content-addressed cache.
 func TestCompileDeterministic(t *testing.T) {
 	data, _ := os.ReadFile("testdata/xrage_like.json")
 	f, err := Parse(data)
