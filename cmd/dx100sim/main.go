@@ -60,8 +60,6 @@ func main() {
 		sampleI  = flag.Int("sample-interval", 0, "with -run, enable SMARTS interval sampling: functionally fast-forward this many instructions per core between detailed windows (0 = full detail)")
 		sampleD  = flag.Int64("sample-detail", 0, "with -sample-interval, measured cycles per detailed window (0 = 20k)")
 		sampleW  = flag.Int64("sample-warmup", 0, "with -sample-interval, unmeasured detailed warm-up cycles before each window's measurement")
-		ckptTo   = flag.String("checkpoint", "", "with -run, write a post-warm-up checkpoint to this file")
-		restore  = flag.String("restore", "", "with -run, restore the post-warm-up state from this checkpoint file instead of re-simulating the warm-up")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -107,7 +105,6 @@ func main() {
 			trace: *trace, metrics: *metrics, spanTrace: *spanTr,
 			profileWindow: *profWin, timeline: *timeline, noFF: *noFF,
 			sampleInterval: *sampleI, sampleDetail: *sampleD, sampleWarmup: *sampleW,
-			checkpointTo: *ckptTo, restoreFrom: *restore,
 		})
 	case *fig != "":
 		runFigure(runner, *fig, *scale, subset(*names), samplingFrom(*sampleI, *sampleD, *sampleW))
@@ -184,8 +181,6 @@ type runFlags struct {
 	sampleInterval  int
 	sampleDetail    int64
 	sampleWarmup    int64
-	checkpointTo    string
-	restoreFrom     string
 }
 
 // samplingFrom assembles the optional SamplingConfig the -sample-*
@@ -226,14 +221,12 @@ func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 		opts.ProfileWindow = prof.DefaultWindow
 	}
 	opts.Sampling = samplingFrom(f.sampleInterval, f.sampleDetail, f.sampleWarmup)
-	opts.CheckpointTo = f.checkpointTo
-	opts.RestoreFrom = f.restoreFrom
 	var spanRec *span.Recorder
 	var rootSpan *span.Span
 	if f.spanTrace != "" {
 		spanRec = span.NewRecorder(0)
 		rootSpan = spanRec.Start("run "+modeStr, span.Context{})
-		opts.OnPhase = phaseSpans(spanRec, rootSpan.Context())
+		opts.OnPhase = span.PhaseSpans(spanRec, rootSpan.Context())
 	}
 	cfg := exp.Default(m)
 	cfg.NoFastForward = cfg.NoFastForward || f.noFF
@@ -306,27 +299,6 @@ func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 	}
 	if f.verbose {
 		fmt.Println(res.Stats)
-	}
-}
-
-// phaseSpans adapts the strictly nested OnPhase begin/end pairs into
-// child spans under the run's root span (the CLI twin of dx100d's
-// in-daemon adapter).
-func phaseSpans(rec *span.Recorder, parent span.Context) func(string, bool) {
-	var stack []*span.Span
-	return func(name string, begin bool) {
-		if begin {
-			p := parent
-			if n := len(stack); n > 0 {
-				p = stack[n-1].Context()
-			}
-			stack = append(stack, rec.Start("phase."+name, p))
-			return
-		}
-		if n := len(stack); n > 0 {
-			stack[n-1].End()
-			stack = stack[:n-1]
-		}
 	}
 }
 

@@ -109,8 +109,8 @@ func (c *Cache) touchTrain(missAddr memspace.PAddr) {
 }
 
 // Quiet reports whether the cache holds no in-flight state: no
-// outstanding MSHRs and no blocked downstream retries. Checkpoints
-// and functional phases require every level quiet.
+// outstanding MSHRs and no blocked downstream retries. Functional
+// phases require every level quiet.
 func (c *Cache) Quiet() bool {
 	return len(c.mshrs) == 0 && c.blockedHead == len(c.blocked)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dx100/internal/cache"
-	"dx100/internal/sample/ckpt"
 	"dx100/internal/sim"
 )
 
@@ -40,9 +39,6 @@ func (c *Core) Pause() { c.paused = true }
 
 // Resume restarts fetch after a functional phase.
 func (c *Core) Resume() { c.paused = false }
-
-// Paused reports whether fetch is stopped.
-func (c *Core) Paused() bool { return c.paused }
 
 // Drained reports whether the core's window is empty with nothing in
 // flight — the fully clean handoff point. A paused core that is not
@@ -202,36 +198,4 @@ func (c *Core) countFuncOp(op MicroOp) {
 	case Atomic:
 		c.cAtomic.Inc()
 	}
-}
-
-// CheckpointSave implements ckpt.Checkpointable. A core checkpoints
-// only between streams (warm-up happens before Run attaches one), so
-// the serialized state is the window geometry — saved to validate the
-// restore target — plus the finished flag; everything else the core
-// accumulates lives in the shared Stats registry.
-func (c *Core) CheckpointSave(w *ckpt.Writer) error {
-	if c.stream != nil && !c.Done() {
-		return fmt.Errorf("cpu: core %s mid-stream at checkpoint", c.prefix)
-	}
-	if c.head != c.tail || c.inflight != 0 || c.hasPending {
-		return fmt.Errorf("cpu: core %s has in-flight window state at checkpoint", c.prefix)
-	}
-	w.U64(c.head)
-	w.U64(c.tail)
-	w.Bool(c.finished)
-	return nil
-}
-
-// CheckpointLoad implements ckpt.Checkpointable.
-func (c *Core) CheckpointLoad(r *ckpt.Reader) error {
-	if c.stream != nil {
-		return fmt.Errorf("cpu: core %s restore after a stream attached", c.prefix)
-	}
-	c.head = r.U64()
-	c.tail = r.U64()
-	c.finished = r.Bool()
-	if r.Err() == nil && c.head != c.tail {
-		return fmt.Errorf("cpu: core %s checkpoint has a non-empty window", c.prefix)
-	}
-	return r.Err()
 }

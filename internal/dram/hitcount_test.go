@@ -4,16 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"dx100/internal/sample/ckpt"
 	"dx100/internal/sim"
 )
 
 // Each bank counts the queued requests that target its open row, so
 // FR-FCFS's pending-hit check is O(1). These tests drive random streams
 // confined to a few rows per bank — requests both hit and conflict —
-// through Submit, single-edge Ticks, fast-forward jumps and a
-// checkpoint round trip, and after every submit and every advance
-// compare each count with the O(queue) scan the check used to run.
+// through Submit, single-edge Ticks and fast-forward jumps, and after
+// every submit and every advance compare each count with the O(queue)
+// scan the check used to run.
 
 // scanHits is the reference: how many requests queued on ch target
 // the open row of bank slice.
@@ -53,10 +52,8 @@ func checkHitCounts(t testing.TB, s *System, when string) {
 // driveHitCounts submits n random reads and writes over `rows` rows
 // per bank into a system with a short refresh interval, advancing it
 // by a random mix of single-edge Ticks and fast-forward jumps and
-// checking the hit counts after every submit and every advance. Once
-// half the stream is in, it drains the queues, checkpoints, and
-// carries on with a system restored from that checkpoint. It returns
-// the shared stats.
+// checking the hit counts after every submit and every advance. It
+// returns the stats.
 func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 	t.Helper()
 	p := DDR4_3200()
@@ -68,26 +65,12 @@ func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 	m := s.Mapper()
 	div := sim.Cycle(p.ClkDiv)
 	var now sim.Cycle // last cycle the system has been advanced through
-	submitted, restored := 0, false
+	submitted := 0
 	for advances := 0; submitted < n || !s.Quiet(); advances++ {
 		if advances > 1_000_000 {
 			t.Fatalf("seed %d: stream not drained after %d advances", seed, advances)
 		}
-		if !restored && submitted >= n/2 && s.Quiet() {
-			var w ckpt.Writer
-			if err := s.CheckpointSave(&w); err != nil {
-				t.Fatal(err)
-			}
-			s = NewSystem(sim.NewEngine(), p, stats, "dram.")
-			if err := s.CheckpointLoad(ckpt.NewReader(w.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			restored = true
-			checkHitCounts(t, s, "restore")
-		}
-		// Hold submissions once half the stream is in until the
-		// checkpoint has been taken on empty queues.
-		for burst := rng.Intn(6); burst > 0 && submitted < n && (restored || submitted < n/2); burst-- {
+		for burst := rng.Intn(6); burst > 0 && submitted < n; burst-- {
 			c := Coord{
 				Channel:   rng.Intn(p.Channels),
 				Rank:      rng.Intn(p.Ranks),
@@ -123,9 +106,6 @@ func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 		s.Tick(w)
 		now = w
 		checkHitCounts(t, s, "jump")
-	}
-	if !restored {
-		t.Fatalf("seed %d: stream ended before the checkpoint", seed)
 	}
 	return stats
 }

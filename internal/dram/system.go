@@ -193,6 +193,11 @@ func (s *System) busy() bool {
 	return false
 }
 
+// Quiet reports whether every channel's request buffer is empty — the
+// sampler's precondition for a functional phase (an in-flight
+// request's completion callback cannot be fast-forwarded).
+func (s *System) Quiet() bool { return !s.busy() }
+
 // tickChannel issues at most one command on ch at DRAM cycle dc:
 // a refresh, else FR-FCFS over the request buffer. Each command bumps
 // its counter, emits its trace event, and a column command schedules

@@ -261,7 +261,7 @@ func (a *Accel) TilesBusy() int {
 // busy tiles; divided by TilesBusy it is the mean occupancy of the
 // tiles actually in use. Skewed graphs underfill tiles because
 // chunking is sized by the worst-case hub degree — this probe makes
-// that visible on the timeline (ROADMAP item 4).
+// that visible on the timeline (the skew-collapse audit in ROADMAP).
 func (a *Accel) TileFill() float64 {
 	sum := 0.0
 	for t, r := range a.tileRefs {

@@ -35,9 +35,6 @@ const (
 	mmioSize     = 1368
 )
 
-// MMIORegion exposes the control region's address range.
-func (m *MMIO) MMIORegion() memspace.Region { return m.region }
-
 // MMIO returns (allocating on first use) the accelerator's control
 // interface.
 func (a *Accel) MMIO() *MMIO {

@@ -79,9 +79,6 @@ func EvalALU(op ALUOp, d DType, a, b uint64) uint64 { return aluEval(op, d, a, b
 // BitsOf converts a numeric value to the raw representation of d.
 func BitsOf(d DType, v float64) uint64 { return bitsOf(d, v) }
 
-// ValueOf interprets raw bits of type d as a float64.
-func ValueOf(d DType, raw uint64) float64 { return valueOf(d, raw) }
-
 // aluEval applies op to two raw operands interpreted as d.
 func aluEval(op ALUOp, d DType, a, b uint64) uint64 {
 	switch d {

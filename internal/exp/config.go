@@ -139,15 +139,3 @@ func Scale8Baseline() SystemConfig {
 	cfg.DRAM.Channels = 4
 	return cfg
 }
-
-// LargeBaseline is the biggest baseline system the repository models: a
-// 16-core, 8-channel, 32 MB-LLC machine for production-scale sweeps;
-// with this much memory-level parallelism the DRAM channels carry deep
-// queues.
-func LargeBaseline() SystemConfig {
-	cfg := Default(Baseline)
-	cfg.Cores = 16
-	cfg.LLCBytes = 32 << 20
-	cfg.DRAM.Channels = 8
-	return cfg
-}

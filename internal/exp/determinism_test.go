@@ -93,9 +93,9 @@ var goldens = map[string]struct {
 	baseBW, dxBW         float64
 	baseRBH, dxRBH       float64
 }{
-	"IS":    {1047768, 191827, 131084, 49, 0.062063357537164715, 0.9082397589482135, 0.23017776957618258, 0.8724859950408669},
-	"GZZ":   {913422, 169305, 237784, 53, 0.10939959843314481, 0.9459906440485754, 0.15138900008005765, 0.9476023976023976},
-	"XRAGE": {1155378, 243975, 327692, 65, 0.127791943415921, 0.9195078164066662, 0.060603597745990466, 0.8825333428428785},
+	"IS":            {1047768, 191827, 131084, 49, 0.062063357537164715, 0.9082397589482135, 0.23017776957618258, 0.8724859950408669},
+	"GZZ":           {913422, 169305, 237784, 53, 0.10939959843314481, 0.9459906440485754, 0.15138900008005765, 0.9476023976023976},
+	"XRAGE":         {1155378, 243975, 327692, 65, 0.127791943415921, 0.9195078164066662, 0.060603597745990466, 0.8825333428428785},
 	"graph.pr.push": {1458235, 1399951, 653877, 35131, 0.058893154322282981, 0.52706168077431337, 0.095714951094550541, 0.84866505841216489},
 }
 

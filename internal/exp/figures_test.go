@@ -12,6 +12,8 @@ import (
 // so `go test` covers every experiment code path; the benchmarks run
 // them at evaluation scale.
 
+// TestFig8aRuns also pins the scale-1 cycle counts of the five All-Hit
+// microbenchmarks: the only golden on the WarmLLC warm-up path.
 func TestFig8aRuns(t *testing.T) {
 	s, err := Runner{}.Fig8aAllHit(1)
 	if err != nil {
@@ -24,6 +26,18 @@ func TestFig8aRuns(t *testing.T) {
 	for _, name := range []string{"Gather-SPD", "Gather-Full", "RMW-Atomic", "RMW-NoAtom", "Scatter"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("missing %s in:\n%s", name, out)
+		}
+	}
+	golden := map[string][2]string{
+		"Gather-SPD":  {"32885", "27196"},
+		"Gather-Full": {"32885", "21046"},
+		"RMW-Atomic":  {"471083", "18575"},
+		"RMW-NoAtom":  {"45105", "18575"},
+		"Scatter":     {"161590", "19073"},
+	}
+	for _, r := range s.Rows {
+		if want := golden[r[0]]; r[1] != want[0] || r[2] != want[1] {
+			t.Errorf("%s: base/DX100 cycles = %s/%s, want %s/%s", r[0], r[1], r[2], want[0], want[1])
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Compiled pattern files are not Registry workloads, so they cannot
 // ride the detNames matrices — these instance-based twins give them the
-// same byte-identity pins: fast-forward on vs off, checkpoint
-// save/restore, and interval sampling under both stepping strategies.
+// same byte-identity pins: fast-forward on vs off, and interval
+// sampling under both stepping strategies.
 
 // patternFile loads and parses the committed golden pattern file.
 func patternFile(t *testing.T) *pattern.File {
@@ -63,29 +63,6 @@ func TestPatternFastForwardEquivalence(t *testing.T) {
 			cfg.NoFastForward = true
 			if exact := runPatternJSON(t, 1, cfg, RunOptions{}); !bytes.Equal(ff, exact) {
 				t.Errorf("fast-forward changed the result:\n%s\nvs\n%s", ff, exact)
-			}
-		})
-	}
-}
-
-// TestPatternCheckpointRestoreIdentity: the checkpoint contract holds
-// for compiled patterns too — the layout guard sees the stable
-// "pattern:<name>" instance name, and Compile rebuilds byte-identical
-// initial state on restore.
-func TestPatternCheckpointRestoreIdentity(t *testing.T) {
-	for _, mode := range []Mode{Baseline, DX} {
-		mode := mode
-		t.Run(fmt.Sprint(mode), func(t *testing.T) {
-			t.Parallel()
-			cfg := Default(mode)
-			cfg.WarmLLC = true
-			file := filepath.Join(t.TempDir(), "warm.ckpt")
-			plain := runPatternJSON(t, 1, cfg, RunOptions{})
-			if saved := runPatternJSON(t, 1, cfg, RunOptions{CheckpointTo: file}); !bytes.Equal(plain, saved) {
-				t.Errorf("writing a checkpoint perturbed the run:\n%s\nvs\n%s", plain, saved)
-			}
-			if restored := runPatternJSON(t, 1, cfg, RunOptions{RestoreFrom: file}); !bytes.Equal(plain, restored) {
-				t.Errorf("restored run diverges from uninterrupted run:\n%s\nvs\n%s", plain, restored)
 			}
 		})
 	}

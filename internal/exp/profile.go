@@ -88,8 +88,8 @@ func newProfiler(s *system, inst *workloads.Instance, opts RunOptions) *profiler
 		})
 		// Tile utilization (busy fraction across all instances) and mean
 		// fill of the busy tiles, both instantaneous gauges — the
-		// skew-collapse investigation's primary evidence (ROADMAP item
-		// 4: chunking sized by the capped hub degree underfills tiles).
+		// primary evidence of the skew-collapse audit in ROADMAP
+		// (chunking sized by the capped hub degree underfills tiles).
 		tiles := float64(len(accels) * s.cfg.Accel.Machine.Tiles)
 		p.sampler.Gauge("dx100.tile_util", func() float64 {
 			busy := 0

@@ -15,7 +15,6 @@ import (
 	"dx100/internal/obs/prof"
 	"dx100/internal/prefetch"
 	"dx100/internal/sample"
-	"dx100/internal/sample/ckpt"
 	"dx100/internal/sim"
 	"dx100/internal/workloads"
 )
@@ -224,30 +223,15 @@ type RunOptions struct {
 	// other option here — a sampled Result is *not* byte-identical to a
 	// full-detail run; it trades exactness for wall clock.
 	Sampling *SamplingConfig
-	// CheckpointTo, when non-empty, writes a checkpoint of the system
-	// right after warm-up (before any stream attaches) to this file.
-	// The run then proceeds normally.
-	CheckpointTo string
-	// RestoreFrom, when non-empty, restores the post-warm-up system
-	// state from this checkpoint file instead of re-simulating the
-	// warm-up. The workload instance must be built identically (same
-	// name, scale and config) — restore validates the topology and
-	// refuses mismatches.
-	RestoreFrom string
-	// WarmStore, when non-nil, caches post-warm-up checkpoints keyed by
-	// the warm-up spec hash (workload regions + system config): the
-	// first run of a sweep performs the warm-up and deposits a
-	// checkpoint, every later run with the same key restores it. Only
-	// consulted when the config has WarmLLC set.
-	WarmStore *ckpt.Store
 	// OnPhase, when non-nil, observes the run's lifecycle phases as
-	// begin/end pairs: "warmup" around prepare (restore / LLC warm-up /
-	// checkpointing), and under interval sampling "sample.detail" /
-	// "sample.functional" around every window. Phases nest strictly, so
-	// a span stack reconstructs the hierarchy — dx100d turns them into
-	// lifecycle spans on the job's trace. Called from the simulating
-	// goroutine; like every hook here it is observation only and must
-	// not mutate the run.
+	// begin/end pairs: "warmup" around the LLC warm-up (reported on
+	// every run, empty when WarmLLC is off), and under interval
+	// sampling "sample.detail" / "sample.functional" around every
+	// window. Phases nest strictly, so a span stack reconstructs the
+	// hierarchy — dx100d turns them into lifecycle spans on the job's
+	// trace (TestOnPhaseLifecycle pins the sequence). Called from the
+	// simulating goroutine; like every hook here it is observation only
+	// and must not mutate the run.
 	OnPhase func(phase string, begin bool)
 }
 
@@ -335,10 +319,8 @@ func (s *system) installCheck(opts RunOptions, p *profiler) {
 // warmLLC touches every line of every allocated region through the
 // LLC, then resets the statistics (§6.1 All-Hit scenario). The
 // warm-up is functional — pure tag/LRU installs with no events or
-// cycles — so the engine clock stays at zero and the warmed state is
-// checkpointable immediately (the warm store in checkpoint.go relies
-// on this: a restored warm-up is indistinguishable from a fresh one).
-func (s *system) warmLLC(inst *workloads.Instance) error {
+// cycles — so the engine clock stays at zero.
+func (s *system) warmLLC(inst *workloads.Instance) {
 	var ranges []sample.Range
 	for _, r := range inst.Space.Regions() {
 		if strings.Contains(r.Name, "spd") {
@@ -349,7 +331,6 @@ func (s *system) warmLLC(inst *workloads.Instance) error {
 	}
 	sample.Warm(s.hier.LLC, ranges)
 	s.stats.Reset()
-	return nil
 }
 
 // RunInstance executes an already-built instance.
@@ -368,11 +349,10 @@ func RunInstanceOpts(inst *workloads.Instance, cfg SystemConfig, opts RunOptions
 	s.installCheck(opts, p)
 	s.attachTrace(opts.Trace)
 	opts.phase("warmup", true)
-	err := s.prepare(inst, opts)
-	opts.phase("warmup", false)
-	if err != nil {
-		return Result{}, err
+	if cfg.WarmLLC {
+		s.warmLLC(inst)
 	}
+	opts.phase("warmup", false)
 	start := s.eng.Now()
 	if p != nil {
 		// Arm after the warm-up: its statistics were just reset, so the
@@ -394,6 +374,7 @@ func RunInstanceOpts(inst *workloads.Instance, cfg SystemConfig, opts RunOptions
 	var (
 		end sim.Cycle
 		sst *SamplingStats
+		err error
 	)
 	if opts.Sampling != nil {
 		end, sst, err = s.runSampled(*opts.Sampling, opts.OnPhase)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"dx100/internal/loopir"
@@ -98,4 +99,64 @@ func TestRunMultiKernel(t *testing.T) {
 func TestRunTwoInstances(t *testing.T) {
 	cfg := Scale8(2)
 	runVerified(t, "GZZ", 1, cfg)
+}
+
+// TestOnPhaseLifecycle pins the phase feed that perfbench's set-up/run
+// split and dx100d's phase spans read: every run reports one "warmup"
+// begin/end pair first, also when nothing warms, and a sampled run
+// follows it with balanced, strictly nested "sample.detail" and
+// "sample.functional" pairs.
+func TestOnPhaseLifecycle(t *testing.T) {
+	type phaseEvent struct {
+		name  string
+		begin bool
+	}
+	record := func(cfg SystemConfig, scfg *SamplingConfig) []phaseEvent {
+		t.Helper()
+		var evs []phaseEvent
+		_, err := RunInstanceOpts(workloads.Registry["GZZ"](1), cfg, RunOptions{
+			Sampling: scfg,
+			OnPhase:  func(name string, begin bool) { evs = append(evs, phaseEvent{name, begin}) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	warmup := []phaseEvent{{"warmup", true}, {"warmup", false}}
+	cfg := Default(Baseline)
+	if got := record(cfg, nil); !reflect.DeepEqual(got, warmup) {
+		t.Errorf("plain run phases = %v, want %v", got, warmup)
+	}
+	warm := cfg
+	warm.WarmLLC = true
+	if got := record(warm, nil); !reflect.DeepEqual(got, warmup) {
+		t.Errorf("WarmLLC run phases = %v, want %v", got, warmup)
+	}
+	got := record(cfg, &SamplingConfig{Interval: 10_000, Detail: 5_000, Warmup: 1_000})
+	if len(got) < 2 || !reflect.DeepEqual(got[:2], warmup) {
+		t.Fatalf("sampled run phases start %v, want %v", got, warmup)
+	}
+	var open []string
+	begun := map[string]int{}
+	for i, e := range got[2:] {
+		if e.name != "sample.detail" && e.name != "sample.functional" {
+			t.Fatalf("event %d: unexpected phase %q after the warm-up", i+2, e.name)
+		}
+		if e.begin {
+			open = append(open, e.name)
+			begun[e.name]++
+			continue
+		}
+		if n := len(open); n == 0 || open[n-1] != e.name {
+			t.Fatalf("event %d: %q ends while %v is open", i+2, e.name, open)
+		}
+		open = open[:len(open)-1]
+	}
+	if len(open) != 0 {
+		t.Fatalf("phases %v never end", open)
+	}
+	if begun["sample.detail"] == 0 || begun["sample.functional"] == 0 {
+		t.Fatalf("sampled run reported %v, want both detailed and functional phases", begun)
+	}
 }

@@ -6,14 +6,14 @@ import (
 	"dx100/internal/workloads"
 )
 
-// The skew sweep is the scenario-diversity study of ROADMAP item 4:
-// the paper evaluates GAP workloads on uniform graphs (§5, avg degree
-// 15), but real graphs are skewed — power-law degree distributions,
-// community locality — and traversal direction (push scatters RMWs
-// through the hubs, pull gathers from them) changes which side of the
-// indirection is irregular. Sweeping exponent × direction ×
-// baseline/DX100 maps where the accelerator's win grows or collapses
-// as index-distribution shape changes.
+// The skew sweep is a scenario-diversity study: the paper evaluates
+// GAP workloads on uniform graphs (§5, avg degree 15), but real graphs
+// are skewed — power-law degree distributions, community locality —
+// and traversal direction (push scatters RMWs through the hubs, pull
+// gathers from them) changes which side of the indirection is
+// irregular. Sweeping exponent × direction × baseline/DX100 maps where
+// the accelerator's win grows or collapses as index-distribution shape
+// changes.
 
 // DefaultSkewExponents are the sweep points: the uniform control
 // (exponent 0) plus three power-law tails from heavy (1.8) to light

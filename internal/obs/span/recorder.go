@@ -155,3 +155,33 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	defer r.mu.Unlock()
 	return r.sink.WriteChromeTrace(w)
 }
+
+// PhaseSpans adapts a run's phase hook (exp.RunOptions.OnPhase):
+// strictly nested begin/end pairs become child spans named
+// "phase.<name>", each parented on the innermost open phase or, at the
+// top level, on parent. An end with no open phase is ignored. A nil
+// recorder returns a nil hook, so a disabled trace installs nothing.
+// The mutex only guards against a future multi-goroutine phase source.
+func PhaseSpans(rec *Recorder, parent Context) func(name string, begin bool) {
+	if rec == nil {
+		return nil
+	}
+	var mu sync.Mutex
+	var stack []*Span
+	return func(name string, begin bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if begin {
+			p := parent
+			if n := len(stack); n > 0 {
+				p = stack[n-1].Context()
+			}
+			stack = append(stack, rec.Start("phase."+name, p))
+			return
+		}
+		if n := len(stack); n > 0 {
+			stack[n-1].End()
+			stack = stack[:n-1]
+		}
+	}
+}

@@ -176,6 +176,52 @@ func TestRecorderParentLinks(t *testing.T) {
 	}
 }
 
+// TestPhaseSpans: phase begin/end pairs become "phase.<name>" spans,
+// each parented on the innermost open phase and the outermost on the
+// given root, all in the root's trace; an end with no open phase is
+// ignored, and a nil recorder installs no hook.
+func TestPhaseSpans(t *testing.T) {
+	if PhaseSpans(nil, Context{}) != nil {
+		t.Fatal("nil recorder returned a non-nil hook")
+	}
+	rec := newTestRecorder(time.Millisecond)
+	root := rec.Start("run", Context{})
+	phase := PhaseSpans(rec, root.Context())
+	phase("stray", false) // nothing open: ignored
+	phase("warmup", true)
+	phase("warmup", false)
+	phase("sample.detail", true)
+	phase("inner", true)
+	phase("inner", false)
+	phase("sample.detail", false)
+	phase("sample.detail", false) // nothing open again: ignored
+	root.End()
+
+	evs := rec.Events()
+	var names []string
+	for _, ev := range evs {
+		names = append(names, ev.Src)
+	}
+	// Spans emit in end order.
+	if got, want := strings.Join(names, ","), "phase.warmup,phase.inner,phase.sample.detail,run"; got != want {
+		t.Fatalf("spans = %s, want %s", got, want)
+	}
+	rootID := root.Context().Span.bits()
+	parents := map[string]uint64{
+		"phase.warmup":        rootID,
+		"phase.inner":         uint64(evs[2].Args[2]), // phase.sample.detail's span id
+		"phase.sample.detail": rootID,
+	}
+	for _, ev := range evs[:3] {
+		if got, want := uint64(ev.Args[3]), parents[ev.Src]; got != want {
+			t.Errorf("%s parent_span_id = %#x, want %#x", ev.Src, got, want)
+		}
+		if ev.Args[0] != evs[3].Args[0] || ev.Args[1] != evs[3].Args[1] {
+			t.Errorf("%s left the root's trace", ev.Src)
+		}
+	}
+}
+
 func TestAsyncSpanEmitsBeginEndPair(t *testing.T) {
 	rec := newTestRecorder(time.Millisecond)
 	sp := rec.StartAsync("job", Context{})

@@ -131,15 +131,6 @@ const MaskAll = Mask(1<<numKinds - 1)
 // and the golden-trace test's view.
 const MaskDRAM = Mask(1<<EvDRAMAct | 1<<EvDRAMPre | 1<<EvDRAMRead | 1<<EvDRAMWrite | 1<<EvDRAMRefresh)
 
-// MaskOf builds a mask covering exactly the given kinds.
-func MaskOf(kinds ...Kind) Mask {
-	var m Mask
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
-}
-
 // Event is one trace record: a flat value so the ring buffer holds
 // events without boxing. Args are positional; kindMeta names them.
 // Src identifies the emitting component instance (a prefix string the

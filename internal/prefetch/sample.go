@@ -1,11 +1,8 @@
 package prefetch
 
 import (
-	"fmt"
-
 	"dx100/internal/cache"
 	"dx100/internal/memspace"
-	"dx100/internal/sample/ckpt"
 )
 
 // Touch implements cache.Toucher: the functional counterpart of
@@ -53,29 +50,4 @@ func (d *DMP) chaseFunc(p *Pattern, i int) {
 	if p.Next != nil {
 		d.chaseFunc(p.Next, int(idx))
 	}
-}
-
-// CheckpointSave implements ckpt.Checkpointable: the trigger
-// deduplication window is the prefetcher's only mutable state (the
-// issued counter lives in the shared Stats registry).
-func (d *DMP) CheckpointSave(w *ckpt.Writer) error {
-	w.U32(uint32(len(d.lastElem)))
-	for _, v := range d.lastElem {
-		w.Int(v)
-	}
-	return nil
-}
-
-// CheckpointLoad implements ckpt.Checkpointable.
-func (d *DMP) CheckpointLoad(r *ckpt.Reader) error {
-	if n := int(r.U32()); n != len(d.lastElem) {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("prefetch: checkpoint registered %d patterns, prefetcher has %d", n, len(d.lastElem))
-	}
-	for i := range d.lastElem {
-		d.lastElem[i] = r.Int()
-	}
-	return r.Err()
 }

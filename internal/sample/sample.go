@@ -13,9 +13,9 @@
 // paths (cache tag/LRU state, prefetcher training, accelerator
 // instruction execution) and skipping everything cycle-shaped.
 //
-// Checkpoint/restore of the same architectural state lives in
-// sample/ckpt; the interval sampler that alternates the two modes is
-// wired up in internal/exp.
+// Warm performs the §6.1 All-Hit LLC warm-up through the same Touch
+// paths; the interval sampler that alternates the two modes is wired
+// up in internal/exp.
 package sample
 
 import (

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 
 	"dx100/internal/exp"
@@ -96,5 +98,52 @@ func TestPatternSubmitRejects(t *testing.T) {
 		if _, code := postRun(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("submit %s -> %d, want 400", body, code)
 		}
+	}
+}
+
+// TestSubmitBodyLimit pins the POST /v1/runs body bound from both
+// sides: the largest pattern file pattern.Validate accepts, indented,
+// is admitted, and a body one byte over maxRunBody gets 413.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	// MaxEntries "gs" entries of two MaxPatternLen patterns each, with
+	// 128-byte names and the largest indices the file-span cap leaves
+	// every pattern.
+	perPattern := int64(pattern.MaxFileSpan / (2 * pattern.MaxEntries))
+	f := pattern.File{Name: strings.Repeat("f", 128)}
+	for e := 0; e < pattern.MaxEntries; e++ {
+		g := make([]int64, pattern.MaxPatternLen)
+		s := make([]int64, pattern.MaxPatternLen)
+		for i := range g {
+			g[i] = perPattern - 1 - int64(i)
+			s[i] = perPattern - 1 - int64(i*7%pattern.MaxPatternLen)
+		}
+		f.Entries = append(f.Entries, pattern.Entry{
+			Name: strings.Repeat("e", 128), Kernel: "gs", Gather: g, Scatter: s, Count: 1,
+		})
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatalf("maximal file rejected by Validate: %v", err)
+	}
+	// The test pins admission, not the run: a one-cycle budget ends the
+	// accepted job at once.
+	oneCycle := uint64(1)
+	req := runRequest{Pattern: &f, Mode: "baseline", Scale: 1, Overrides: &Overrides{MaxCycles: &oneCycle}}
+	body, err := json.MarshalIndent(req, "", "    ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, code := postRun(t, ts, string(body))
+	if code != http.StatusAccepted {
+		t.Fatalf("maximal pattern (%d bytes, limit %d) -> %d, want 202", len(body), maxRunBody, code)
+	}
+	pollDone(t, ts, sr.ID)
+
+	// Well-formed JSON whose closing bytes lie past the limit: the
+	// decoder hits the bound before the value ends.
+	prefix := `{"workload": "micro.gather", "pad": "`
+	over := prefix + strings.Repeat("x", maxRunBody+1-len(prefix)-2) + `"}`
+	if _, code := postRun(t, ts, over); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body -> %d, want 413", len(over), code)
 	}
 }

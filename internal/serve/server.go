@@ -266,7 +266,7 @@ func (s *Server) executeRun(ctx context.Context, j *job) (json.RawMessage, error
 	runSpan := j.spans.Start("run", j.trace)
 	opts := exp.RunOptions{
 		Context: ctx,
-		OnPhase: phaseSpans(j.spans, runSpan.Context()),
+		OnPhase: span.PhaseSpans(j.spans, runSpan.Context()),
 		Progress: func(p exp.ProgressSample) {
 			if b, err := json.Marshal(p); err == nil {
 				j.publishProgress(b)
@@ -463,11 +463,30 @@ type submitResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// maxRunBody bounds a POST /v1/runs body, so one request cannot make
+// the daemon buffer an arbitrarily large JSON value before
+// pattern.Validate's caps apply. It admits the largest file Validate
+// accepts — MaxEntries "gs" entries, each carrying a gather and a
+// scatter pattern of MaxPatternLen indices — pretty-printed, at
+// maxIndexBytes per index: a seven-digit index (indices stay below
+// MaxEntrySpan), its comma, a newline and up to 23 bytes of
+// indentation. The limit comes to 16 MiB; larger bodies get 413.
+const (
+	maxIndexBytes = 32
+	maxRunBody    = 2 * pattern.MaxEntries * pattern.MaxPatternLen * maxIndexBytes
+)
+
 // --- handlers ----------------------------------------------------------
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var rr runRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRunBody)
 	if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	nhpprof "net/http/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"dx100/internal/obs/span"
@@ -94,35 +93,6 @@ func (s *Server) initTrace(j *job, r *http.Request) {
 	j.spans = span.NewRecorder(0)
 	j.rootSpan = j.spans.StartAsync("job."+j.kind, requestSpanContext(r.Context()))
 	j.trace = j.rootSpan.Context()
-}
-
-// phaseSpans adapts exp.RunOptions.OnPhase — strictly nested
-// begin/end phase pairs emitted from the run's driving goroutine —
-// into child spans under the job's run span. The stack mirrors the
-// nesting; the mutex only guards against a future multi-goroutine
-// phase source.
-func phaseSpans(rec *span.Recorder, parent span.Context) func(string, bool) {
-	if rec == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	var stack []*span.Span
-	return func(name string, begin bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if begin {
-			p := parent
-			if n := len(stack); n > 0 {
-				p = stack[n-1].Context()
-			}
-			stack = append(stack, rec.Start("phase."+name, p))
-			return
-		}
-		if n := len(stack); n > 0 {
-			stack[n-1].End()
-			stack = stack[:n-1]
-		}
-	}
 }
 
 // handleTrace serves a run's lifecycle spans as a Chrome trace_event

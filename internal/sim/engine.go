@@ -241,6 +241,13 @@ func NewEngine() *Engine {
 // Now returns the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
+// EventsPending reports whether the event heap holds undelivered
+// events. The sampler's quiescence predicate polls it before a
+// functional phase: an in-flight event cannot be fast-forwarded.
+func (e *Engine) EventsPending() bool {
+	return e.events.len() > 0
+}
+
 // FastForwarded reports how many clock jumps Run has taken and how
 // many idle cycles they skipped in total — wall-clock diagnostics
 // only; deliberately kept out of the Stats registry so simulated

@@ -14,8 +14,8 @@ import (
 // This file builds the skewed-graph workload family: GAP-style CSR
 // traversals over graphs whose degree distribution, community
 // structure and traversal direction are configurable, so
-// index-distribution shape becomes a sweep axis (ROADMAP item 4,
-// following "Exploring Memory Access Patterns for Graph Processing
+// index-distribution shape becomes a sweep axis (following
+// "Exploring Memory Access Patterns for Graph Processing
 // Accelerators"). The paper's own GAP rows (BFS/PR/BC in gap.go) stay
 // uniform, matching §5; these variants explore where that assumption
 // matters.
@@ -73,7 +73,7 @@ func (cfg *GraphConfig) fillDefaults() {
 
 // name renders the instance name: the registry name for the default
 // shape, an explicit [x=…,c=…] suffix otherwise, so figure labels and
-// the checkpoint layout guard distinguish sweep points.
+// Result.Workload distinguish sweep points.
 func (cfg GraphConfig) name() string {
 	base := "graph." + cfg.Kernel + "." + cfg.Dir
 	if cfg.Exponent == DefaultSkewExponent && cfg.Clustering == DefaultClustering &&
@@ -239,8 +239,8 @@ func BuildGraph(cfg GraphConfig, scale int) *Instance {
 	// Hub/tail hit attribution over the indirectly-indexed per-node
 	// arrays (4 padded slots each): profiled runs use it to measure
 	// whether hub locality is what makes the cache hierarchy
-	// competitive under skew (ROADMAP item 4). Uniform graphs have no
-	// hubs and install nothing.
+	// competitive under skew (the skew-collapse audit in ROADMAP).
+	// Uniform graphs have no hubs and install nothing.
 	if hub := hubNodes(offsets, uint64(hubDegFactor*cfg.Deg)); hub != nil {
 		inst.markHotClass(hotArrays(cfg), hub, 4)
 	}

@@ -239,7 +239,7 @@ func (f File) Canonical() ([]byte, error) {
 
 // InstanceName is the workload name compiled instances carry —
 // "pattern:<file name>", or just "pattern" for anonymous files. It is
-// what Result.Workload and the checkpoint layout guard see.
+// what Result.Workload reports.
 func (f File) InstanceName() string {
 	if f.Name == "" {
 		return "pattern"
