@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover fuzz bench microbench benchdiff profile examples figures serve clean
+.PHONY: all build test vet race cover fuzz bench microbench benchdiff profile examples figures serve unreached clean
 
 all: build test
 
@@ -71,6 +71,21 @@ figures:
 # "Running as a service").
 serve:
 	$(GO) run ./cmd/dx100d -addr :8100 -cache .dx100-cache
+
+# Production functions that only tests reach: symbols from non-test
+# files that some internal/ test binary links and no production binary
+# (the cmd/ mains, the examples, perfbench) does. Inlining is off so
+# every call keeps its symbol; generic instantiations, closures and
+# compiler-generated wrappers are left out.
+unreached:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -gcflags=all=-l -o "$$d/prod/" ./cmd/... ./examples/... && \
+	(cd perfbench && $(GO) build -gcflags=all=-l -o "$$d/prod/perfbench" .) && \
+	$(GO) test -c -gcflags=all=-l -o "$$d/test/" ./internal/... && \
+	syms() { for b in "$$1"/*; do $(GO) tool objdump -s '^dx100/' "$$b"; done | \
+	  awk '/^TEXT/ && $$3 ~ /\.go$$/ && $$3 !~ /_test\.go$$/ && $$2 !~ /\[|\.func[0-9]|wrap[0-9]/ { sub(/\(SB\)$$/, "", $$2); print $$2 }' | sort -u; } && \
+	syms "$$d/prod" > "$$d/prod.txt" && syms "$$d/test" > "$$d/test.txt" && \
+	comm -13 "$$d/prod.txt" "$$d/test.txt"
 
 clean:
 	$(GO) clean ./...

@@ -22,6 +22,11 @@
 // Or open http://localhost:8100/dashboard in a browser for the live
 // view. Logs are structured JSON on stderr, one line per HTTP request
 // and job transition, correlated by trace_id.
+//
+// A run or figure may ask for at most scale 64, and a max_cycles
+// override may only lower the default cycle limit; anything beyond
+// gets 400. Every figure job runs on one pool of -figworkers
+// simulations.
 package main
 
 import (

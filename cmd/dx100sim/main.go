@@ -46,7 +46,7 @@ func main() {
 		patt     = flag.String("pattern", "", "run a Spatter-style gather/scatter pattern JSON file instead of a named workload (composes with -mode, -scale and every -run output flag)")
 		mode     = flag.String("mode", "dx100", "system: baseline, dmp or dx100")
 		scale    = flag.Int("scale", 4, "dataset scale factor (1 = smoke test, 8+ = evaluation)")
-		fig      = flag.String("fig", "", "regenerate a figure: 8a, 8bc, 9, 10, 11, 12, 13, 14, ablation, skew or all")
+		fig      = flag.String("fig", "", "regenerate a figure: "+strings.Join(exp.FigureNames(), ", ")+", skew or all")
 		names    = flag.String("workloads", "", "comma-separated workload subset for -fig")
 		jobs     = flag.Int("jobs", 0, "concurrent experiment runs (0 = one per CPU, 1 = serial)")
 		verbose  = flag.Bool("v", false, "dump raw statistics after -run")
@@ -372,37 +372,6 @@ func runFigure(r exp.Runner, fig string, scale int, names []string, sampling *ex
 			sampling = &s
 		}
 		show(r.SkewSweep(scale, nil, sampling))
-	case "8a":
-		show(r.Fig8aAllHit(scale))
-	case "8bc":
-		show(r.Fig8bcAllMiss())
-	case "9", "10", "11", "12":
-		rows, err := r.MainEvaluation(scale, names, fig == "12")
-		if err != nil {
-			fatal(err)
-		}
-		switch fig {
-		case "9":
-			fmt.Println(exp.Fig9(rows))
-		case "10":
-			fmt.Println(exp.Fig10(rows))
-		case "11":
-			fmt.Println(exp.Fig11(rows))
-		case "12":
-			fmt.Println(exp.Fig12(rows))
-		}
-	case "energy":
-		rows, err := r.MainEvaluation(scale, names, false)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(exp.EnergyTable(rows))
-	case "13":
-		show(r.Fig13TileSize(scale, names))
-	case "14":
-		show(r.Fig14Scalability(scale, names))
-	case "ablation":
-		show(r.AblationReorder(scale, names))
 	case "all":
 		show(r.Fig8aAllHit(scale))
 		show(r.Fig8bcAllMiss())
@@ -424,7 +393,7 @@ func runFigure(r exp.Runner, fig string, scale int, names []string, sampling *ex
 		show(r.SkewSweep(scale/2+1, nil, sampling))
 		printTable4()
 	default:
-		fatal(fmt.Errorf("unknown figure %q", fig))
+		show(r.Figure(fig, scale, names))
 	}
 }
 

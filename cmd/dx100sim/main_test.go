@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dx100/internal/exp"
@@ -76,6 +79,23 @@ func TestRunOneJSON(t *testing.T) {
 // TestRunFigure covers the figure dispatcher on a fast subset.
 func TestRunFigure(t *testing.T) {
 	runFigure(exp.Runner{}, "9", 1, []string{"micro.gather"}, nil)
+}
+
+// TestRunFigureUnknown: an unknown -fig name exits non-zero with the
+// list dx100d refuses it with. fatal exits, so the test re-runs itself
+// in a child process that takes the figure name as its one argument.
+func TestRunFigureUnknown(t *testing.T) {
+	if flag.NArg() == 1 {
+		runFigure(exp.Runner{}, flag.Arg(0), 1, nil, nil)
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestRunFigureUnknown$", "7").CombinedOutput()
+	if err == nil {
+		t.Fatalf("unknown figure exited zero:\n%s", out)
+	}
+	if want := exp.CheckFigure("7").Error(); !strings.Contains(string(out), want) {
+		t.Fatalf("output %q does not contain %q", out, want)
+	}
 }
 
 // TestRunOnePattern covers the -pattern path end to end on the

@@ -32,13 +32,6 @@ type Level interface {
 	// exhausted); the caller must retry. onDone (may be nil) fires
 	// when the data is available.
 	Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone func(now sim.Cycle)) bool
-	// Present reports whether the line is resident at this level or
-	// below it short of memory (used by the DX100 coherency snoop).
-	Present(addr memspace.PAddr) bool
-	// Invalidate drops the line at this level and every level above
-	// is handled by the caller (used when DX100 writes memory
-	// directly).
-	Invalidate(addr memspace.PAddr)
 }
 
 // Config sizes one cache.
@@ -188,31 +181,8 @@ func (c *Cache) lookup(addr memspace.PAddr) *line {
 	return nil
 }
 
-// Present implements Level by checking this cache and everything below
-// it (except the memory adapter, whose Present is always false).
-func (c *Cache) Present(addr memspace.PAddr) bool {
-	if c.lookup(addr) != nil {
-		return true
-	}
-	return c.below.Present(addr)
-}
-
 // PresentHere reports residency at this level only.
 func (c *Cache) PresentHere(addr memspace.PAddr) bool { return c.lookup(addr) != nil }
-
-// Invalidate drops the line at this level (writeback of dirty data is
-// skipped: contents live in memspace, so the timing loss is a dropped
-// writeback transaction, acceptable for the invalidation rate DX100
-// generates).
-func (c *Cache) Invalidate(addr memspace.PAddr) {
-	set, tag := c.indexTag(addr)
-	for i := range c.sets[set] {
-		if ln := &c.sets[set][i]; ln.valid && ln.tag == tag {
-			ln.valid = false
-			ln.dirty = false
-		}
-	}
-}
 
 // victim picks the LRU way of the set, writing back a dirty victim.
 func (c *Cache) victim(now sim.Cycle, set int) *line {

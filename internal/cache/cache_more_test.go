@@ -102,41 +102,3 @@ func TestHierarchyWritebackPath(t *testing.T) {
 		t.Fatal("no L1 writebacks despite heavy dirty traffic")
 	}
 }
-
-// TestWrapL2Hook: the DMP interposition hook sits between L1 and L2.
-func TestWrapL2Hook(t *testing.T) {
-	eng := sim.NewEngine()
-	eng.MaxCycles = 1_000_000
-	st := sim.NewStats()
-	sys := dram.NewSystem(eng, dram.DDR4_3200(), st, "dram.")
-	seen := 0
-	cfg := SkylakeLike(1, 8<<20)
-	cfg.WrapL2 = func(core int, l2 Level) Level {
-		return levelFunc{access: func(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone func(sim.Cycle)) bool {
-			seen++
-			return l2.Access(now, addr, kind, onDone)
-		}, level: l2}
-	}
-	h := NewHierarchy(eng, cfg, sys, st, "")
-	done := false
-	eng.After(1, func(now sim.Cycle) {
-		h.L1[0].Access(now, 0x123456, Load, func(sim.Cycle) { done = true })
-	})
-	if _, err := eng.Run(func() bool { return done }); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if seen == 0 {
-		t.Fatal("wrapped level never saw the L1 miss")
-	}
-}
-
-type levelFunc struct {
-	access func(sim.Cycle, memspace.PAddr, Kind, func(sim.Cycle)) bool
-	level  Level
-}
-
-func (l levelFunc) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone func(sim.Cycle)) bool {
-	return l.access(now, addr, kind, onDone)
-}
-func (l levelFunc) Present(a memspace.PAddr) bool { return l.level.Present(a) }
-func (l levelFunc) Invalidate(a memspace.PAddr)   { l.level.Invalidate(a) }

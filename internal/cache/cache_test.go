@@ -26,8 +26,6 @@ func (f *fixedLevel) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDon
 	}
 	return true
 }
-func (f *fixedLevel) Present(memspace.PAddr) bool { return false }
-func (f *fixedLevel) Invalidate(memspace.PAddr)   {}
 
 func smallCfg() Config {
 	return Config{Name: "t", Sets: 4, Ways: 2, Latency: 2, MSHRs: 4, Ports: 4}
@@ -182,18 +180,6 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	eng, c, _, _ := newTestCache(smallCfg())
-	access(t, eng, c, 0x400, Store)
-	if !c.PresentHere(0x400) {
-		t.Fatal("line should be present")
-	}
-	c.Invalidate(0x400)
-	if c.PresentHere(0x400) {
-		t.Fatal("line should be invalidated")
-	}
-}
-
 func TestStridePrefetcher(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Sets = 64
@@ -240,10 +226,6 @@ func TestHierarchyEndToEnd(t *testing.T) {
 	// Core 1's private caches are unaffected.
 	if h.L1[1].PresentHere(0x1000) {
 		t.Fatal("other core's L1 polluted")
-	}
-	h.Invalidate(0x1000)
-	if h.Present(0x1000) {
-		t.Fatal("Invalidate did not drop the line")
 	}
 	if st.Get("dram.reads") == 0 {
 		t.Fatal("no DRAM read recorded")

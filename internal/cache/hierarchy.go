@@ -46,12 +46,6 @@ func (a *MemAdapter) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDon
 	return true
 }
 
-// Present implements Level: memory is never "cached here".
-func (a *MemAdapter) Present(memspace.PAddr) bool { return false }
-
-// Invalidate implements Level as a no-op.
-func (a *MemAdapter) Invalidate(memspace.PAddr) {}
-
 // Tick drains the overflow buffer into freed request-buffer slots.
 func (a *MemAdapter) Tick(now sim.Cycle) bool {
 	for a.pendingHead < len(a.pending) {
@@ -93,9 +87,6 @@ type HierarchyConfig struct {
 	L1    Config
 	L2    Config
 	LLC   Config
-	// WrapL2, when set, interposes a Level between each core's L1 and
-	// L2 — the hook the DMP prefetcher model attaches through.
-	WrapL2 func(core int, l2 Level) Level
 }
 
 // SkylakeLike returns the Table 3 configuration: 32 KB/8-way L1D
@@ -128,11 +119,7 @@ func NewHierarchy(eng *sim.Engine, cfg HierarchyConfig, sys *dram.System, stats 
 	h.LLC = New(eng, cfg.LLC, h.Mem, stats, prefix+"llc.")
 	for i := 0; i < cfg.Cores; i++ {
 		l2 := New(eng, cfg.L2, h.LLC, stats, prefix+"l2.")
-		var above Level = l2
-		if cfg.WrapL2 != nil {
-			above = cfg.WrapL2(i, l2)
-		}
-		l1 := New(eng, cfg.L1, above, stats, prefix+"l1d.")
+		l1 := New(eng, cfg.L1, l2, stats, prefix+"l1d.")
 		h.L2 = append(h.L2, l2)
 		h.L1 = append(h.L1, l1)
 	}
@@ -163,14 +150,4 @@ func (h *Hierarchy) Present(addr memspace.PAddr) bool {
 		}
 	}
 	return false
-}
-
-// Invalidate drops the line everywhere (DX100 coherency agent /
-// direct-memory writes).
-func (h *Hierarchy) Invalidate(addr memspace.PAddr) {
-	h.LLC.Invalidate(addr)
-	for i := range h.L1 {
-		h.L1[i].Invalidate(addr)
-		h.L2[i].Invalidate(addr)
-	}
 }

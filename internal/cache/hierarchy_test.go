@@ -54,29 +54,6 @@ func TestHierarchyFillPropagatesThroughAllLevels(t *testing.T) {
 	}
 }
 
-func TestHierarchyBackInvalidateDropsEveryLevel(t *testing.T) {
-	eng, _, h := newTestHierarchy(t, 2)
-	pa := memspace.PAddr(0x80_0000)
-	load(t, eng, h.L1[0], pa)
-	load(t, eng, h.L1[1], pa)
-	if !h.L1[0].PresentHere(pa) || !h.L1[1].PresentHere(pa) {
-		t.Fatal("setup: line not resident in both cores")
-	}
-	// The DX100 direct-memory write path invalidates everywhere.
-	h.Invalidate(pa)
-	if h.Present(pa) {
-		t.Fatal("line still present after back-invalidate")
-	}
-	for i := range h.L1 {
-		if h.L1[i].PresentHere(pa) || h.L2[i].PresentHere(pa) {
-			t.Fatalf("core %d retains the line after back-invalidate", i)
-		}
-	}
-	if h.LLC.PresentHere(pa) {
-		t.Fatal("LLC retains the line after back-invalidate")
-	}
-}
-
 func TestHierarchyDirtyVictimWritesBack(t *testing.T) {
 	eng, st, h := newTestHierarchy(t, 1)
 	l1 := h.L1[0]
@@ -146,21 +123,5 @@ func TestMemAdapterBuffersAndBoundsOverflow(t *testing.T) {
 	// After draining, the adapter accepts again.
 	if !a.Access(eng.Now(), addr(100), Load, nil) {
 		t.Fatal("access rejected after drain")
-	}
-}
-
-func TestHierarchyWrapL2Hook(t *testing.T) {
-	eng := sim.NewEngine()
-	st := sim.NewStats()
-	mem := dram.NewSystem(eng, dram.DDR4_3200(), st, "dram.")
-	cfg := SkylakeLike(2, 8<<20)
-	var wrapped []int
-	cfg.WrapL2 = func(core int, l2 Level) Level {
-		wrapped = append(wrapped, core)
-		return l2
-	}
-	NewHierarchy(eng, cfg, mem, st, "")
-	if len(wrapped) != 2 || wrapped[0] != 0 || wrapped[1] != 1 {
-		t.Fatalf("WrapL2 called with cores %v, want [0 1]", wrapped)
 	}
 }

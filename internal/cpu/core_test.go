@@ -31,8 +31,6 @@ func (m *memStub) Access(now sim.Cycle, addr memspace.PAddr, kind cache.Kind, on
 	}
 	return true
 }
-func (m *memStub) Present(memspace.PAddr) bool { return false }
-func (m *memStub) Invalidate(memspace.PAddr)   {}
 
 func ident(v memspace.VAddr) memspace.PAddr { return memspace.PAddr(v) }
 

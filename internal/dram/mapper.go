@@ -39,7 +39,6 @@ func (c Coord) GlobalBank(p *Params) int {
 // random indirect accesses suffering row conflicts, as in the paper's
 // baseline.
 type Mapper struct {
-	p        Params
 	chBits   int
 	bgBits   int
 	baBits   int
@@ -56,7 +55,7 @@ type Mapper struct {
 // NewMapper builds a mapper for the given organization. All
 // organization sizes must be powers of two.
 func NewMapper(p Params) *Mapper {
-	m := &Mapper{p: p}
+	m := &Mapper{}
 	m.chBits = log2(p.Channels)
 	m.bgBits = log2(p.BankGroups)
 	m.baBits = log2(p.Banks)
@@ -106,6 +105,3 @@ func (m *Mapper) Unmap(c Coord) memspace.PAddr {
 		uint64(c.Channel)<<m.chShift
 	return memspace.PAddr(a)
 }
-
-// Params returns the organization the mapper was built for.
-func (m *Mapper) Params() Params { return m.p }

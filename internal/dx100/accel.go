@@ -11,11 +11,9 @@ import (
 )
 
 // Snooper is the coherency view the accelerator needs: the directory
-// snoop that fills the H bit during the fill stage, and invalidation
-// for lines DX100 modifies (§3.6).
+// snoop that fills the H bit during the fill stage (§3.6).
 type Snooper interface {
 	Present(memspace.PAddr) bool
-	Invalidate(memspace.PAddr)
 }
 
 // unit identifies one functional unit (§3).
@@ -134,7 +132,6 @@ type Accel struct {
 	instance int
 
 	retired int
-	mmio    *MMIO
 }
 
 // RegionDirectory implements the coarse-grained region-based coherence
@@ -235,10 +232,6 @@ func (a *Accel) TileElemVA(t uint8, i int) memspace.VAddr {
 func (a *Accel) SPDRange() (lo, hi memspace.PAddr) {
 	return a.spdPABase, a.spdPABase + memspace.PAddr(a.spdRegion.Size)
 }
-
-// TileReady reports the tile's ready bit (§3.5): no outstanding
-// instruction references it.
-func (a *Accel) TileReady(t uint8) bool { return a.tileRefs[t] == 0 }
 
 // QueueLen returns the number of received, undispatched instructions —
 // the credit signal host drivers use for flow control.

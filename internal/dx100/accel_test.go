@@ -86,7 +86,7 @@ func TestAccelGatherEndToEnd(t *testing.T) {
 			t.Fatalf("gather[%d] = %d, want %d", i, got, want)
 		}
 	}
-	if !ac.TileReady(0) || !ac.TileReady(1) {
+	if ac.tileRefs[0] != 0 || ac.tileRefs[1] != 0 {
 		t.Fatal("tiles not ready after completion")
 	}
 	// The reordering must produce a high row-buffer hit rate even for
@@ -109,17 +109,17 @@ func TestAccelReadyBitsDropOnSend(t *testing.T) {
 	ac.SetReg(0, 0)
 	ac.SetReg(1, 64)
 	ac.SetReg(2, 1)
-	if !ac.TileReady(0) {
+	if ac.tileRefs[0] != 0 {
 		t.Fatal("tile should start ready")
 	}
 	if err := ac.Send(Instr{Op: SLD, DType: U32, Base: arr.Base(), TD: 0, RS1: 0, RS2: 1, RS3: 2, TC: NoTile}); err != nil {
 		t.Fatal(err)
 	}
-	if ac.TileReady(0) {
+	if ac.tileRefs[0] == 0 {
 		t.Fatal("tile ready immediately after send")
 	}
 	r.run(t)
-	if !ac.TileReady(0) {
+	if ac.tileRefs[0] != 0 {
 		t.Fatal("tile not ready after run")
 	}
 }

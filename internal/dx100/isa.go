@@ -6,7 +6,7 @@
 // Table reordering-coalescing-interleaving pipeline, the scratchpad
 // with ready/finish bits, the stream and indirect access units, the
 // range fuser, the tile ALU, the controller scoreboard, the TLB and
-// the coherency agent.
+// the cache snoop that sets the H bit.
 package dx100
 
 import (
@@ -163,51 +163,9 @@ type Instr struct {
 	RS3   uint8
 }
 
-// Conditional reports whether the instruction is gated by a condition
-// tile.
-func (in Instr) Conditional() bool { return in.TC != NoTile }
-
 func (in Instr) String() string {
 	return fmt.Sprintf("%s.%s base=%#x td=%d td2=%d ts1=%d ts2=%d tc=%d rs=(%d,%d,%d) op=%s",
 		in.Op, in.DType, uint64(in.Base), in.TD, in.TD2, in.TS1, in.TS2, in.TC, in.RS1, in.RS2, in.RS3, in.ALU)
-}
-
-// Encode packs the instruction into the three 64-bit memory-mapped
-// stores the cores transmit (§3.5: each DX100 instruction is 192 bits
-// wide, sent as three 64-bit stores).
-func (in Instr) Encode() [3]uint64 {
-	var w0 uint64
-	w0 |= uint64(in.Op) & 0xF
-	w0 |= (uint64(in.DType) & 0x7) << 4
-	w0 |= (uint64(in.ALU) & 0x1F) << 7
-	w0 |= (uint64(in.TD) & 0x3F) << 12
-	w0 |= (uint64(in.TD2) & 0x3F) << 18
-	w0 |= (uint64(in.TS1) & 0x3F) << 24
-	w0 |= (uint64(in.TS2) & 0x3F) << 30
-	w0 |= (uint64(in.TC) & 0x3F) << 36
-	w0 |= (uint64(in.RS1) & 0x3F) << 42
-	w0 |= (uint64(in.RS2) & 0x3F) << 48
-	w0 |= (uint64(in.RS3) & 0x3F) << 54
-	return [3]uint64{w0, uint64(in.Base), 0}
-}
-
-// Decode unpacks an instruction encoded by Encode.
-func Decode(w [3]uint64) Instr {
-	w0 := w[0]
-	return Instr{
-		Op:    Opcode(w0 & 0xF),
-		DType: DType(w0 >> 4 & 0x7),
-		ALU:   ALUOp(w0 >> 7 & 0x1F),
-		TD:    uint8(w0 >> 12 & 0x3F),
-		TD2:   uint8(w0 >> 18 & 0x3F),
-		TS1:   uint8(w0 >> 24 & 0x3F),
-		TS2:   uint8(w0 >> 30 & 0x3F),
-		TC:    uint8(w0 >> 36 & 0x3F),
-		RS1:   uint8(w0 >> 42 & 0x3F),
-		RS2:   uint8(w0 >> 48 & 0x3F),
-		RS3:   uint8(w0 >> 54 & 0x3F),
-		Base:  memspace.VAddr(w[1]),
-	}
 }
 
 // Validate checks structural constraints: opcode-specific operand use

@@ -35,15 +35,6 @@ func (p *spdPort) Access(now sim.Cycle, addr memspace.PAddr, kind cache.Kind, on
 	return true
 }
 
-// Present implements cache.Level.
-func (p *spdPort) Present(memspace.PAddr) bool { return false }
-
-// Invalidate implements cache.Level. The Coherency Agent tracks
-// scratchpad lines cached by cores and invalidates them when an
-// instruction dispatches (§3.6); core SPD accesses here bypass the
-// data caches, so there is nothing to drop.
-func (p *spdPort) Invalidate(memspace.PAddr) {}
-
 // Router is the core-side address router: accesses falling in the
 // scratchpad's physical range go to the accelerator's SPD port,
 // everything else to the cache hierarchy.
@@ -65,20 +56,4 @@ func (r *Router) Access(now sim.Cycle, addr memspace.PAddr, kind cache.Kind, onD
 		return r.SPD.Access(now, addr, kind, onDone)
 	}
 	return r.Default.Access(now, addr, kind, onDone)
-}
-
-// Present implements cache.Level.
-func (r *Router) Present(addr memspace.PAddr) bool {
-	if addr >= r.SPDLo && addr < r.SPDHi {
-		return false
-	}
-	return r.Default.Present(addr)
-}
-
-// Invalidate implements cache.Level.
-func (r *Router) Invalidate(addr memspace.PAddr) {
-	if addr >= r.SPDLo && addr < r.SPDHi {
-		return
-	}
-	r.Default.Invalidate(addr)
 }

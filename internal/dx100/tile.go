@@ -53,24 +53,6 @@ func bitsOf(d DType, v float64) uint64 {
 	}
 }
 
-// valueOf interprets raw bits as a float64 for inspection.
-func valueOf(d DType, raw uint64) float64 {
-	switch d {
-	case F32:
-		return float64(math.Float32frombits(uint32(raw)))
-	case F64:
-		return math.Float64frombits(raw)
-	case I32:
-		return float64(int32(uint32(raw)))
-	case I64:
-		return float64(int64(raw))
-	case U32:
-		return float64(uint32(raw))
-	default:
-		return float64(raw)
-	}
-}
-
 // EvalALU applies op to two raw operands interpreted as d, exactly as
 // the tile ALU does. It is exported for the loop-IR reference
 // interpreter.

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"dx100/internal/dx100"
 	"dx100/internal/sim"
@@ -368,4 +369,72 @@ func safeRatio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
+}
+
+// figure is one named whole-figure experiment: a dx100sim -fig name
+// and a dx100d GET /v1/figures/{n} path segment.
+type figure struct {
+	name string
+	run  func(r Runner, scale int, names []string) (*Series, error)
+}
+
+// figures is the one table both front ends dispatch through, in the
+// order FigureNames lists it.
+var figures = []figure{
+	{"8a", func(r Runner, scale int, _ []string) (*Series, error) { return r.Fig8aAllHit(scale) }},
+	{"8bc", func(r Runner, _ int, _ []string) (*Series, error) { return r.Fig8bcAllMiss() }},
+	{"9", mainFigure(Fig9, false)},
+	{"10", mainFigure(Fig10, false)},
+	{"11", mainFigure(Fig11, false)},
+	{"12", mainFigure(Fig12, true)},
+	{"13", Runner.Fig13TileSize},
+	{"14", Runner.Fig14Scalability},
+	{"ablation", Runner.AblationReorder},
+	{"energy", mainFigure(EnergyTable, false)},
+}
+
+// mainFigure renders one view of a fresh MainEvaluation.
+func mainFigure(render func([]MainRow) *Series, withDMP bool) func(Runner, int, []string) (*Series, error) {
+	return func(r Runner, scale int, names []string) (*Series, error) {
+		rows, err := r.MainEvaluation(scale, names, withDMP)
+		if err != nil {
+			return nil, err
+		}
+		return render(rows), nil
+	}
+}
+
+// FigureNames lists the figures Figure runs.
+func FigureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
+
+// CheckFigure reports an error listing every figure name unless name
+// is one of them.
+func CheckFigure(name string) error {
+	_, err := lookupFigure(name)
+	return err
+}
+
+func lookupFigure(name string) (figure, error) {
+	for _, f := range figures {
+		if f.name == name {
+			return f, nil
+		}
+	}
+	return figure{}, fmt.Errorf("unknown figure %q (have %s)", name, strings.Join(FigureNames(), ", "))
+}
+
+// Figure runs the named figure's experiment at the given scale over
+// names (nil selects the figure's default workloads).
+func (r Runner) Figure(name string, scale int, names []string) (*Series, error) {
+	f, err := lookupFigure(name)
+	if err != nil {
+		return nil, err
+	}
+	return f.run(r, scale, names)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -91,6 +92,41 @@ func TestFig9And10And11Render(t *testing.T) {
 	for _, s := range []*Series{Fig9(rows), Fig10(rows), Fig11(rows), Fig12(rows), EnergyTable(rows)} {
 		if len(s.Rows) == 0 || s.String() == "" {
 			t.Fatalf("series %q empty", s.Title)
+		}
+	}
+}
+
+// TestFigureTable pins the figure names dx100sim -fig and dx100d serve,
+// and checks that a table entry renders what its direct call renders.
+func TestFigureTable(t *testing.T) {
+	want := []string{"8a", "8bc", "9", "10", "11", "12", "13", "14", "ablation", "energy"}
+	if got := FigureNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FigureNames = %v, want %v", got, want)
+	}
+	names := []string{"micro.gather"}
+	for _, tc := range []struct {
+		fig     string
+		withDMP bool
+		render  func([]MainRow) *Series
+	}{{"9", false, Fig9}, {"12", true, Fig12}} {
+		rows, err := Runner{}.MainEvaluation(1, names, tc.withDMP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Runner{}.Figure(tc.fig, 1, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != tc.render(rows).String() {
+			t.Errorf("Figure(%q) differs from its direct render:\n%s", tc.fig, got)
+		}
+	}
+	for _, name := range []string{"7", "skew", "all"} {
+		if err := CheckFigure(name); err == nil || !strings.Contains(err.Error(), strings.Join(want, ", ")) {
+			t.Errorf("CheckFigure(%q) = %v, want the list of known figures", name, err)
+		}
+		if _, err := (Runner{}).Figure(name, 1, nil); err == nil || err.Error() != CheckFigure(name).Error() {
+			t.Errorf("Figure(%q) error = %v, want CheckFigure's", name, err)
 		}
 	}
 }

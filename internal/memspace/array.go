@@ -73,25 +73,6 @@ func (a Array[T]) Fill(v T) {
 	}
 }
 
-// CopyFrom copies the Go slice into the array (lengths must match).
-func (a Array[T]) CopyFrom(src []T) {
-	if len(src) != a.n {
-		panic("memspace: CopyFrom length mismatch")
-	}
-	for i, v := range src {
-		a.Set(i, v)
-	}
-}
-
-// Snapshot copies the array into a fresh Go slice.
-func (a Array[T]) Snapshot() []T {
-	out := make([]T, a.n)
-	for i := range out {
-		out[i] = a.Get(i)
-	}
-	return out
-}
-
 // toBits converts a scalar to its raw little-endian word.
 func toBits[T Scalar](v T) uint64 {
 	switch x := any(v).(type) {

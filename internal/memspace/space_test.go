@@ -114,6 +114,10 @@ func TestArrayRoundTripTypes(t *testing.T) {
 	if got := ai64.Get(2); got != -1<<40 {
 		t.Fatalf("i64 = %d", got)
 	}
+	ai64.Fill(9)
+	if ai64.Get(2) != 9 || ai64.Get(9) != 9 {
+		t.Fatal("Fill missed an element")
+	}
 	au64 := NewArray[uint64](sp, "u64", 10)
 	au64.Set(5, 1<<63)
 	if got := au64.Get(5); got != 1<<63 {
@@ -145,23 +149,6 @@ func TestArrayOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	a.Get(4)
-}
-
-func TestArrayCopySnapshot(t *testing.T) {
-	sp := New()
-	a := NewArray[int64](sp, "a", 5)
-	src := []int64{1, -2, 3, -4, 5}
-	a.CopyFrom(src)
-	got := a.Snapshot()
-	for i := range src {
-		if got[i] != src[i] {
-			t.Fatalf("snapshot[%d] = %d, want %d", i, got[i], src[i])
-		}
-	}
-	a.Fill(9)
-	if a.Get(4) != 9 {
-		t.Fatal("Fill failed")
-	}
 }
 
 func TestLineAddr(t *testing.T) {

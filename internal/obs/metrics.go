@@ -75,9 +75,6 @@ type SyncCounter struct {
 	n atomic.Int64
 }
 
-// Add increments the counter by delta.
-func (c *SyncCounter) Add(delta int64) { c.n.Add(delta) }
-
 // Inc increments the counter by one.
 func (c *SyncCounter) Inc() { c.n.Add(1) }
 
@@ -136,12 +133,6 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	h.sum += v * float64(n)
 	h.n += n
 }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
 
 // SyncHistogram is a mutex-guarded Histogram for concurrent use (job
 // durations on the service, not simulator hot paths).

@@ -56,18 +56,16 @@ func TestBreakdownTotals(t *testing.T) {
 	}
 }
 
-func TestSamplerDeltaAndRatio(t *testing.T) {
-	var counter, num, den, gauge float64
+func TestSamplerRatioAndGauge(t *testing.T) {
+	var num, den, gauge float64
 	s := NewSampler(100)
-	s.Delta("d", func() float64 { return counter })
 	s.Ratio("r", func() float64 { return num }, func() float64 { return den })
 	s.Gauge("g", func() float64 { return gauge })
 
 	// Warm-up noise before Begin must not leak into the first window.
-	counter, num, den = 1000, 500, 1000
+	num, den = 500, 1000
 	s.Begin(5000)
 
-	counter += 40
 	num += 30
 	den += 60
 	gauge = 7
@@ -77,7 +75,6 @@ func TestSamplerDeltaAndRatio(t *testing.T) {
 	s.Sample(5100)
 
 	// Second window: denominator frozen → ratio must be 0, not NaN.
-	counter += 5
 	gauge = 2
 	s.Sample(5200)
 
@@ -97,17 +94,14 @@ func TestSamplerDeltaAndRatio(t *testing.T) {
 		t.Fatalf("series %q missing", name)
 		return 0
 	}
-	if v := get("d", 0); v != 40 {
-		t.Errorf("delta window 0 = %v, want 40", v)
-	}
-	if v := get("d", 1); v != 5 {
-		t.Errorf("delta window 1 = %v, want 5", v)
-	}
 	if v := get("r", 0); v != 0.5 {
 		t.Errorf("ratio window 0 = %v, want 0.5", v)
 	}
 	if v := get("r", 1); v != 0 {
 		t.Errorf("ratio with frozen denominator = %v, want 0", v)
+	}
+	if v := get("g", 0); v != 7 {
+		t.Errorf("gauge window 0 = %v, want 7", v)
 	}
 	if v := get("g", 1); v != 2 {
 		t.Errorf("gauge window 1 = %v, want 2", v)
@@ -120,9 +114,9 @@ func TestSamplerDeltaAndRatio(t *testing.T) {
 }
 
 func TestSamplerOnSample(t *testing.T) {
-	var counter float64
+	var depth float64
 	s := NewSampler(10)
-	s.Delta("d", func() float64 { return counter })
+	s.Gauge("d", func() float64 { return depth })
 	var cycles []uint64
 	var vals []float64
 	s.OnSample = func(cycle uint64, names []string, values []float64) {
@@ -133,9 +127,9 @@ func TestSamplerOnSample(t *testing.T) {
 		vals = append(vals, values[0])
 	}
 	s.Begin(0)
-	counter = 3
+	depth = 3
 	s.Sample(10)
-	counter = 9
+	depth = 6
 	s.Finish(14)
 	if len(cycles) != 2 || cycles[0] != 10 || cycles[1] != 14 {
 		t.Fatalf("OnSample cycles = %v", cycles)
@@ -174,13 +168,13 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestReports(t *testing.T) {
-	var counter float64
+	var depth float64
 	s := NewSampler(10)
-	s.Delta("dram_bytes", func() float64 { return counter })
+	s.Gauge("dram_queue", func() float64 { return depth })
 	s.Begin(0)
-	counter = 100
+	depth = 100
 	s.Sample(10)
-	counter = 400
+	depth = 300
 	tl := s.Finish(20)
 
 	var b strings.Builder
@@ -188,7 +182,7 @@ func TestReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "dram_bytes") || !strings.Contains(out, "2 windows") {
+	if !strings.Contains(out, "dram_queue") || !strings.Contains(out, "2 windows") {
 		t.Errorf("timeline report missing content:\n%s", out)
 	}
 

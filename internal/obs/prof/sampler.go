@@ -29,7 +29,6 @@ type probeKind uint8
 
 const (
 	gaugeProbe probeKind = iota // instantaneous value
-	deltaProbe                  // cumulative counter → per-window delta
 	ratioProbe                  // Δnum/Δden over the window
 )
 
@@ -39,9 +38,8 @@ const (
 type probe struct {
 	name     string
 	kind     probeKind
-	f        func() float64 // gauge value or cumulative source
+	f        func() float64 // gauge value
 	num, den func() float64 // ratio sources (cumulative)
-	prevF    float64
 	prevNum  float64
 	prevDen  float64
 }
@@ -97,13 +95,6 @@ func (s *Sampler) Gauge(name string, f func() float64) {
 	s.names = nil
 }
 
-// Delta registers a cumulative probe: each row records the increase of
-// f() since the previous row (bytes moved, instructions retired).
-func (s *Sampler) Delta(name string, f func() float64) {
-	s.probes = append(s.probes, probe{name: name, kind: deltaProbe, f: f})
-	s.names = nil
-}
-
 // Ratio registers a windowed ratio probe: each row records
 // Δnum/Δden over the window, and 0 when the denominator did not move
 // (a stalled window has no row-hit rate, not a NaN — the Result wire
@@ -126,16 +117,13 @@ func (s *Sampler) Names() []string {
 }
 
 // Begin arms the sampler at the given absolute cycle: baselines for
-// delta and ratio probes are captured here, and recorded rows are
+// ratio probes are captured here, and recorded rows are
 // stamped relative to it. Call it after any warm-up phase (whose
 // statistics are reset) so the first window measures the measured run.
 func (s *Sampler) Begin(cycle uint64) {
 	for i := range s.probes {
 		p := &s.probes[i]
-		switch p.kind {
-		case deltaProbe:
-			p.prevF = p.f()
-		case ratioProbe:
+		if p.kind == ratioProbe {
 			p.prevNum = p.num()
 			p.prevDen = p.den()
 		}
@@ -175,10 +163,6 @@ func (s *Sampler) Sample(cycle uint64) {
 		switch p.kind {
 		case gaugeProbe:
 			v = p.f()
-		case deltaProbe:
-			cur := p.f()
-			v = cur - p.prevF
-			p.prevF = cur
 		case ratioProbe:
 			num, den := p.num(), p.den()
 			if dd := den - p.prevDen; dd > 0 {

@@ -199,10 +199,6 @@ func (s *Sink) SpillChrome(w io.Writer) {
 	s.spill, s.chrome = w, true
 }
 
-// Enabled reports whether the sink records anything; callers on hot
-// paths guard event construction with it (or with a plain nil check).
-func (s *Sink) Enabled() bool { return s != nil }
-
 // Emit records one event. It is safe to call on a nil sink, which does
 // nothing — the disabled state costs one branch.
 func (s *Sink) Emit(ev Event) {

@@ -97,12 +97,6 @@ func (d *DMP) Access(now sim.Cycle, addr memspace.PAddr, kind cache.Kind, onDone
 	return true
 }
 
-// Present implements cache.Level.
-func (d *DMP) Present(addr memspace.PAddr) bool { return d.forward.Present(addr) }
-
-// Invalidate implements cache.Level.
-func (d *DMP) Invalidate(addr memspace.PAddr) { d.forward.Invalidate(addr) }
-
 // trigger checks whether addr falls in a registered index stream and,
 // if so, prefetches the indirect targets Distance ahead.
 func (d *DMP) trigger(now sim.Cycle, addr memspace.PAddr) {

@@ -85,22 +85,3 @@ func TestDMPStoreDoesNotTrigger(t *testing.T) {
 		t.Fatalf("store access triggered %v prefetches", got)
 	}
 }
-
-func TestDMPPresentAndInvalidateForward(t *testing.T) {
-	eng, _, sp, h, d, _, arrB := setup(t)
-	pa := sp.Translate(arrB.Base())
-	access(t, eng, d, pa, cache.Load)
-	if _, err := eng.Run(nil); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if !h.L2[0].PresentHere(pa) {
-		t.Fatal("loaded line not resident in the wrapped L2")
-	}
-	if !d.Present(pa) {
-		t.Fatal("DMP.Present did not forward to the wrapped level")
-	}
-	d.Invalidate(pa)
-	if h.L2[0].PresentHere(pa) {
-		t.Fatal("DMP.Invalidate did not forward to the wrapped level")
-	}
-}

@@ -40,8 +40,6 @@ type touchRecorder struct {
 func (r *touchRecorder) Access(sim.Cycle, memspace.PAddr, cache.Kind, func(sim.Cycle)) bool {
 	panic("sample: Warm must not use the timed access path")
 }
-func (r *touchRecorder) Present(memspace.PAddr) bool { return false }
-func (r *touchRecorder) Invalidate(memspace.PAddr)   {}
 func (r *touchRecorder) Touch(a memspace.PAddr, k cache.Kind) {
 	r.touched = append(r.touched, a)
 	r.kinds = append(r.kinds, k)
@@ -77,8 +75,6 @@ func TestWarmTouchesEveryLine(t *testing.T) {
 type nonToucher struct{}
 
 func (nonToucher) Access(sim.Cycle, memspace.PAddr, cache.Kind, func(sim.Cycle)) bool { return true }
-func (nonToucher) Present(memspace.PAddr) bool                                        { return false }
-func (nonToucher) Invalidate(memspace.PAddr)                                          {}
 
 func TestWarmSkipsNonToucher(t *testing.T) {
 	Warm(nonToucher{}, []Range{{Lo: 0, Hi: 4 * memspace.LineSize}})

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dx100/internal/exp"
 )
 
 // updateFigGoldens rewrites the committed golden figure text from the
@@ -32,13 +34,17 @@ func TestParseFigSpec(t *testing.T) {
 		wantErr string
 	}{
 		{url: "/v1/figures/9", want: figSpec{Figure: "9", Scale: 1}},
+		// workers= is no longer read: -figworkers is the one pool width.
 		{url: "/v1/figures/9?scale=4&workloads=IS,GZZ&noff=true&workers=3",
-			want: figSpec{Figure: "9", Scale: 4, Workloads: []string{"IS", "GZZ"}, NoFastForward: true, Workers: 3}},
+			want: figSpec{Figure: "9", Scale: 4, Workloads: []string{"IS", "GZZ"}, NoFastForward: true}},
+		{url: "/v1/figures/9?workers=-2", want: figSpec{Figure: "9", Scale: 1}},
+		{url: "/v1/figures/energy?scale=64", want: figSpec{Figure: "energy", Scale: 64}},
 		{url: "/v1/figures/ablation?scale=2", want: figSpec{Figure: "ablation", Scale: 2}},
 		{url: "/v1/figures/7", wantErr: "unknown figure"},
+		{url: "/v1/figures/skew", wantErr: "unknown figure"},
 		{url: "/v1/figures/9?scale=0", wantErr: "scale"},
 		{url: "/v1/figures/9?scale=banana", wantErr: "scale"},
-		{url: "/v1/figures/9?workers=-2", wantErr: "workers"},
+		{url: "/v1/figures/9?scale=65", wantErr: "above the limit of 64"},
 		{url: "/v1/figures/9?workloads=NOPE", wantErr: `unknown workload "NOPE"`},
 	} {
 		t.Run(tc.url, func(t *testing.T) {
@@ -53,7 +59,7 @@ func TestParseFigSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Figure != tc.want.Figure || got.Scale != tc.want.Scale ||
-				got.NoFastForward != tc.want.NoFastForward || got.Workers != tc.want.Workers ||
+				got.NoFastForward != tc.want.NoFastForward ||
 				strings.Join(got.Workloads, ",") != strings.Join(tc.want.Workloads, ",") {
 				t.Fatalf("parsed %+v, want %+v", got, tc.want)
 			}
@@ -61,23 +67,36 @@ func TestParseFigSpec(t *testing.T) {
 	}
 }
 
+// TestParseFigSpecNames: the daemon accepts exactly exp's figure
+// table, and refuses any other name with the error dx100sim prints.
+func TestParseFigSpecNames(t *testing.T) {
+	for _, n := range exp.FigureNames() {
+		if _, err := parseFigSpec(figRequest(t, "/v1/figures/"+n)); err != nil {
+			t.Errorf("figure %q refused: %v", n, err)
+		}
+	}
+	for _, n := range []string{"7", "skew", "all"} {
+		_, err := parseFigSpec(figRequest(t, "/v1/figures/"+n))
+		if err == nil || err.Error() != exp.CheckFigure(n).Error() {
+			t.Errorf("figure %q: err = %v, want %v", n, err, exp.CheckFigure(n))
+		}
+	}
+}
+
 // TestFigSpecHash pins the content-address semantics: identical specs
-// collide, result-changing fields separate, and Workers (execution
-// policy, not an input) is excluded.
+// collide and every field separates.
 func TestFigSpecHash(t *testing.T) {
 	base := figSpec{Figure: "9", Scale: 2, Workloads: []string{"IS"}}
 	h1, err := base.hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := base
-	same.Workers = 8
-	h2, err := same.hash()
+	h2, err := figSpec{Figure: "9", Scale: 2, Workloads: []string{"IS"}}.hash()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h1 != h2 {
-		t.Error("Workers changed the content hash; it is execution policy, not an input")
+		t.Error("identical specs hashed differently")
 	}
 	for name, alt := range map[string]figSpec{
 		"figure":    {Figure: "10", Scale: 2, Workloads: []string{"IS"}},

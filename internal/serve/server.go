@@ -397,7 +397,13 @@ type runRequest struct {
 	Pattern *pattern.File `json:"pattern,omitempty"`
 }
 
-// resolve turns the request into a fully-resolved Spec.
+// maxScale caps the dataset scale of a run or figure request, so one
+// request cannot demand an arbitrarily large workload build. It is 4x
+// the largest scale EXPERIMENTS.md evaluates at (16).
+const maxScale = 64
+
+// resolve turns the request into a fully-resolved Spec. The
+// max_cycles override may only lower the default cycle limit.
 func (rr runRequest) resolve() (exp.Spec, error) {
 	switch {
 	case rr.Pattern != nil && rr.Workload != "":
@@ -426,6 +432,9 @@ func (rr runRequest) resolve() (exp.Spec, error) {
 	if rr.Scale <= 0 {
 		rr.Scale = 1
 	}
+	if rr.Scale > maxScale {
+		return exp.Spec{}, fmt.Errorf("scale %d above the limit of %d", rr.Scale, maxScale)
+	}
 	cfg := exp.Default(mode)
 	if o := rr.Overrides; o != nil {
 		if o.NoFastForward != nil {
@@ -441,6 +450,10 @@ func (rr runRequest) resolve() (exp.Spec, error) {
 			cfg.Instances = *o.Instances
 		}
 		if o.MaxCycles != nil {
+			// Zero would lift the engine's cycle limit altogether.
+			if *o.MaxCycles == 0 || *o.MaxCycles > uint64(cfg.MaxCycles) {
+				return exp.Spec{}, fmt.Errorf("max_cycles %d outside [1, %d]", *o.MaxCycles, cfg.MaxCycles)
+			}
 			cfg.MaxCycles = sim.Cycle(*o.MaxCycles)
 		}
 		if o.TileElems != nil {

@@ -418,6 +418,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad override", `{"workload":"micro.gather","overrides":{"cores":999}}`},
 		{"instances over cores", `{"workload":"micro.gather","overrides":{"cores":2,"instances":4}}`},
 		{"malformed json", `{`},
+		{"scale over the cap", `{"workload":"micro.gather","scale":65}`},
+		{"max_cycles over the default", `{"workload":"micro.gather","overrides":{"max_cycles":2000000001}}`},
+		{"max_cycles zero", `{"workload":"micro.gather","overrides":{"max_cycles":0}}`},
 	}
 	for _, tc := range cases {
 		if _, code := postRun(t, ts, tc.body); code != http.StatusBadRequest {
@@ -432,13 +435,42 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: status = %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/v1/figures/99")
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []string{"99", "9?scale=65"} {
+		resp, err = http.Get(ts.URL + "/v1/figures/" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("figure %s: status = %d, want 400", q, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown figure: status = %d, want 400", resp.StatusCode)
+}
+
+// TestResolveBounds pins the edges of the request bounds: scale up to
+// maxScale and max_cycles up to the default limit resolve; one past
+// either does not.
+func TestResolveBounds(t *testing.T) {
+	def := uint64(exp.Default(exp.DX).MaxCycles)
+	for _, tc := range []struct {
+		scale     int
+		maxCycles uint64
+		ok        bool
+	}{
+		{maxScale, def, true},
+		{maxScale + 1, def, false},
+		{1, def + 1, false},
+		{1, 1, true},
+	} {
+		mc := tc.maxCycles
+		rr := runRequest{Workload: "micro.gather", Scale: tc.scale, Overrides: &Overrides{MaxCycles: &mc}}
+		spec, err := rr.resolve()
+		if (err == nil) != tc.ok {
+			t.Errorf("scale %d, max_cycles %d: err = %v, want ok=%v", tc.scale, tc.maxCycles, err, tc.ok)
+		}
+		if err == nil && (spec.Scale != tc.scale || uint64(spec.Config.MaxCycles) != mc) {
+			t.Errorf("resolved scale %d, max_cycles %d; want %d, %d", spec.Scale, spec.Config.MaxCycles, tc.scale, mc)
+		}
 	}
 }
 
