@@ -49,7 +49,7 @@ func main() {
 		fig      = flag.String("fig", "", "regenerate a figure: "+strings.Join(exp.FigureNames(), ", ")+", skew or all")
 		names    = flag.String("workloads", "", "comma-separated workload subset for -fig")
 		jobs     = flag.Int("jobs", 0, "concurrent experiment runs (0 = one per CPU, 1 = serial)")
-		verbose  = flag.Bool("v", false, "dump raw statistics after -run")
+		verbose  = flag.Bool("v", false, "dump engine stepping and raw statistics after -run")
 		asJSON   = flag.Bool("json", false, "emit -run results as JSON (the dx100d wire form)")
 		trace    = flag.String("trace", "", "with -run, stream the event trace to this file (.json = Chrome trace_event for chrome://tracing or Perfetto; anything else = JSON Lines)")
 		spanTr   = flag.String("span-trace", "", "with -run, write the run's lifecycle spans (warm-up, sampling windows) to this file as Chrome trace_event JSON for Perfetto")
@@ -228,6 +228,10 @@ func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 		rootSpan = spanRec.Start("run "+modeStr, span.Context{})
 		opts.OnPhase = span.PhaseSpans(spanRec, rootSpan.Context())
 	}
+	var stepping string
+	if f.verbose {
+		opts.OnEngineDone = func(e *sim.Engine) { stepping = steppingReport(e) }
+	}
 	cfg := exp.Default(m)
 	cfg.NoFastForward = cfg.NoFastForward || f.noFF
 	// Both paths run through exp.Spec so the Result — and therefore the
@@ -298,8 +302,48 @@ func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 		res.Stalls.WriteReport(os.Stdout)
 	}
 	if f.verbose {
+		fmt.Print(stepping)
 		fmt.Println(res.Stats)
 	}
+}
+
+// steppingReport summarizes how the engine covered the run's cycles:
+// the share it stepped rather than jumped over, and the ticker types
+// that most often kept it stepping by declining a jump.
+func steppingReport(e *sim.Engine) string {
+	var b strings.Builder
+	now, visited := uint64(e.Now()), e.Visited()
+	jumps, _ := e.FastForwarded()
+	fmt.Fprintf(&b, "  visited cycles:     %d of %d (%.1f%%), %d jumps\n", visited, now, percent(visited, now), jumps)
+	byType := map[string]uint64{}
+	for _, d := range e.Declines() {
+		byType[fmt.Sprintf("%T", d.Ticker)] += d.Cycles
+	}
+	types := make([]string, 0, len(byType))
+	for t := range byType {
+		types = append(types, t)
+	}
+	sort.Slice(types, func(i, j int) bool {
+		if byType[types[i]] != byType[types[j]] {
+			return byType[types[i]] > byType[types[j]]
+		}
+		return types[i] < types[j]
+	})
+	for i, t := range types {
+		if i == 3 || byType[t] == 0 {
+			break
+		}
+		fmt.Fprintf(&b, "  declined by %-18s %d visited cycles (%.1f%%)\n", t+":", byType[t], percent(byType[t], visited))
+	}
+	return b.String()
+}
+
+// percent is 100*n/of, or 0 when of is 0.
+func percent(n, of uint64) float64 {
+	if of == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(of)
 }
 
 // writeSpanTrace dumps the recorded lifecycle spans as a Chrome

@@ -12,6 +12,7 @@ import (
 
 	"dx100/internal/exp"
 	"dx100/internal/obs/prof"
+	"dx100/internal/sim"
 )
 
 func TestSubset(t *testing.T) {
@@ -109,4 +110,30 @@ func TestRunOnePattern(t *testing.T) {
 // scale with its default sampling.
 func TestRunFigureSkew(t *testing.T) {
 	runFigure(exp.Runner{}, "skew", 1, nil, nil)
+}
+
+// TestSteppingReport checks the -v stepping summary on GZZ at scale 1
+// on DX100, whose counters TestFastForwardEngages pins: the visited
+// share first, then the declining ticker types, most first.
+func TestSteppingReport(t *testing.T) {
+	var rep string
+	opts := exp.RunOptions{OnEngineDone: func(e *sim.Engine) { rep = steppingReport(e) }}
+	if _, err := exp.RunOpts("GZZ", 1, exp.Default(exp.DX), opts); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(rep, "\n"), "\n")
+	want := []string{
+		"59766 of 169305 (35.3%), 44882 jumps",
+		"*dx100.Accel:      11696 visited cycles (19.6%)",
+		"*dram.System:      2960 visited cycles (5.0%)",
+		"*cpu.Core:         10 visited cycles (0.0%)",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("report has %d lines, want %d:\n%s", len(lines), len(want), rep)
+	}
+	for i, w := range want {
+		if !strings.Contains(lines[i], w) {
+			t.Errorf("line %d = %q, want it to contain %q", i+1, lines[i], w)
+		}
+	}
 }

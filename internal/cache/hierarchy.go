@@ -63,10 +63,11 @@ func (a *MemAdapter) Tick(now sim.Cycle) bool {
 }
 
 // NextWake implements sim.WakeHinter: the adapter acts only while the
-// overflow buffer holds requests waiting for channel slots, which can
-// free on any DRAM edge.
+// overflow buffer holds requests waiting for channel slots. While the
+// head request's channel is full, Tick retries in vain; the slot frees
+// only when that channel issues a command, which the DRAM hint bounds.
 func (a *MemAdapter) NextWake(now sim.Cycle) (sim.Cycle, bool) {
-	if a.pendingHead < len(a.pending) {
+	if a.pendingHead < len(a.pending) && a.sys.CanAccept(a.pending[a.pendingHead].Addr) {
 		return now + 1, true
 	}
 	return sim.NeverWake, true

@@ -125,3 +125,38 @@ func TestMemAdapterBuffersAndBoundsOverflow(t *testing.T) {
 		t.Fatal("access rejected after drain")
 	}
 }
+
+// TestMemAdapterSleepsOnFullChannel pins the adapter's back-pressure
+// hint: while its head request's channel is full, Tick can only retry
+// in vain, so NextWake gives no wake; once the channel issues a command
+// and frees a slot, the adapter wakes on the next cycle.
+func TestMemAdapterSleepsOnFullChannel(t *testing.T) {
+	eng := sim.NewEngine()
+	p := dram.DDR4_3200()
+	sys := dram.NewSystem(eng, p, sim.NewStats(), "dram.")
+	a := NewMemAdapter(eng, sys)
+	addr := func(row int) memspace.PAddr { return sys.Mapper().Unmap(dram.Coord{Row: row}) }
+	for i := 0; i <= p.RequestBuffer; i++ {
+		if !a.Access(0, addr(i), Load, nil) {
+			t.Fatalf("access %d rejected", i)
+		}
+	}
+	if a.pendingHead == len(a.pending) {
+		t.Fatal("no request overflowed into the adapter's buffer")
+	}
+	if w, _ := a.NextWake(0); w != sim.NeverWake {
+		t.Fatalf("NextWake = %d against a full channel, want NeverWake", w)
+	}
+	// Step the DRAM alone until channel 0 issues a column command.
+	now := sim.Cycle(0)
+	for !sys.CanAccept(addr(0)) {
+		now += sim.Cycle(p.ClkDiv)
+		sys.Tick(now)
+		if now > 10_000 {
+			t.Fatal("channel never freed a slot")
+		}
+	}
+	if w, _ := a.NextWake(now); w != now+1 {
+		t.Fatalf("NextWake = %d once the channel has room, want %d", w, now+1)
+	}
+}

@@ -127,6 +127,11 @@ func (s *System) Tick(now sim.Cycle) bool {
 		// Occupancy is sampled before the channel's tick.
 		s.cOccupancy.Add(float64(len(ch.queue)))
 		s.hOccupancy.Observe(float64(len(ch.queue)))
+		if ch.hintValid && ch.hintMin > dc {
+			// The cached earliestAction bound, which fast-forward already
+			// trusts, says the scan would issue nothing this edge.
+			continue
+		}
 		s.tickChannel(ch, dc, now)
 	}
 	return s.busy()

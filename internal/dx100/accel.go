@@ -72,10 +72,20 @@ type inflight struct {
 	wqHead     int
 	writesPend int
 	stallUntil sim.Cycle
-	snapIns    int // rt counter snapshots at dispatch
-	snapCoal   int
-	snapCols   int
-	snapStall  int
+	// blocked is set when an insert found its Row Table slice full,
+	// and blockedMisses holds the TLB miss count at that moment. Only a
+	// response frees a slice entry (respond clears the flag), so until
+	// then every retry repeats the same failing insert: one TLB hit and
+	// one stall per cycle, which SkipCycles can count in bulk. A TLB
+	// miss may evict the retried element's page, so the block holds
+	// only while the miss count is unchanged.
+	blocked       bool
+	blockedMisses int
+
+	snapIns   int // rt counter snapshots at dispatch
+	snapCoal  int
+	snapCols  int
+	snapStall int
 }
 
 // Accel is the DX100 timing model: a memory-mapped accelerator shared
@@ -104,6 +114,7 @@ type Accel struct {
 	qHead int
 	units [numUnits]*inflight
 	indQ  []*inflight // indirect unit: up to two staged instructions
+	refs  []WordRef   // Row Table response buffer, reused by respond
 
 	cInstrs     *sim.Counter
 	cSnoops     *sim.Counter
@@ -418,10 +429,12 @@ func stallWake(fl *inflight, now sim.Cycle) (sim.Cycle, bool) {
 // of the dispatch stage and every active unit. Hints of now+1 mark
 // states where the next tick could mutate something — issue a request
 // (LLC ports recover by pure passage of time), advance a compute lane,
-// count a Row Table fill stall, or retire. States waiting purely on
+// insert into a Row Table, or retire. States waiting purely on
 // responses return NeverWake: the completions arrive as scheduled
 // events, and back-pressure from the DRAM request buffers clears only
-// when the DRAM system acts, which its own hint bounds.
+// when the DRAM system acts, which its own hint bounds. A fill blocked
+// on a full Row Table slice waits for a response too; SkipCycles
+// counts the stalls its elided retries would have counted.
 func (a *Accel) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 	if a.Idle() {
 		return sim.NeverWake, true
@@ -454,12 +467,26 @@ func (a *Accel) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 			return now + 1, true
 		}
 	}
+	target := a.fillTarget(now + 1)
 	for i, fl := range a.indQ {
-		if min(a.indirectWake(fl, now, i == 0)) {
+		if min(a.indirectWake(fl, now, i == 0, fl == target)) {
 			return now + 1, true
 		}
 	}
 	return wake, true
+}
+
+// SkipCycles implements sim.CycleSkipper. The one per-cycle side
+// effect a sleeping accelerator has is a blocked fill's retry, which
+// counts a TLB hit and a Row Table stall on every elided cycle.
+func (a *Accel) SkipCycles(from, to sim.Cycle) {
+	fl := a.fillTarget(from + 1)
+	if fl == nil || !a.fillBlocked(fl) {
+		return
+	}
+	n := int(to - from - 1)
+	fl.rt.Stalls += n
+	a.tlb.Hits += n
 }
 
 // streamWake bounds the stream unit's next action.
@@ -494,13 +521,14 @@ func (a *Accel) computeWake(fl *inflight, now sim.Cycle) sim.Cycle {
 }
 
 // indirectWake bounds one staged indirect instruction's next action.
-// The fill stage must pin the clock whenever an insert is attemptable,
-// because even a failing insert counts a Row Table stall.
-func (a *Accel) indirectWake(fl *inflight, now sim.Cycle, isHead bool) sim.Cycle {
+// Its fill stage acts only while it holds the fill port (fills), its
+// producers have released the next index, and it is not blocked on a
+// full Row Table slice.
+func (a *Accel) indirectWake(fl *inflight, now sim.Cycle, isHead, fills bool) sim.Cycle {
 	if w, stalled := stallWake(fl, now); stalled {
 		return w
 	}
-	if fl.fill < fl.n && fl.fill < a.srcLimit(fl) {
+	if fills && fl.fill < a.srcLimit(fl) && !a.fillBlocked(fl) {
 		return now + 1
 	}
 	if isHead {
@@ -509,29 +537,59 @@ func (a *Accel) indirectWake(fl *inflight, now sim.Cycle, isHead bool) sim.Cycle
 		}
 		threshold := int(a.cfg.DrainFrac * float64(a.cfg.Machine.TileElems))
 		engaged := fl.draining || fl.fill >= fl.n || fl.rt.Pending() >= threshold
-		if engaged && (fl.holdHead < len(fl.holding) || fl.rt.Pending() > 0) {
-			return now + 1 // request stage has columns to (re)issue
+		if engaged {
+			if fl.holdHead < len(fl.holding) {
+				if !a.awaitsChannel(fl.rt, fl.holding[fl.holdHead]) {
+					return now + 1 // the head held column can be retried
+				}
+			} else if fl.rt.Pending() > 0 {
+				return now + 1 // request stage has columns to issue
+			}
 		}
-		// Queued write-backs retry silently against the DRAM request
-		// buffers; the slot they wait for frees only when a channel
-		// issues a command, which the DRAM hint bounds.
+		// A held column refused by a full channel, like a queued
+		// write-back, retries in vain against the DRAM request buffers:
+		// the slot frees only when that channel issues a command, which
+		// the DRAM hint bounds.
 	}
 	return sim.NeverWake
 }
 
+// awaitsChannel reports whether req is DRAM-routed and its channel's
+// request buffer is full, so issueColumn would refuse it without side
+// effects.
+func (a *Accel) awaitsChannel(rt *RowTable, req ColumnReq) bool {
+	return !req.Hit && !a.cfg.ForceLLCRoute && !a.mem.CanAccept(a.mapper.Unmap(rt.Coord(req)))
+}
+
+// fillTarget returns the instruction the shared fill ports serve at
+// cycle at: the oldest staged indirect instruction that is past its
+// stall and still has indices to fill.
+func (a *Accel) fillTarget(at sim.Cycle) *inflight {
+	for _, fl := range a.indQ {
+		if at >= fl.startAt && at >= fl.stallUntil && fl.fill < fl.n {
+			return fl
+		}
+	}
+	return nil
+}
+
+// fillBlocked reports whether fl's next fill attempt repeats an insert
+// that a full Row Table slice refused (see inflight.blocked).
+func (a *Accel) fillBlocked(fl *inflight) bool {
+	return fl.blocked && fl.blockedMisses == a.tlb.Misses
+}
+
 // stepIndirectQueue advances the staged indirect instructions: the
-// shared fill ports serve the oldest instruction still filling, while
-// the request generator and response path drain the oldest
-// instruction's Row Table.
+// shared fill ports serve the fill target, while the request generator
+// and response path drain the oldest instruction's Row Table.
 func (a *Accel) stepIndirectQueue(now sim.Cycle) {
-	var filled bool
+	target := a.fillTarget(now)
 	for _, fl := range a.indQ {
 		if now < fl.startAt || now < fl.stallUntil {
 			continue
 		}
-		if !filled && fl.fill < fl.n {
+		if fl == target {
 			a.indirectFill(fl)
-			filled = true
 		}
 		if fl == a.indQ[0] {
 			a.stepIndirectDrain(fl, now)
@@ -615,7 +673,11 @@ func (a *Accel) dispatch(fl *inflight, now sim.Cycle) {
 	case ILD, IST, IRMW:
 		fl.n = a.m.Tile(ins.TS1).Size()
 		fl.rt = a.freeRowTable()
-		fl.rt.Reset()
+		if fl.rt.Outstanding() != 0 {
+			// Retirement waits for every response, and Respond frees
+			// what it drains, so a free table is already empty.
+			panic("dx100: dispatching onto a Row Table with outstanding columns")
+		}
 		fl.snapIns, fl.snapCoal = fl.rt.Inserts, fl.rt.Coalesced
 		fl.snapCols, fl.snapStall = fl.rt.ColsAlloc, fl.rt.Stalls
 		a.indQ = append(a.indQ, fl)

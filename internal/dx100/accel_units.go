@@ -136,8 +136,9 @@ func (a *Accel) indirectFill(fl *inflight) {
 			return h
 		}
 		if !fl.rt.Insert(i, coord, wordOff, snoop) {
-			// Table full: drain until entries free up.
+			// Table full: drain until a response frees an entry.
 			fl.draining = true
+			fl.blocked, fl.blockedMisses = true, a.tlb.Misses
 			return
 		}
 		fl.fill++
@@ -221,9 +222,10 @@ func (a *Accel) issueColumn(fl *inflight, req ColumnReq, now sim.Cycle) bool {
 // respond consumes a column response: the Word Table walk yields the
 // served tile elements.
 func (a *Accel) respond(fl *inflight, req ColumnReq) {
-	refs := fl.rt.Respond(req)
-	fl.responded += len(refs)
-	a.cWords.Add(float64(len(refs)))
+	a.refs = fl.rt.Respond(req, a.refs[:0])
+	fl.responded += len(a.refs)
+	a.cWords.Add(float64(len(a.refs)))
+	fl.blocked = false // the freed entry may admit the blocked insert
 }
 
 // flushWrites retries queued write-backs against freed channel-buffer

@@ -17,7 +17,6 @@ func DefaultRowTableConfig() RowTableConfig { return RowTableConfig{Rows: 64, Co
 // line and a link to the previous iteration targeting the same column
 // (Figure 4c).
 type wordEntry struct {
-	valid   bool
 	wordOff uint8
 	prev    int32
 }
@@ -124,25 +123,6 @@ func NewRowTable(p dram.Params, cfg RowTableConfig, tileCap int) *RowTable {
 	return rt
 }
 
-// Reset clears the table between instructions.
-func (rt *RowTable) Reset() {
-	for i := range rt.slices {
-		s := &rt.slices[i]
-		s.curRow = -1
-		s.pending = 0
-		for r := range s.rows {
-			s.rows[r].valid = false
-			for c := range s.rows[r].cols {
-				s.rows[r].cols[c] = colEntry{}
-			}
-		}
-	}
-	for i := range rt.words {
-		rt.words[i] = wordEntry{}
-	}
-	rt.pendingCols, rt.sentCols = 0, 0
-}
-
 // Pending returns the number of allocated, unsent columns.
 func (rt *RowTable) Pending() int { return rt.pendingCols }
 
@@ -181,7 +161,7 @@ func (rt *RowTable) Insert(iter int, c dram.Coord, wordOff int, snoop func() boo
 			}
 			if ce.col == c.Column && !ce.sent {
 				// Coalesce: link this word into the column's list.
-				rt.words[iter] = wordEntry{valid: true, wordOff: uint8(wordOff), prev: ce.tail}
+				rt.words[iter] = wordEntry{wordOff: uint8(wordOff), prev: ce.tail}
 				ce.tail = int32(iter)
 				ce.words++
 				rt.Inserts++
@@ -201,12 +181,11 @@ func (rt *RowTable) Insert(iter int, c dram.Coord, wordOff int, snoop func() boo
 		rt.Stalls++
 		return false
 	}
+	// A free row's column slots are already zero: Respond zeroes every
+	// column it frees.
 	re := &s.rows[freeRow]
 	re.valid = true
 	re.row = c.Row
-	for ci := range re.cols {
-		re.cols[ci] = colEntry{}
-	}
 	rt.RowsAlloc++
 	rt.allocCol(&re.cols[0], iter, c, wordOff, snoop)
 	s.pending++
@@ -219,7 +198,7 @@ func (rt *RowTable) allocCol(ce *colEntry, iter int, c dram.Coord, wordOff int, 
 		hit = snoop()
 	}
 	*ce = colEntry{valid: true, col: c.Column, hit: hit, tail: int32(iter), words: 1}
-	rt.words[iter] = wordEntry{valid: true, wordOff: uint8(wordOff), prev: -1}
+	rt.words[iter] = wordEntry{wordOff: uint8(wordOff), prev: -1}
 	rt.Inserts++
 	rt.ColsAlloc++
 	rt.pendingCols++
@@ -288,19 +267,16 @@ func unsentCol(re *rowEntry) int {
 }
 
 // Respond consumes the response for req: it walks the word linked
-// list, frees the column (and the row once empty), and returns the
-// tile elements the line serves.
-func (rt *RowTable) Respond(req ColumnReq) []WordRef {
+// list, frees the column (and the row once empty), and appends the
+// tile elements the line serves to dst. Freed entries are zeroed, so a
+// table whose responses have all arrived is as empty as a new one and
+// serves the next instruction without a reset.
+func (rt *RowTable) Respond(req ColumnReq, dst []WordRef) []WordRef {
 	s := &rt.slices[req.GSlice]
 	re := &s.rows[req.RowSlot]
 	ce := &re.cols[req.ColSlot]
-	var out []WordRef
-	for it := ce.tail; it >= 0; {
-		w := &rt.words[it]
-		out = append(out, WordRef{Iter: int(it), WordOff: int(w.wordOff)})
-		next := w.prev
-		w.valid = false
-		it = next
+	for it := ce.tail; it >= 0; it = rt.words[it].prev {
+		dst = append(dst, WordRef{Iter: int(it), WordOff: int(rt.words[it].wordOff)})
 	}
 	*ce = colEntry{}
 	rt.sentCols--
@@ -312,12 +288,12 @@ func (rt *RowTable) Respond(req ColumnReq) []WordRef {
 		}
 	}
 	if empty {
-		re.valid = false
+		re.valid, re.row = false, 0
 		if s.curRow == req.RowSlot {
 			s.curRow = -1
 		}
 	}
-	return out
+	return dst
 }
 
 // Coord reconstructs the DRAM coordinate of a request.

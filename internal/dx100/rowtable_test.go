@@ -2,6 +2,7 @@ package dx100
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dx100/internal/dram"
@@ -32,7 +33,7 @@ func TestRowTableCoalescing(t *testing.T) {
 	if req.Words != 4 {
 		t.Fatalf("req.Words = %d", req.Words)
 	}
-	refs := rt.Respond(req)
+	refs := rt.Respond(req, nil)
 	if len(refs) != 4 {
 		t.Fatalf("word refs = %d, want 4", len(refs))
 	}
@@ -120,7 +121,7 @@ func TestRowTableGroupsRowsPerBank(t *testing.T) {
 			break
 		}
 		rows = append(rows, req.Row)
-		rt.Respond(req)
+		rt.Respond(req, nil)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("drained %d", len(rows))
@@ -152,7 +153,7 @@ func TestRowTableCapacityStall(t *testing.T) {
 	}
 	// Drain one and retry.
 	req, _ := rt.NextRequest()
-	rt.Respond(req)
+	rt.Respond(req, nil)
 	if !rt.Insert(2, dram.Coord{Row: 3, Column: 0}, 0, nil) {
 		t.Fatal("insert after drain failed")
 	}
@@ -175,7 +176,7 @@ func TestRowTableDuplicateRowWhenColsFull(t *testing.T) {
 		if !ok {
 			break
 		}
-		total += len(rt.Respond(req))
+		total += len(rt.Respond(req, nil))
 	}
 	if total != 3 {
 		t.Fatalf("words drained = %d", total)
@@ -197,7 +198,7 @@ func TestRowTableNoCoalesceAfterSent(t *testing.T) {
 		t.Fatalf("cols = %d, want 2", rt.ColsAlloc)
 	}
 	// Both responses return exactly their own words.
-	refs1 := rt.Respond(req)
+	refs1 := rt.Respond(req, nil)
 	if len(refs1) != 1 || refs1[0].Iter != 0 {
 		t.Fatalf("first response refs %v", refs1)
 	}
@@ -205,7 +206,7 @@ func TestRowTableNoCoalesceAfterSent(t *testing.T) {
 	if !ok {
 		t.Fatal("second request missing")
 	}
-	refs2 := rt.Respond(req2)
+	refs2 := rt.Respond(req2, nil)
 	if len(refs2) != 1 || refs2[0].Iter != 1 {
 		t.Fatalf("second response refs %v", refs2)
 	}
@@ -242,7 +243,7 @@ func TestRowTableRandomizedConservation(t *testing.T) {
 		if !ok {
 			return false
 		}
-		for _, w := range rt.Respond(req) {
+		for _, w := range rt.Respond(req, nil) {
 			got[w.Iter]++
 		}
 		return true
@@ -266,5 +267,61 @@ func TestRowTableRandomizedConservation(t *testing.T) {
 	}
 	if rt.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d", rt.Outstanding())
+	}
+}
+
+// TestRowTableDrainsToFresh pins what lets dispatch reuse a Row Table
+// without clearing it: once every column's response has arrived, its
+// slices equal a new table's, whatever order the inserts, requests and
+// responses came in. Small slices make inserts fail and rows repeat.
+func TestRowTableDrainsToFresh(t *testing.T) {
+	p := dram.DDR4_3200()
+	cfg := RowTableConfig{Rows: 4, Cols: 2}
+	mapper := dram.NewMapper(p)
+	rng := rand.New(rand.NewSource(13))
+	rt := NewRowTable(p, cfg, 4096)
+	for round := 0; round < 3; round++ {
+		var sent []ColumnReq
+		words := 0
+		respond := func() {
+			i := rng.Intn(len(sent))
+			words += len(rt.Respond(sent[i], nil))
+			sent[i] = sent[len(sent)-1]
+			sent = sent[:len(sent)-1]
+		}
+		for iter := 0; iter < 4096; {
+			switch x := rng.Intn(4); {
+			case x == 0:
+				if req, ok := rt.NextRequest(); ok {
+					sent = append(sent, req)
+				}
+			case x == 1 && len(sent) > 0:
+				respond()
+			default:
+				co := mapper.Map(memspace.PAddr(rng.Intn(1<<20)) &^ 63)
+				if rt.Insert(iter, co, rng.Intn(16), nil) {
+					iter++
+				}
+			}
+		}
+		for {
+			req, ok := rt.NextRequest()
+			if !ok {
+				break
+			}
+			sent = append(sent, req)
+		}
+		for len(sent) > 0 {
+			respond()
+		}
+		if words != 4096 || rt.Outstanding() != 0 {
+			t.Fatalf("round %d: %d of 4096 words returned, %d columns outstanding", round, words, rt.Outstanding())
+		}
+		if !reflect.DeepEqual(rt.slices, NewRowTable(p, cfg, 4096).slices) {
+			t.Fatalf("round %d: the drained Row Table's slices differ from a new table's", round)
+		}
+	}
+	if rt.Stalls == 0 || rt.Coalesced == 0 {
+		t.Fatalf("stalls=%d coalesced=%d: the sequence never filled a slice or merged a word", rt.Stalls, rt.Coalesced)
 	}
 }

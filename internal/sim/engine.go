@@ -231,6 +231,10 @@ type Engine struct {
 
 	ffJumps   uint64
 	ffSkipped uint64
+	// declines parallels tickers: on how many visited cycles each was
+	// the first hinter to decline the jump. Diagnostics only, like
+	// ffJumps.
+	declines []uint64
 }
 
 // NewEngine returns an empty engine at cycle 0.
@@ -256,6 +260,33 @@ func (e *Engine) FastForwarded() (jumps, skippedCycles uint64) {
 	return e.ffJumps, e.ffSkipped
 }
 
+// Visited reports how many cycles were stepped rather than jumped
+// over. Only Step and fast-forward jumps move the clock, so Now() is
+// always Visited() plus the skipped cycles.
+func (e *Engine) Visited() uint64 { return uint64(e.now) - e.ffSkipped }
+
+// Decline is one ticker's share of the visited cycles.
+type Decline struct {
+	Ticker Ticker
+	// Cycles counts the visited cycles on which this ticker was the
+	// first hinter to answer at or before now+1 (or to decline hinting):
+	// the component that kept the clock stepping.
+	Cycles uint64
+}
+
+// Declines reports, per registered ticker in registration order, how
+// often it kept the clock stepping. A visited cycle that no hinter
+// declined was bound by an event due next cycle, a run bound, or
+// quiescence, and counts for no ticker. Diagnostics only, like
+// FastForwarded.
+func (e *Engine) Declines() []Decline {
+	out := make([]Decline, len(e.tickers))
+	for i, t := range e.tickers {
+		out[i] = Decline{Ticker: t, Cycles: e.declines[i]}
+	}
+	return out
+}
+
 // Register adds a ticker stepped every cycle.
 func (e *Engine) Register(t Ticker) {
 	e.tickers = append(e.tickers, t)
@@ -266,6 +297,7 @@ func (e *Engine) Register(t Ticker) {
 	e.hinters = append(e.hinters, h)
 	s, _ := t.(CycleSkipper)
 	e.skippers = append(e.skippers, s)
+	e.declines = append(e.declines, 0)
 }
 
 // Schedule runs fn at cycle `at`. Scheduling in the past (or at the
@@ -314,15 +346,16 @@ func (e *Engine) fastForward() {
 	// short-circuiting before the costlier DRAM hint runs.
 	for i := len(e.hinters) - 1; i >= 0; i-- {
 		w, ok := e.hinters[i].NextWake(e.now)
-		if !ok {
+		if !ok || w <= e.now+1 {
+			e.declines[i]++ // may act next cycle (or hint is stale): no jump
 			return
-		}
-		if w <= e.now+1 {
-			return // may act next cycle (or hint is stale): no jump
 		}
 		if w < target {
 			target = w
 		}
+	}
+	if target <= e.now+1 {
+		return // an event fires next cycle: there is nothing to skip
 	}
 	if target == NeverWake {
 		// No self-wake and no events: either the system is about to

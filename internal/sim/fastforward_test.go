@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"dx100/internal/obs"
 )
 
 // sparseTicker acts only on cycles that are multiples of period: it
@@ -203,3 +205,77 @@ func TestSchedulePopZeroAllocsSteadyState(t *testing.T) {
 }
 
 func nop(Cycle) {}
+
+// declineUntil declines every jump before cycle until, then sleeps.
+type declineUntil struct{ until Cycle }
+
+func (d *declineUntil) Tick(now Cycle) bool { return now < d.until }
+
+func (d *declineUntil) NextWake(now Cycle) (Cycle, bool) {
+	if now < d.until {
+		return now + 1, true
+	}
+	return NeverWake, true
+}
+
+// TestDeclinesChargeTheFirstDecliner pins the stepping counters: the
+// engine asks the latest-registered hinter first and charges a visited
+// cycle to the first one that declines, and Visited is the clock minus
+// the skipped cycles.
+func TestDeclinesChargeTheFirstDecliner(t *testing.T) {
+	e := NewEngine()
+	s := &sparseTicker{period: 10, limit: 5}
+	d := &declineUntil{until: 30}
+	e.Register(s)
+	e.Register(d)
+	end, err := e.Run(nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Cycles 1-30 are stepped, 31-39 and 41-49 jumped, 40 and 50 stepped.
+	jumps, skipped := e.FastForwarded()
+	if end != 50 || jumps != 2 || skipped != 18 || e.Visited() != 32 {
+		t.Fatalf("end=%d jumps=%d skipped=%d visited=%d, want 50/2/18/32", end, jumps, skipped, e.Visited())
+	}
+	decl := e.Declines()
+	if len(decl) != 2 || decl[0].Ticker != s || decl[1].Ticker != d {
+		t.Fatalf("Declines lists %v, want the two tickers in registration order", decl)
+	}
+	// d declines on cycles 1-29 and is asked first, so s is never asked
+	// while d declines.
+	if decl[0].Cycles != 0 || decl[1].Cycles != 29 {
+		t.Fatalf("declines = %d, %d, want 0, 29", decl[0].Cycles, decl[1].Cycles)
+	}
+}
+
+// TestNoZeroLengthJumps: when an event is due next cycle there is
+// nothing to skip, so the engine takes no jump, calls no SkipCycles and
+// emits no trace event, even though every hinter hints later.
+func TestNoZeroLengthJumps(t *testing.T) {
+	e := NewEngine()
+	e.Trace = obs.NewSink(0)
+	s := &sparseTicker{period: 1000, limit: 1}
+	e.Register(s)
+	for at := Cycle(1); at <= 20; at++ {
+		e.Schedule(at, nop)
+	}
+	end, err := e.Run(nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	jumps, skipped := e.FastForwarded()
+	if end != 1000 || jumps != 1 || skipped != 979 {
+		t.Fatalf("end=%d jumps=%d skipped=%d, want 1000/1/979", end, jumps, skipped)
+	}
+	if s.skipped != skipped {
+		t.Fatalf("SkipCycles saw %d cycles, engine skipped %d", s.skipped, skipped)
+	}
+	for _, ev := range e.Trace.Events() {
+		if ev.Args[1] == 0 {
+			t.Fatalf("zero-length jump traced at cycle %d", ev.Cycle)
+		}
+	}
+	if n := e.Trace.Total(); n != 1 {
+		t.Fatalf("%d jump events traced, want 1", n)
+	}
+}
