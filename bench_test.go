@@ -211,14 +211,26 @@ func BenchmarkFigureRun(b *testing.B) {
 			}
 			b.Run(c.label+"/"+tag, func(b *testing.B) {
 				cfg := exp.Default(c.mode)
-				cfg.NoFastForward = noff
+				opts := exp.RunOptions{NoFastForward: noff}
 				for i := 0; i < b.N; i++ {
-					if _, err := exp.Run(c.workload, figureScale, cfg); err != nil {
+					if _, err := exp.RunOpts(c.workload, figureScale, cfg, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSkewSweep runs the skewed-graph sweep at full detail, at
+// the scale EXPERIMENTS.md "Skew sweep" reports.
+func BenchmarkSkewSweep(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s, err := exp.Runner{}.SkewSweep(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Log(s)
 	}
 }
 

@@ -23,9 +23,10 @@
 // view. Logs are structured JSON on stderr, one line per HTTP request
 // and job transition, correlated by trace_id.
 //
-// A run or figure may ask for at most scale 64, and a max_cycles
-// override may only lower the default cycle limit; anything beyond
-// gets 400. Every figure job runs on one pool of -figworkers
+// A run or figure may ask for at most scale 64, a max_cycles override
+// may only lower the default cycle limit, and llc_bytes and tile_elems
+// overrides must lie in [1 MiB, 64 MiB] and [1024, 32768]; anything
+// beyond gets 400. Every figure job runs on one pool of -figworkers
 // simulations.
 package main
 

@@ -7,13 +7,17 @@
 //	dx100sim -list                          # workloads and Table 1 patterns
 //	dx100sim -config                        # Table 3 system configuration
 //	dx100sim -run IS -mode dx100 -scale 8   # one run with metrics
+//	dx100sim -run IS -noff -json            # same Result, stepped cycle by cycle
 //	dx100sim -run IS -trace t.jsonl -metrics m.prom   # event trace + full metrics
 //	dx100sim -fig 9 -scale 8                # regenerate a figure
-//	dx100sim -fig all -scale 8              # everything (slow)
-//	dx100sim -fig all -scale 8 -jobs 4      # ... on 4 worker goroutines
+//	dx100sim -fig 9 -scale 8 -jobs 4        # ... on 4 worker goroutines
+//	dx100sim -fig skew -scale 2             # skewed-graph sweep (full detail)
 //	dx100sim -pattern traces/p.json -json   # compile a Spatter pattern file and run it
-//	dx100sim -fig skew                      # skewed-graph sweep (sampled)
 //	dx100sim -table4                        # area/power model
+//
+// -fig takes exactly the figure names dx100d serves at
+// /v1/figures/{n}, and refuses the flags that shape one -run (-noff,
+// -json, -sample-*, ...).
 package main
 
 import (
@@ -46,7 +50,7 @@ func main() {
 		patt     = flag.String("pattern", "", "run a Spatter-style gather/scatter pattern JSON file instead of a named workload (composes with -mode, -scale and every -run output flag)")
 		mode     = flag.String("mode", "dx100", "system: baseline, dmp or dx100")
 		scale    = flag.Int("scale", 4, "dataset scale factor (1 = smoke test, 8+ = evaluation)")
-		fig      = flag.String("fig", "", "regenerate a figure: "+strings.Join(exp.FigureNames(), ", ")+", skew or all")
+		fig      = flag.String("fig", "", "regenerate a figure: "+strings.Join(exp.FigureNames(), ", "))
 		names    = flag.String("workloads", "", "comma-separated workload subset for -fig")
 		jobs     = flag.Int("jobs", 0, "concurrent experiment runs (0 = one per CPU, 1 = serial)")
 		verbose  = flag.Bool("v", false, "dump engine stepping and raw statistics after -run")
@@ -56,7 +60,7 @@ func main() {
 		metrics  = flag.String("metrics", "", "with -run, write the full metrics snapshot to this file (.json = JSON; anything else = Prometheus text)")
 		profWin  = flag.Int64("profile-window", 0, "with -run, sample a telemetry timeline every N cycles and attribute core cycles to stall causes (0 = off)")
 		timeline = flag.String("timeline", "", "with -run, write the sampled timeline and stall breakdown to this JSON file (implies profiling at the default window)")
-		noFF     = flag.Bool("noff", false, "disable idle-cycle fast-forward (exact stepping; results are identical)")
+		noFF     = flag.Bool("noff", false, "with -run, disable idle-cycle fast-forward (exact stepping; results are identical)")
 		sampleI  = flag.Int("sample-interval", 0, "with -run, enable SMARTS interval sampling: functionally fast-forward this many instructions per core between detailed windows (0 = full detail)")
 		sampleD  = flag.Int64("sample-detail", 0, "with -sample-interval, measured cycles per detailed window (0 = 20k)")
 		sampleW  = flag.Int64("sample-warmup", 0, "with -sample-interval, unmeasured detailed warm-up cycles before each window's measurement")
@@ -64,7 +68,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	runner := exp.Runner{Workers: *jobs, NoFastForward: *noFF}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -107,7 +110,10 @@ func main() {
 			sampleInterval: *sampleI, sampleDetail: *sampleD, sampleWarmup: *sampleW,
 		})
 	case *fig != "":
-		runFigure(runner, *fig, *scale, subset(*names), samplingFrom(*sampleI, *sampleD, *sampleW))
+		var set []string
+		flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+		refuseRunFlags(set)
+		runFigure(exp.Runner{Workers: *jobs}, *fig, *scale, subset(*names))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -183,19 +189,6 @@ type runFlags struct {
 	sampleWarmup    int64
 }
 
-// samplingFrom assembles the optional SamplingConfig the -sample-*
-// flags describe (nil when sampling is off).
-func samplingFrom(interval int, detail, warmup int64) *exp.SamplingConfig {
-	if interval <= 0 {
-		return nil
-	}
-	return &exp.SamplingConfig{
-		Interval: interval,
-		Detail:   sim.Cycle(detail),
-		Warmup:   sim.Cycle(warmup),
-	}
-}
-
 func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 	m, err := exp.ParseMode(modeStr)
 	if err != nil {
@@ -220,7 +213,13 @@ func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 	if f.timeline != "" && opts.ProfileWindow == 0 {
 		opts.ProfileWindow = prof.DefaultWindow
 	}
-	opts.Sampling = samplingFrom(f.sampleInterval, f.sampleDetail, f.sampleWarmup)
+	if f.sampleInterval > 0 {
+		opts.Sampling = &exp.SamplingConfig{
+			Interval: f.sampleInterval,
+			Detail:   sim.Cycle(f.sampleDetail),
+			Warmup:   sim.Cycle(f.sampleWarmup),
+		}
+	}
 	var spanRec *span.Recorder
 	var rootSpan *span.Span
 	if f.spanTrace != "" {
@@ -232,11 +231,10 @@ func runOne(name, patternPath, modeStr string, scale int, f runFlags) {
 	if f.verbose {
 		opts.OnEngineDone = func(e *sim.Engine) { stepping = steppingReport(e) }
 	}
-	cfg := exp.Default(m)
-	cfg.NoFastForward = cfg.NoFastForward || f.noFF
+	opts.NoFastForward = f.noFF
 	// Both paths run through exp.Spec so the Result — and therefore the
 	// -json bytes — match what dx100d serves for the same submission.
-	spec := exp.Spec{Workload: name, Scale: scale, Config: cfg}
+	spec := exp.Spec{Workload: name, Scale: scale, Config: exp.Default(m)}
 	if patternPath != "" {
 		data, err := os.ReadFile(patternPath)
 		if err != nil {
@@ -403,42 +401,27 @@ func writeMetrics(path string, res exp.Result) error {
 	return err
 }
 
-// defaultSkewSampling is the skew sweep's sampling configuration when
-// the -sample-* flags are not given: the sweep's baseline runs are the
-// long ones, and interval sampling keeps the whole table interactive.
-var defaultSkewSampling = exp.SamplingConfig{Interval: 50000, Detail: 10000, Warmup: 2000}
+// runOnly names the flags that shape one -run or -pattern simulation.
+// A figure builds its own runs, so it would ignore them.
+var runOnly = map[string]bool{
+	"mode": true, "json": true, "v": true, "noff": true,
+	"trace": true, "span-trace": true, "metrics": true,
+	"profile-window": true, "timeline": true,
+	"sample-interval": true, "sample-detail": true, "sample-warmup": true,
+}
 
-func runFigure(r exp.Runner, fig string, scale int, names []string, sampling *exp.SamplingConfig) {
-	switch fig {
-	case "skew":
-		if sampling == nil {
-			s := defaultSkewSampling
-			sampling = &s
+// refuseRunFlags exits 2 when any of the set flags is a run-only one.
+func refuseRunFlags(set []string) {
+	for _, name := range set {
+		if runOnly[name] {
+			fmt.Fprintf(os.Stderr, "dx100sim: -%s applies to -run and -pattern, not to -fig\n", name)
+			os.Exit(2)
 		}
-		show(r.SkewSweep(scale, nil, sampling))
-	case "all":
-		show(r.Fig8aAllHit(scale))
-		show(r.Fig8bcAllMiss())
-		rows, err := r.MainEvaluation(scale, names, true)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(exp.Fig9(rows))
-		fmt.Println(exp.Fig10(rows))
-		fmt.Println(exp.Fig11(rows))
-		fmt.Println(exp.Fig12(rows))
-		show(r.Fig13TileSize(scale/2+1, names))
-		show(r.Fig14Scalability(scale/2+1, names))
-		show(r.AblationReorder(scale, names))
-		if sampling == nil {
-			s := defaultSkewSampling
-			sampling = &s
-		}
-		show(r.SkewSweep(scale/2+1, nil, sampling))
-		printTable4()
-	default:
-		show(r.Figure(fig, scale, names))
 	}
+}
+
+func runFigure(r exp.Runner, fig string, scale int, names []string) {
+	show(r.Figure(fig, scale, names))
 }
 
 func show(s *exp.Series, err error) {

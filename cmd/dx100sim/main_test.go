@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
@@ -79,23 +80,49 @@ func TestRunOneJSON(t *testing.T) {
 
 // TestRunFigure covers the figure dispatcher on a fast subset.
 func TestRunFigure(t *testing.T) {
-	runFigure(exp.Runner{}, "9", 1, []string{"micro.gather"}, nil)
+	runFigure(exp.Runner{}, "9", 1, []string{"micro.gather"})
 }
 
-// TestRunFigureUnknown: an unknown -fig name exits non-zero with the
-// list dx100d refuses it with. fatal exits, so the test re-runs itself
-// in a child process that takes the figure name as its one argument.
+// TestRunFigureUnknown: an unknown -fig name, "all" included, exits
+// non-zero with the list dx100d refuses it with. fatal exits, so the
+// test re-runs itself in a child process that takes the figure name as
+// its one argument.
 func TestRunFigureUnknown(t *testing.T) {
 	if flag.NArg() == 1 {
-		runFigure(exp.Runner{}, flag.Arg(0), 1, nil, nil)
+		runFigure(exp.Runner{}, flag.Arg(0), 1, nil)
 		return
 	}
-	out, err := exec.Command(os.Args[0], "-test.run=^TestRunFigureUnknown$", "7").CombinedOutput()
-	if err == nil {
-		t.Fatalf("unknown figure exited zero:\n%s", out)
+	for _, name := range []string{"7", "all"} {
+		out, err := exec.Command(os.Args[0], "-test.run=^TestRunFigureUnknown$", name).CombinedOutput()
+		if err == nil {
+			t.Fatalf("figure %q exited zero:\n%s", name, out)
+		}
+		if want := exp.CheckFigure(name).Error(); !strings.Contains(string(out), want) {
+			t.Fatalf("output %q does not contain %q", out, want)
+		}
 	}
-	if want := exp.CheckFigure("7").Error(); !strings.Contains(string(out), want) {
-		t.Fatalf("output %q does not contain %q", out, want)
+}
+
+// TestRunFigureRefusesRunFlags: a flag that shapes one -run exits 2
+// beside -fig instead of being ignored, tested in a child process as
+// TestRunFigureUnknown is. Flags every mode shares pass.
+func TestRunFigureRefusesRunFlags(t *testing.T) {
+	if flag.NArg() > 0 {
+		refuseRunFlags(flag.Args())
+		return
+	}
+	for _, name := range []string{"noff", "sample-interval", "json"} {
+		out, err := exec.Command(os.Args[0], "-test.run=^TestRunFigureRefusesRunFlags$", "fig", name).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-%s beside -fig: err = %v, want exit status 2\n%s", name, err, out)
+		}
+		if want := "-" + name + " applies to -run and -pattern"; !strings.Contains(string(out), want) {
+			t.Fatalf("output %q does not contain %q", out, want)
+		}
+	}
+	if out, err := exec.Command(os.Args[0], "-test.run=^TestRunFigureRefusesRunFlags$", "fig", "scale", "jobs", "workloads").CombinedOutput(); err != nil {
+		t.Fatalf("figure flags refused: %v\n%s", err, out)
 	}
 }
 
@@ -106,10 +133,10 @@ func TestRunOnePattern(t *testing.T) {
 		runFlags{asJSON: true})
 }
 
-// TestRunFigureSkew covers the skewed-graph sweep dispatcher at smoke
-// scale with its default sampling.
+// TestRunFigureSkew covers the skewed-graph sweep, a row of the figure
+// table like any other, at smoke scale and full detail.
 func TestRunFigureSkew(t *testing.T) {
-	runFigure(exp.Runner{}, "skew", 1, nil, nil)
+	runFigure(exp.Runner{}, "skew", 1, nil)
 }
 
 // TestSteppingReport checks the -v stepping summary on GZZ at scale 1

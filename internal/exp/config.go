@@ -89,10 +89,6 @@ type SystemConfig struct {
 	// WarmLLC pre-loads every array line into the LLC and resets the
 	// statistics before measurement — the All-Hit setup of §6.1.
 	WarmLLC bool `json:"warm_llc"`
-	// NoFastForward forces exact cycle-by-cycle stepping. Results are
-	// identical either way (the equivalence tests pin this); the switch
-	// exists for those tests and for debugging wake-hint bugs.
-	NoFastForward bool `json:"no_fast_forward"`
 }
 
 // Default returns the Table 3 system for the given mode: the baseline

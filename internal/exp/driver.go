@@ -62,10 +62,14 @@ func (ck *compiledKernel) setBank(chunkIdx int) {
 }
 
 // newDriver compiles the instance's kernels for [share of] the outer
-// ranges.
+// ranges. It refuses a kernel whose longest inner range exceeds the
+// tile: one outer iteration's fused range would overflow it.
 func newDriver(a *dx100.Accel, inst *workloads.Instance, tileElems int, part, parts int) (*driver, error) {
 	d := &driver{accel: a, inst: inst, consume: inst.Consume}
 	for ki, k := range inst.Kernels {
+		if m := inst.MaxRange[ki]; m > tileElems {
+			return nil, fmt.Errorf("exp: %s: inner range of %d elements exceeds the %d-element tile", k.Name, m, tileElems)
+		}
 		c, err := loopir.Compile(k, inst.Binder, tileElems)
 		if err != nil {
 			return nil, fmt.Errorf("exp: compile %s: %w", k.Name, err)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 
 	"dx100/internal/cpu"
@@ -68,6 +69,19 @@ func TestDriverDoubleBufferDetection(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("chunk 1 never used bank 1 tiles")
+	}
+}
+
+// TestDriverRefusesRangeOverTile: graph.pr.pull's capped hubs carry
+// 2048-element inner ranges, so on 1024-element tiles one outer
+// iteration cannot fit. The run fails with an error instead of the
+// functional machine panicking mid-simulation.
+func TestDriverRefusesRangeOverTile(t *testing.T) {
+	cfg := Default(DX)
+	cfg.Accel.Machine.TileElems = 1024
+	_, err := Run("graph.pr.pull", 1, cfg)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 1024-element tile") {
+		t.Fatalf("err = %v, want the inner range refused", err)
 	}
 }
 

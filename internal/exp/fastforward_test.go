@@ -21,13 +21,11 @@ import (
 
 func ffPair(t *testing.T, name string, scale int, cfg SystemConfig) (on, off Result) {
 	t.Helper()
-	cfg.NoFastForward = false
 	rOn, err := Run(name, scale, cfg)
 	if err != nil {
 		t.Fatalf("%s/%s ff on: %v", name, cfg.Mode, err)
 	}
-	cfg.NoFastForward = true
-	rOff, err := Run(name, scale, cfg)
+	rOff, err := RunOpts(name, scale, cfg, RunOptions{NoFastForward: true})
 	if err != nil {
 		t.Fatalf("%s/%s ff off: %v", name, cfg.Mode, err)
 	}
@@ -100,9 +98,7 @@ func TestTraceSteppingNeutral(t *testing.T) {
 				var buf bytes.Buffer
 				sink := obs.NewSink(0)
 				sink.SpillJSONL(&buf)
-				cfg := Default(DX)
-				cfg.NoFastForward = noFF
-				if _, err := RunOpts(name, 1, cfg, RunOptions{Trace: sink}); err != nil {
+				if _, err := RunOpts(name, 1, Default(DX), RunOptions{Trace: sink, NoFastForward: noFF}); err != nil {
 					t.Fatal(err)
 				}
 				if err := sink.Close(); err != nil {

@@ -42,7 +42,7 @@ func (r Runner) MainEvaluation(scale int, names []string, withDMP bool) ([]MainR
 	specs := make([]runSpec, 0, len(names)*len(modes))
 	for _, name := range names {
 		for _, m := range modes {
-			sp, err := namedSpec(name, scale, r.Config(m))
+			sp, err := namedSpec(name, scale, Default(m))
 			if err != nil {
 				return nil, err
 			}
@@ -168,13 +168,13 @@ func (r Runner) Fig8aAllHit(scale int) (*Series, error) {
 	}
 	specs := make([]runSpec, 0, 2*len(cases))
 	for _, c := range cases {
-		bcfg := r.Config(Baseline)
+		bcfg := Default(Baseline)
 		bcfg.Cores = c.cores
 		bcfg.WarmLLC = true
 		if c.cores == 1 {
 			bcfg.LLCBytes = 4 << 20
 		}
-		dcfg := r.Config(DX)
+		dcfg := Default(DX)
 		dcfg.Cores = c.cores
 		dcfg.WarmLLC = true
 		if c.cores == 1 {
@@ -209,8 +209,8 @@ func (r Runner) Fig8bcAllMiss() (*Series, error) {
 		cfg := cfg
 		inst := func() *workloads.Instance { return workloads.MicroAllMiss(cfg) }
 		specs = append(specs,
-			runSpec{inst: inst, cfg: r.Config(Baseline)},
-			runSpec{inst: inst, cfg: r.Config(DX)})
+			runSpec{inst: inst, cfg: Default(Baseline)},
+			runSpec{inst: inst, cfg: Default(DX)})
 	}
 	res, err := r.runAll(specs)
 	if err != nil {
@@ -239,7 +239,7 @@ func (r Runner) Fig13TileSize(scale int, names []string) (*Series, error) {
 	tiles := []int{1024, 2048, 4096, 8192, 16384, 32768}
 	specs := make([]runSpec, 0, len(names)*(1+len(tiles)))
 	for _, n := range names {
-		sp, err := namedSpec(n, scale, r.Config(Baseline))
+		sp, err := namedSpec(n, scale, Default(Baseline))
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +247,7 @@ func (r Runner) Fig13TileSize(scale int, names []string) (*Series, error) {
 	}
 	for _, tile := range tiles {
 		for _, n := range names {
-			cfg := r.Config(DX)
+			cfg := Default(DX)
 			cfg.Accel.Machine.TileElems = tile
 			sp, err := namedSpec(n, scale, cfg)
 			if err != nil {
@@ -288,9 +288,9 @@ func (r Runner) Fig14Scalability(scale int, names []string) (*Series, error) {
 		dx    SystemConfig
 		scale int
 	}{
-		{"4 cores, 1x DX100", r.Config(Baseline), r.Config(DX), scale},
-		{"8 cores, 1x DX100 (4MB SPD)", r.apply(Scale8Baseline()), r.apply(Scale8(1)), scale * 2},
-		{"8 cores, 2x DX100", r.apply(Scale8Baseline()), r.apply(Scale8(2)), scale * 2},
+		{"4 cores, 1x DX100", Default(Baseline), Default(DX), scale},
+		{"8 cores, 1x DX100 (4MB SPD)", Scale8Baseline(), Scale8(1), scale * 2},
+		{"8 cores, 2x DX100", Scale8Baseline(), Scale8(2), scale * 2},
 	}
 	specs := make([]runSpec, 0, 2*len(configs)*len(names))
 	for _, c := range configs {
@@ -334,11 +334,11 @@ func (r Runner) AblationReorder(scale int, names []string) (*Series, error) {
 		Title:  "Ablation: reordering window and DRAM injection path",
 		Header: []string{"workload", "full dx100", "tiny row table", "LLC-inject"},
 	}
-	tiny := r.Config(DX)
+	tiny := Default(DX)
 	tiny.Accel.RowTable = dx100.RowTableConfig{Rows: 1, Cols: 1}
-	llc := r.Config(DX)
+	llc := Default(DX)
 	llc.Accel.ForceLLCRoute = true
-	variants := []SystemConfig{r.Config(Baseline), r.Config(DX), tiny, llc}
+	variants := []SystemConfig{Default(Baseline), Default(DX), tiny, llc}
 	specs := make([]runSpec, 0, len(names)*len(variants))
 	for _, n := range names {
 		for _, cfg := range variants {
@@ -391,6 +391,7 @@ var figures = []figure{
 	{"14", Runner.Fig14Scalability},
 	{"ablation", Runner.AblationReorder},
 	{"energy", mainFigure(EnergyTable, false)},
+	{"skew", func(r Runner, scale int, _ []string) (*Series, error) { return r.SkewSweep(scale) }},
 }
 
 // mainFigure renders one view of a fresh MainEvaluation.

@@ -22,11 +22,11 @@ import (
 // on the wire.
 func FuzzSpecCanonical(f *testing.F) {
 	// Seeds mirror the specs the serve end-to-end tests submit.
-	f.Add("micro.gather", 1, false, 0, 0, false)
-	f.Add("IS", 8, true, 4096, 8<<20, true)
-	f.Add("micro.rmw", 2, false, 1024, 1<<20, false)
-	f.Add("no-such-workload \xff", -3, true, -1, 123, true)
-	f.Fuzz(func(t *testing.T, workload string, scale int, baseline bool, tileElems, llcBytes int, noFF bool) {
+	f.Add("micro.gather", 1, false, 0, 0)
+	f.Add("IS", 8, true, 4096, 8<<20)
+	f.Add("micro.rmw", 2, false, 1024, 1<<20)
+	f.Add("no-such-workload \xff", -3, true, -1, 123)
+	f.Fuzz(func(t *testing.T, workload string, scale int, baseline bool, tileElems, llcBytes int) {
 		const fold = 1 << 30
 		scale %= fold
 		mode := DX
@@ -40,7 +40,6 @@ func FuzzSpecCanonical(f *testing.F) {
 		if llcBytes > 0 {
 			cfg.LLCBytes = llcBytes % fold
 		}
-		cfg.NoFastForward = noFF
 		sp := Spec{Workload: workload, Scale: scale, Config: cfg}
 
 		c1, err := sp.Canonical()

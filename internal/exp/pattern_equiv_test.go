@@ -60,8 +60,7 @@ func TestPatternFastForwardEquivalence(t *testing.T) {
 			t.Parallel()
 			cfg := Default(mode)
 			ff := runPatternJSON(t, 1, cfg, RunOptions{})
-			cfg.NoFastForward = true
-			if exact := runPatternJSON(t, 1, cfg, RunOptions{}); !bytes.Equal(ff, exact) {
+			if exact := runPatternJSON(t, 1, cfg, RunOptions{NoFastForward: true}); !bytes.Equal(ff, exact) {
 				t.Errorf("fast-forward changed the result:\n%s\nvs\n%s", ff, exact)
 			}
 		})
@@ -80,10 +79,8 @@ func TestSampledFastForwardEquivalence(t *testing.T) {
 	t.Run("graph.pr.push", func(t *testing.T) {
 		t.Parallel()
 		run := func(noFF bool) []byte {
-			cfg := Default(Baseline)
-			cfg.NoFastForward = noFF
-			res, err := RunInstanceOpts(workloads.Registry["graph.pr.push"](1), cfg,
-				RunOptions{Sampling: scfg})
+			res, err := RunInstanceOpts(workloads.Registry["graph.pr.push"](1), Default(Baseline),
+				RunOptions{Sampling: scfg, NoFastForward: noFF})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,8 +98,7 @@ func TestSampledFastForwardEquivalence(t *testing.T) {
 		t.Parallel()
 		cfg := Default(Baseline)
 		ff := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg})
-		cfg.NoFastForward = true
-		if exact := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg}); !bytes.Equal(ff, exact) {
+		if exact := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg, NoFastForward: true}); !bytes.Equal(ff, exact) {
 			t.Errorf("sampled run differs with fast-forward off:\n%s\nvs\n%s", ff, exact)
 		}
 	})

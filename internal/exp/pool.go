@@ -22,22 +22,17 @@ import (
 //
 // Execution policy is carried by a Runner value, not package globals,
 // so concurrent callers — two dx100d requests, two tests — cannot race
-// each other's worker counts or stepping modes. Callers (the CLI
+// each other's worker counts or cancellation. Callers (the CLI
 // included) construct a Runner with the policy they want; there are no
 // package-level defaults.
 
 // Runner carries per-call execution policy for the experiment drivers.
-// The zero value is ready to use: one worker per CPU, fast-forward on,
-// no cancellation. Runner values are cheap to copy; methods do not
-// mutate the receiver.
+// The zero value is ready to use: one worker per CPU, no cancellation.
+// Runner values are cheap to copy; methods do not mutate the receiver.
 type Runner struct {
 	// Workers bounds how many simulator runs execute concurrently;
 	// <= 0 selects one worker per available CPU.
 	Workers int
-	// NoFastForward forces exact cycle-by-cycle stepping in every
-	// config the figure drivers build through this Runner. Results are
-	// identical either way.
-	NoFastForward bool
 	// Context, when non-nil, cooperatively cancels in-flight runs: the
 	// engine loop polls it and aborts with the context's error.
 	Context context.Context
@@ -46,18 +41,6 @@ type Runner struct {
 	// be called from multiple worker goroutines; implementations must
 	// be safe for concurrent use.
 	OnRun func(done, total int)
-}
-
-// Config returns the Table 3 default for the mode with this Runner's
-// stepping policy applied.
-func (r Runner) Config(mode Mode) SystemConfig {
-	return r.apply(Default(mode))
-}
-
-// apply overlays the Runner's stepping policy on an existing config.
-func (r Runner) apply(cfg SystemConfig) SystemConfig {
-	cfg.NoFastForward = cfg.NoFastForward || r.NoFastForward
-	return cfg
 }
 
 // workers resolves the effective worker count.
@@ -124,10 +107,6 @@ func (r Runner) forEach(n int, fn func(i int) error) error {
 type runSpec struct {
 	inst func() *workloads.Instance
 	cfg  SystemConfig
-	// sampling, when non-nil, runs this spec under interval sampling
-	// (the skew sweep samples its long baseline runs; nil everywhere
-	// else keeps every existing figure byte-identical).
-	sampling *SamplingConfig
 }
 
 // namedSpec builds a runSpec for a registered workload.
@@ -146,9 +125,7 @@ func (r Runner) runAll(specs []runSpec) ([]Result, error) {
 	var completed atomic.Int64
 	opts := RunOptions{Context: r.Context}
 	err := r.forEach(len(specs), func(i int) error {
-		o := opts
-		o.Sampling = specs[i].sampling
-		res, err := RunInstanceOpts(specs[i].inst(), specs[i].cfg, o)
+		res, err := RunInstanceOpts(specs[i].inst(), specs[i].cfg, opts)
 		if err != nil {
 			return err
 		}

@@ -106,8 +106,7 @@ func TestBreakdownFastForwardEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.NoFastForward = true
-			exact, err := RunOpts(tc.name, 1, cfg, RunOptions{ProfileWindow: profileWindow})
+			exact, err := RunOpts(tc.name, 1, cfg, RunOptions{ProfileWindow: profileWindow, NoFastForward: true})
 			if err != nil {
 				t.Fatal(err)
 			}

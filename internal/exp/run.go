@@ -65,7 +65,6 @@ func build(inst *workloads.Instance, cfg SystemConfig) *system {
 	s := &system{cfg: cfg}
 	s.eng = sim.NewEngine()
 	s.eng.MaxCycles = cfg.MaxCycles
-	s.eng.DisableFastForward = cfg.NoFastForward
 	s.stats = sim.NewStats()
 	s.mem = dram.NewSystem(s.eng, cfg.DRAM, s.stats, "dram.")
 	hcfg := cache.SkylakeLike(cfg.Cores, cfg.LLCBytes)
@@ -176,13 +175,20 @@ type ProgressSample struct {
 	DRAMWrites   float64   `json:"dram_writes"`
 }
 
-// RunOptions carries the cooperative services threaded into the engine
-// loop: cancellation and periodic progress sampling. The zero value
-// installs nothing and is byte-identical to a plain run.
+// RunOptions carries the run services that cannot change a Result —
+// cancellation, progress sampling, exact stepping and the observation
+// hooks — plus Sampling, which can (a Spec carries it in its content
+// address). The zero value installs nothing and is byte-identical to a
+// plain run.
 type RunOptions struct {
 	// Context, when non-nil, cancels the run: the engine polls it at
 	// progress cadence and aborts with the context's error wrapped.
 	Context context.Context
+	// NoFastForward forces exact cycle-by-cycle stepping. Results are
+	// identical either way (the fast-forward equivalence tests pin
+	// this); exact stepping is their reference, and dx100sim -run
+	// -noff exposes it for debugging wake-hint bugs.
+	NoFastForward bool
 	// Progress, when non-nil, receives a sample roughly every
 	// ProgressEvery simulated cycles. It is called from the simulating
 	// goroutine and must not block for long.
@@ -342,6 +348,7 @@ func RunInstance(inst *workloads.Instance, cfg SystemConfig) (Result, error) {
 // cancellation and progress reporting.
 func RunInstanceOpts(inst *workloads.Instance, cfg SystemConfig, opts RunOptions) (Result, error) {
 	s := build(inst, cfg)
+	s.eng.DisableFastForward = opts.NoFastForward
 	var p *profiler
 	if opts.ProfileWindow > 0 {
 		p = newProfiler(s, inst, opts)

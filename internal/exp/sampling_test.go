@@ -126,4 +126,19 @@ func TestSpecSamplingHash(t *testing.T) {
 	if strings.Contains(string(b), "sampling") {
 		t.Errorf("nil Sampling leaked into the canonical form: %s", b)
 	}
+	// An unset knob and its default are one experiment.
+	unset, defaults := plain, plain
+	unset.Sampling = &SamplingConfig{Interval: 0}
+	defaults.Sampling = &SamplingConfig{Interval: 200_000, Detail: 20_000}
+	h3, err := unset.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h4, err := defaults.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h3 != h4 {
+		t.Errorf("default sampling knobs hash apart from unset ones: %s vs %s", h3, h4)
+	}
 }

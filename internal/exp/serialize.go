@@ -45,12 +45,17 @@ type Spec struct {
 // escapes invalid bytes as U+FFFD, and without the coercion a
 // canonical-form round trip would re-encode that replacement rune
 // differently from the original bytes (FuzzSpecCanonical found and now
-// pins this).
+// pins this). Sampling is encoded with its defaults resolved, so an
+// unset knob and its default value are one experiment.
 func (sp Spec) Canonical() ([]byte, error) {
 	sp.Workload = strings.ToValidUTF8(sp.Workload, "�")
 	if sp.Pattern != nil {
 		n := sp.Pattern.Normalized()
 		sp.Pattern = &n
+	}
+	if sp.Sampling != nil {
+		c := sp.Sampling.withDefaults()
+		sp.Sampling = &c
 	}
 	b, err := json.Marshal(sp)
 	if err != nil {

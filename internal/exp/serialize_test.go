@@ -34,9 +34,6 @@ func TestSpecHashDeterministicAndSensitive(t *testing.T) {
 		{Workload: "micro.gather", Scale: 2, Config: Default(DX)},
 		{Workload: "micro.gather", Scale: 1, Config: Default(Baseline)},
 	}
-	noff := Default(DX)
-	noff.NoFastForward = true
-	mut = append(mut, Spec{Workload: "micro.gather", Scale: 1, Config: noff})
 	tile := Default(DX)
 	tile.Accel.Machine.TileElems = 1024
 	mut = append(mut, Spec{Workload: "micro.gather", Scale: 1, Config: tile})
@@ -147,7 +144,7 @@ func TestRunnerOnRunAndWorkers(t *testing.T) {
 	r.Workers = 1 // serial so the callback order is deterministic
 	specs := make([]runSpec, 0, 2)
 	for i := 0; i < 2; i++ {
-		sp, err := namedSpec("micro.gather", 1, r.Config(Baseline))
+		sp, err := namedSpec("micro.gather", 1, Default(Baseline))
 		if err != nil {
 			t.Fatal(err)
 		}

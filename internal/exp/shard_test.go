@@ -29,9 +29,7 @@ type shardSpec struct {
 // the full-precision result key (all measured fields plus the
 // statistics registry) and the wire JSON the daemon would serve.
 func shardCell(c shardSpec) (string, error) {
-	cfg := Default(c.mode)
-	cfg.NoFastForward = c.noFF
-	res, err := Run(c.name, 1, cfg)
+	res, err := RunOpts(c.name, 1, Default(c.mode), RunOptions{NoFastForward: c.noFF})
 	if err != nil {
 		return "", fmt.Errorf("%s/%s noff=%v: %w", c.name, c.mode, c.noFF, err)
 	}

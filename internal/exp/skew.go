@@ -15,22 +15,12 @@ import (
 // the accelerator's win grows or collapses as index-distribution shape
 // changes.
 
-// DefaultSkewExponents are the sweep points: the uniform control
-// (exponent 0) plus three power-law tails from heavy (1.8) to light
-// (3.0).
-func DefaultSkewExponents() []float64 { return []float64{0, 1.8, 2.2, 3.0} }
-
-// SkewSweep runs the graph PR kernel at every requested power-law
-// exponent (0 = uniform) in both traversal directions, on the
-// baseline and DX100 systems, and tabulates DX100's speedup per
-// point. sampling, when non-nil, runs every point under interval
-// sampling — the long baseline runs become estimates, while DX-mode
-// sampling stays detailed by design, so the speedup column compares a
-// sampled estimate to exact accelerator cycles.
-func (r Runner) SkewSweep(scale int, exponents []float64, sampling *SamplingConfig) (*Series, error) {
-	if exponents == nil {
-		exponents = DefaultSkewExponents()
-	}
+// SkewSweep runs the graph PR kernel at full detail on the uniform
+// control (exponent 0) and three power-law tails from heavy (1.8) to
+// light (3.0), in both traversal directions, on the baseline and
+// DX100 systems, and tabulates DX100's speedup per point.
+func (r Runner) SkewSweep(scale int) (*Series, error) {
+	exponents := []float64{0, 1.8, 2.2, 3.0}
 	dirs := []string{"push", "pull"}
 	s := &Series{
 		Title:  "Skew sweep: DX100 speedup vs degree-distribution shape x traversal direction (graph PR)",
@@ -47,8 +37,8 @@ func (r Runner) SkewSweep(scale int, exponents []float64, sampling *SamplingConf
 				}, scale)
 			}
 			specs = append(specs,
-				runSpec{inst: inst, cfg: r.Config(Baseline), sampling: sampling},
-				runSpec{inst: inst, cfg: r.Config(DX), sampling: sampling})
+				runSpec{inst: inst, cfg: Default(Baseline)},
+				runSpec{inst: inst, cfg: Default(DX)})
 		}
 	}
 	res, err := r.runAll(specs)
@@ -83,9 +73,5 @@ func (r Runner) SkewSweep(scale int, exponents []float64, sampling *SamplingConf
 	}
 	s.Note("DX100's win peaks at %s (%s) and bottoms at %s (%s)",
 		best.label, f2x(best.sp), worst.label, f2x(worst.sp))
-	if sampling != nil {
-		s.Note("sampled: interval %d, detail %d, warmup %d (baseline rows are estimates; DX rows stay detailed)",
-			sampling.Interval, sampling.Detail, sampling.Warmup)
-	}
 	return s, nil
 }

@@ -17,10 +17,9 @@ import (
 // exp.FigureNames). Its JSON form feeds the content hash, so it carries
 // only fields that change the result.
 type figSpec struct {
-	Figure        string   `json:"figure"`
-	Scale         int      `json:"scale"`
-	Workloads     []string `json:"workloads,omitempty"`
-	NoFastForward bool     `json:"no_fast_forward,omitempty"`
+	Figure    string   `json:"figure"`
+	Scale     int      `json:"scale"`
+	Workloads []string `json:"workloads,omitempty"`
 }
 
 // hash returns the spec's content address. Figure specs and run specs
@@ -35,7 +34,7 @@ func (f figSpec) hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// parseFigSpec reads /v1/figures/{n}?scale=&workloads=&noff=.
+// parseFigSpec reads /v1/figures/{n}?scale=&workloads=.
 func parseFigSpec(r *http.Request) (figSpec, error) {
 	f := figSpec{Figure: r.PathValue("n")}
 	if err := exp.CheckFigure(f.Figure); err != nil {
@@ -49,7 +48,6 @@ func parseFigSpec(r *http.Request) (figSpec, error) {
 	if f.Scale > maxScale {
 		return f, fmt.Errorf("scale %d above the limit of %d", f.Scale, maxScale)
 	}
-	f.NoFastForward = parseBoolParam(q.Get("noff"))
 	if ws := q.Get("workloads"); ws != "" {
 		f.Workloads = strings.Split(ws, ",")
 		for _, n := range f.Workloads {
@@ -76,15 +74,13 @@ type figProgress struct {
 }
 
 // executeFigure runs the whole-figure batch on a per-request Runner:
-// the daemon's figure pool width, the request's stepping mode and its
-// cancellation context apply to this job only — no package-global
-// knobs.
+// the daemon's figure pool width and the job's cancellation context
+// apply to this job only — no package-global knobs.
 func (s *Server) executeFigure(ctx context.Context, j *job) (json.RawMessage, error) {
 	f := j.fig
 	runner := exp.Runner{
-		Workers:       s.cfg.FigWorkers,
-		NoFastForward: f.NoFastForward,
-		Context:       ctx,
+		Workers: s.cfg.FigWorkers,
+		Context: ctx,
 		OnRun: func(done, total int) {
 			s.simRuns.Add(1)
 			if b, err := json.Marshal(figProgress{RunsDone: done, RunsTotal: total}); err == nil {

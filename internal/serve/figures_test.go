@@ -34,14 +34,15 @@ func TestParseFigSpec(t *testing.T) {
 		wantErr string
 	}{
 		{url: "/v1/figures/9", want: figSpec{Figure: "9", Scale: 1}},
-		// workers= is no longer read: -figworkers is the one pool width.
+		// workers= and noff= are ignored: -figworkers is the one pool
+		// width, and exact stepping cannot change a figure.
 		{url: "/v1/figures/9?scale=4&workloads=IS,GZZ&noff=true&workers=3",
-			want: figSpec{Figure: "9", Scale: 4, Workloads: []string{"IS", "GZZ"}, NoFastForward: true}},
+			want: figSpec{Figure: "9", Scale: 4, Workloads: []string{"IS", "GZZ"}}},
 		{url: "/v1/figures/9?workers=-2", want: figSpec{Figure: "9", Scale: 1}},
 		{url: "/v1/figures/energy?scale=64", want: figSpec{Figure: "energy", Scale: 64}},
 		{url: "/v1/figures/ablation?scale=2", want: figSpec{Figure: "ablation", Scale: 2}},
 		{url: "/v1/figures/7", wantErr: "unknown figure"},
-		{url: "/v1/figures/skew", wantErr: "unknown figure"},
+		{url: "/v1/figures/skew", want: figSpec{Figure: "skew", Scale: 1}},
 		{url: "/v1/figures/9?scale=0", wantErr: "scale"},
 		{url: "/v1/figures/9?scale=banana", wantErr: "scale"},
 		{url: "/v1/figures/9?scale=65", wantErr: "above the limit of 64"},
@@ -59,7 +60,6 @@ func TestParseFigSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Figure != tc.want.Figure || got.Scale != tc.want.Scale ||
-				got.NoFastForward != tc.want.NoFastForward ||
 				strings.Join(got.Workloads, ",") != strings.Join(tc.want.Workloads, ",") {
 				t.Fatalf("parsed %+v, want %+v", got, tc.want)
 			}
@@ -75,7 +75,7 @@ func TestParseFigSpecNames(t *testing.T) {
 			t.Errorf("figure %q refused: %v", n, err)
 		}
 	}
-	for _, n := range []string{"7", "skew", "all"} {
+	for _, n := range []string{"7", "all"} {
 		_, err := parseFigSpec(figRequest(t, "/v1/figures/"+n))
 		if err == nil || err.Error() != exp.CheckFigure(n).Error() {
 			t.Errorf("figure %q: err = %v, want %v", n, err, exp.CheckFigure(n))
@@ -102,7 +102,6 @@ func TestFigSpecHash(t *testing.T) {
 		"figure":    {Figure: "10", Scale: 2, Workloads: []string{"IS"}},
 		"scale":     {Figure: "9", Scale: 3, Workloads: []string{"IS"}},
 		"workloads": {Figure: "9", Scale: 2, Workloads: []string{"GZZ"}},
-		"noff":      {Figure: "9", Scale: 2, Workloads: []string{"IS"}, NoFastForward: true},
 	} {
 		h, err := alt.hash()
 		if err != nil {

@@ -43,7 +43,7 @@ func (s *Server) initMetrics() {
 	m.inFlight = m.reg.Gauge("jobs.inflight")
 	m.jobSeconds = m.reg.SyncHistogram("job.duration_seconds", jobDurationBounds)
 	m.reg.CounterFunc("sim.runs", func() float64 { return float64(s.simRuns.Load()) })
-	m.reg.GaugeFunc("queue.depth", func() float64 { return float64(s.q.Len()) })
+	m.reg.GaugeFunc("queue.depth", func() float64 { return float64(len(s.q)) })
 	m.reg.GaugeFunc("cache.entries", func() float64 { return float64(s.cache.Len()) })
 	m.reg.GaugeFunc("draining", func() float64 {
 		s.mu.Lock()

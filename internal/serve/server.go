@@ -1,6 +1,6 @@
 // Package serve implements dx100d, the experiment service: a
 // long-running HTTP daemon that schedules simulator runs through a
-// bounded FIFO queue, deduplicates identical submissions onto one
+// bounded FIFO channel, deduplicates identical submissions onto one
 // in-flight job (singleflight keyed by the spec's content hash),
 // caches results in a content-addressed in-memory + on-disk store, and
 // streams per-run progress as server-sent events.
@@ -76,12 +76,24 @@ type Config struct {
 	Pprof bool
 }
 
+// ErrQueueFull is returned when the job queue is at capacity; the HTTP
+// layer maps it to 503 + Retry-After so clients back off instead of
+// piling unbounded work onto the daemon.
+var ErrQueueFull = errors.New("serve: job queue full")
+
+// ErrQueueClosed is returned for submissions after Shutdown began.
+var ErrQueueClosed = errors.New("serve: job queue closed")
+
 // Server is the experiment service. Create with New, serve via
 // Handler, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	cache   *Cache
-	q       *queue[*job]
+	cfg   Config
+	cache *Cache
+	// q holds accepted, unstarted jobs in FIFO order; its capacity is
+	// Config.QueueDepth, and a full buffer answers 503. It is sent to
+	// and closed only under mu after the closed check, so no send can
+	// race the close; workers drain it after Shutdown closes it.
+	q       chan *job
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the tracing/logging middleware
 	log     *slog.Logger
@@ -126,7 +138,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		cache:     cache,
-		q:         newQueue[*job](cfg.QueueDepth),
+		q:         make(chan *job, cfg.QueueDepth),
 		log:       cfg.Logger,
 		httpSpans: span.NewRecorder(0),
 		ctx:       ctx,
@@ -178,9 +190,11 @@ func (s *Server) SimRuns() int64 { return s.simRuns.Load() }
 // observe that.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.q)
+	}
 	s.mu.Unlock()
-	s.q.Close()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -199,11 +213,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // worker drains the queue until it is closed and empty.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		j, ok := s.q.Pop()
-		if !ok {
-			return
-		}
+	for j := range s.q {
 		s.execute(j)
 	}
 }
@@ -354,10 +364,12 @@ func (s *Server) submit(j *job) (*job, bool, error) {
 	// The queue-wait span opens here and closes in job.start (or when
 	// the job is canceled while still queued).
 	j.queueSpan = j.spans.Start("queue.wait", j.trace)
-	if err := s.q.Push(j); err != nil {
+	select {
+	case s.q <- j:
+	default:
 		j.queueSpan.End()
 		j.queueSpan = nil
-		return nil, false, err
+		return nil, false, ErrQueueFull
 	}
 	s.jobs[j.id] = j
 	return j, false, nil
@@ -369,13 +381,12 @@ func (s *Server) submit(j *job) (*job, bool, error) {
 // field keeps the Table 3 default; the fully-resolved config is what
 // gets hashed, so two phrasings of the same system coalesce.
 type Overrides struct {
-	NoFastForward *bool   `json:"no_fast_forward,omitempty"`
-	Cores         *int    `json:"cores,omitempty"`
-	LLCBytes      *int    `json:"llc_bytes,omitempty"`
-	Instances     *int    `json:"instances,omitempty"`
-	MaxCycles     *uint64 `json:"max_cycles,omitempty"`
-	TileElems     *int    `json:"tile_elems,omitempty"`
-	WarmLLC       *bool   `json:"warm_llc,omitempty"`
+	Cores     *int    `json:"cores,omitempty"`
+	LLCBytes  *int    `json:"llc_bytes,omitempty"`
+	Instances *int    `json:"instances,omitempty"`
+	MaxCycles *uint64 `json:"max_cycles,omitempty"`
+	TileElems *int    `json:"tile_elems,omitempty"`
+	WarmLLC   *bool   `json:"warm_llc,omitempty"`
 }
 
 type runRequest struct {
@@ -401,6 +412,16 @@ type runRequest struct {
 // request cannot demand an arbitrarily large workload build. It is 4x
 // the largest scale EXPERIMENTS.md evaluates at (16).
 const maxScale = 64
+
+// The llc_bytes and tile_elems overrides stay inside ranges the model
+// builds: an LLC smaller than one set per way divides by zero, and a
+// non-positive tile cannot be allocated. Tiles span Fig 13's sweep.
+const (
+	minLLCBytes  = 1 << 20
+	maxLLCBytes  = 64 << 20
+	minTileElems = 1024
+	maxTileElems = 32768
+)
 
 // resolve turns the request into a fully-resolved Spec. The
 // max_cycles override may only lower the default cycle limit.
@@ -437,13 +458,13 @@ func (rr runRequest) resolve() (exp.Spec, error) {
 	}
 	cfg := exp.Default(mode)
 	if o := rr.Overrides; o != nil {
-		if o.NoFastForward != nil {
-			cfg.NoFastForward = *o.NoFastForward
-		}
 		if o.Cores != nil {
 			cfg.Cores = *o.Cores
 		}
 		if o.LLCBytes != nil {
+			if *o.LLCBytes < minLLCBytes || *o.LLCBytes > maxLLCBytes {
+				return exp.Spec{}, fmt.Errorf("llc_bytes %d outside [%d, %d]", *o.LLCBytes, minLLCBytes, maxLLCBytes)
+			}
 			cfg.LLCBytes = *o.LLCBytes
 		}
 		if o.Instances != nil {
@@ -457,6 +478,9 @@ func (rr runRequest) resolve() (exp.Spec, error) {
 			cfg.MaxCycles = sim.Cycle(*o.MaxCycles)
 		}
 		if o.TileElems != nil {
+			if *o.TileElems < minTileElems || *o.TileElems > maxTileElems {
+				return exp.Spec{}, fmt.Errorf("tile_elems %d outside [%d, %d]", *o.TileElems, minTileElems, maxTileElems)
+			}
 			cfg.Accel.Machine.TileElems = *o.TileElems
 		}
 		if o.WarmLLC != nil {
@@ -767,7 +791,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ok":             !closed,
 		"draining":       closed,
 		"queued":         queued,
-		"queue_len":      s.q.Len(),
+		"queue_len":      len(s.q),
 		"running":        running,
 		"finished":       terminal,
 		"workers":        s.cfg.Workers,
@@ -814,12 +838,4 @@ func parsePositiveInt(s string, def int) (int, error) {
 		return 0, fmt.Errorf("invalid positive integer %q", s)
 	}
 	return n, nil
-}
-
-func parseBoolParam(s string) bool {
-	switch strings.ToLower(s) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
 }

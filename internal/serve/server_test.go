@@ -117,7 +117,7 @@ func TestEndToEndByteIdenticalToCLI(t *testing.T) {
 // response is flagged cached.
 func TestCacheHitSkipsSimulation(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	const body = `{"workload":"micro.gather","scale":1,"overrides":{"no_fast_forward":true}}`
+	const body = `{"workload":"micro.gather","scale":1}`
 	sr1, _ := postRun(t, ts, body)
 	first := pollDone(t, ts, sr1.ID)
 	if first.Status != StateDone {
@@ -146,7 +146,7 @@ func TestCacheHitSkipsSimulation(t *testing.T) {
 	}
 
 	// A different spec (mode flip) must NOT hit the cache.
-	sr3, _ := postRun(t, ts, `{"workload":"micro.gather","scale":1,"mode":"baseline","overrides":{"no_fast_forward":true}}`)
+	sr3, _ := postRun(t, ts, `{"workload":"micro.gather","scale":1,"mode":"baseline"}`)
 	if sr3.ID == sr1.ID {
 		t.Fatal("different mode produced the same content hash")
 	}
@@ -421,6 +421,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"scale over the cap", `{"workload":"micro.gather","scale":65}`},
 		{"max_cycles over the default", `{"workload":"micro.gather","overrides":{"max_cycles":2000000001}}`},
 		{"max_cycles zero", `{"workload":"micro.gather","overrides":{"max_cycles":0}}`},
+		{"llc_bytes one", `{"workload":"micro.gather","overrides":{"llc_bytes":1}}`},
+		{"llc_bytes negative", `{"workload":"micro.gather","overrides":{"llc_bytes":-1}}`},
+		{"tile_elems negative", `{"workload":"micro.gather","overrides":{"tile_elems":-4}}`},
 	}
 	for _, tc := range cases {
 		if _, code := postRun(t, ts, tc.body); code != http.StatusBadRequest {
@@ -471,6 +474,53 @@ func TestResolveBounds(t *testing.T) {
 		if err == nil && (spec.Scale != tc.scale || uint64(spec.Config.MaxCycles) != mc) {
 			t.Errorf("resolved scale %d, max_cycles %d; want %d, %d", spec.Scale, spec.Config.MaxCycles, tc.scale, mc)
 		}
+	}
+	// llc_bytes and tile_elems resolve at both edges of their ranges
+	// and not one past either.
+	for _, tc := range []struct {
+		llc, tile int
+		ok        bool
+	}{
+		{minLLCBytes, minTileElems, true},
+		{maxLLCBytes, maxTileElems, true},
+		{minLLCBytes - 1, minTileElems, false},
+		{maxLLCBytes + 1, minTileElems, false},
+		{minLLCBytes, minTileElems - 1, false},
+		{minLLCBytes, maxTileElems + 1, false},
+	} {
+		llc, tile := tc.llc, tc.tile
+		rr := runRequest{Workload: "micro.gather", Overrides: &Overrides{LLCBytes: &llc, TileElems: &tile}}
+		spec, err := rr.resolve()
+		if (err == nil) != tc.ok {
+			t.Errorf("llc_bytes %d, tile_elems %d: err = %v, want ok=%v", llc, tile, err, tc.ok)
+		}
+		if err == nil && (spec.Config.LLCBytes != llc || spec.Config.Accel.Machine.TileElems != tile) {
+			t.Errorf("resolved llc_bytes %d, tile_elems %d; want %d, %d",
+				spec.Config.LLCBytes, spec.Config.Accel.Machine.TileElems, llc, tile)
+		}
+	}
+}
+
+// TestRangeOverTileFailsJob: graph.pr.pull's 2048-element hub ranges
+// do not fit 1024-element tiles. The job fails with the driver's error
+// instead of panicking its worker, and the daemon keeps serving.
+func TestRangeOverTileFailsJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sr, code := postRun(t, ts, `{"workload":"graph.pr.pull","mode":"dx100","overrides":{"tile_elems":1024}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", code)
+	}
+	v := pollDone(t, ts, sr.ID)
+	if v.Status != StateFailed || !strings.Contains(v.Error, "exceeds the 1024-element tile") {
+		t.Fatalf("job = %s (%q), want failed on the tile", v.Status, v.Error)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the failed job: status = %d", resp.StatusCode)
 	}
 }
 

@@ -116,20 +116,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j.spans.WriteChrome(w)
 }
 
-// runSummary is one row of GET /v1/runs — the dashboard's job table.
-type runSummary struct {
-	ID       string     `json:"id"`
-	Kind     string     `json:"kind"`
-	Status   State      `json:"status"`
-	Created  time.Time  `json:"created"`
-	Started  *time.Time `json:"started,omitempty"`
-	Finished *time.Time `json:"finished,omitempty"`
-	Error    string     `json:"error,omitempty"`
-	TraceID  string     `json:"trace_id,omitempty"`
-}
-
-// handleListRuns lists the server's known jobs, newest first. Results
-// and progress payloads stay out — poll GET /v1/runs/{id} for those.
+// handleListRuns lists the server's known jobs, newest first, as
+// status views without the spec, figure, progress or result — poll
+// GET /v1/runs/{id} for those.
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.jobs))
@@ -137,29 +126,10 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
-	rows := make([]runSummary, 0, len(jobs))
-	for _, j := range jobs {
-		j.mu.Lock()
-		row := runSummary{
-			ID:      j.id,
-			Kind:    j.kind,
-			Status:  j.state,
-			Created: j.created,
-			Error:   j.errMsg,
-		}
-		if !j.started.IsZero() {
-			t := j.started
-			row.Started = &t
-		}
-		if !j.finished.IsZero() {
-			t := j.finished
-			row.Finished = &t
-		}
-		if j.trace.Valid() {
-			row.TraceID = j.trace.Trace.String()
-		}
-		j.mu.Unlock()
-		rows = append(rows, row)
+	rows := make([]statusView, len(jobs))
+	for i, j := range jobs {
+		rows[i] = j.view()
+		rows[i].Spec, rows[i].Figure, rows[i].Progress, rows[i].Result = nil, nil, nil, nil
 	}
 	sort.Slice(rows, func(i, k int) bool {
 		if rows[i].Created.Equal(rows[k].Created) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -366,10 +367,14 @@ func TestListRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Runs []runSummary `json:"runs"`
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	var out struct {
+		Runs []statusView `json:"runs"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Runs) != 1 || out.Runs[0].ID != sr.ID || out.Runs[0].Status != StateDone {
@@ -377,6 +382,11 @@ func TestListRuns(t *testing.T) {
 	}
 	if out.Runs[0].TraceID == "" {
 		t.Error("run summary missing trace_id")
+	}
+	for _, key := range []string{`"spec"`, `"result"`} {
+		if bytes.Contains(body, []byte(key)) {
+			t.Errorf("run list carries %s: %s", key, body)
+		}
 	}
 }
 
