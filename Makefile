@@ -26,18 +26,20 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Fuzz the spec canonicalization/hashing invariants, the pattern
-# compiler's hostile-input handling, and the DRAM scheduler's per-bank
-# hit counts (CI runs 10s each).
+# compiler's hostile-input handling, the DRAM scheduler's per-bank hit
+# counts, and the engine's event order across its wheel and heap (CI
+# runs 10s each).
 fuzz:
 	$(GO) test ./internal/exp -run '^$$' -fuzz FuzzSpecCanonical -fuzztime=30s
 	$(GO) test ./internal/workloads/pattern -run '^$$' -fuzz FuzzPatternCompile -fuzztime=30s
 	$(GO) test ./internal/dram -run '^$$' -fuzz FuzzBankHitCounts -fuzztime=30s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventOrder -fuzztime=30s
 
 # Regenerate every figure/table (tens of minutes; see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -timeout=120m .
 
-# Engine microbenchmarks (event heap, dense/sparse stepping, DRAM tick)
+# Engine microbenchmarks (event wheel, dense/sparse stepping, DRAM tick)
 # plus the end-to-end fast-forward-on/off comparison; numbers land in
 # BENCH_engine.json.
 microbench:

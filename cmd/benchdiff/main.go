@@ -10,7 +10,9 @@
 // 3x slower than the same run under interval sampling. Because a gate
 // compares two measurements from one host and one binary, it is
 // machine-independent where the absolute ns/op comparison is not, and
-// it fails hard rather than drifting with the hardware.
+// it fails hard rather than drifting with the hardware. A gate reads
+// the median of its per-round ratios, so one noisy round cannot decide
+// it.
 //
 // Usage:
 //
@@ -31,6 +33,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,15 +64,17 @@ type speedupGate struct {
 // speedup-gated benchmarks live; kept in sync with the `microbench`
 // Makefile target (minus the minutes-long end-to-end figure run, which
 // has no ns_per_op entry to gate on). The sampled runs take seconds
-// per iteration, so they run with -benchtime=1x — the gate on them is
-// coarse by design.
+// per iteration, so they run one iteration each (-benchtime=1x), in
+// five rounds: a round times the full-detail run and then the sampled
+// one, so both sides of a round's ratio see the same host load.
 var benchPackages = []struct {
 	pattern, pkg string
 	extra        []string
+	rounds       int
 }{
-	{"BenchmarkSchedulePop|BenchmarkEngineStep", "./internal/sim", nil},
-	{"BenchmarkDRAMTick", "./internal/dram", nil},
-	{"BenchmarkSampledRun", "./internal/exp", []string{"-benchtime=1x", "-timeout=30m"}},
+	{"BenchmarkSchedulePop|BenchmarkEngineStep", "./internal/sim", nil, 1},
+	{"BenchmarkDRAMTick", "./internal/dram", nil, 1},
+	{"BenchmarkSampledRun", "./internal/exp", []string{"-benchtime=1x", "-timeout=30m"}, 5},
 }
 
 // subNanosecond is the noise floor below which comparisons are
@@ -87,7 +92,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var fresh map[string]float64
+	var fresh map[string][]float64
 	if *input != "" {
 		f, err := os.Open(*input)
 		if err != nil {
@@ -105,7 +110,7 @@ func main() {
 		}
 	}
 
-	regressions, report := diff(base, fresh, *threshold)
+	regressions, report := diff(base, fastest(fresh), *threshold)
 	fmt.Print(report)
 	gateFailures, gateReport := checkGates(gates, fresh)
 	fmt.Print(gateReport)
@@ -145,38 +150,33 @@ func loadBaseline(path string) (map[string]float64, []speedupGate, error) {
 	return out, doc.SpeedupGates, nil
 }
 
-// runBenchmarks executes the gated benchmark sets and folds their
-// output into one result map.
-func runBenchmarks() (map[string]float64, error) {
-	all := map[string]float64{}
+// runBenchmarks executes the gated benchmark sets, each for its
+// rounds, and collects every reading per benchmark in round order.
+func runBenchmarks() (map[string][]float64, error) {
+	var all strings.Builder
 	for _, set := range benchPackages {
 		args := []string{"test", "-run", "^$", "-bench", set.pattern, "-benchmem"}
 		args = append(args, set.extra...)
 		args = append(args, set.pkg)
-		cmd := exec.Command("go", args...)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go test -bench %s %s: %w", set.pattern, set.pkg, err)
-		}
-		got, err := parseBench(strings.NewReader(string(out)))
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range got {
-			all[k] = v
+		for range set.rounds {
+			cmd := exec.Command("go", args...)
+			cmd.Stderr = os.Stderr
+			out, err := cmd.Output()
+			if err != nil {
+				return nil, fmt.Errorf("go test -bench %s %s: %w", set.pattern, set.pkg, err)
+			}
+			all.Write(out)
 		}
 	}
-	return all, nil
+	return parseBench(strings.NewReader(all.String()))
 }
 
-// parseBench extracts ns/op per benchmark from standard `go test
-// -bench` output, keyed by name with the -N GOMAXPROCS suffix
-// stripped. When the same benchmark appears multiple times (e.g.
-// -count), the fastest run wins — the minimum is the least noisy
-// estimate of the code's cost.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
+// parseBench extracts every ns/op reading per benchmark from standard
+// `go test -bench` output, in the order they appear, keyed by name
+// with the -N GOMAXPROCS suffix stripped. A benchmark appears more
+// than once under -count or over several rounds.
+func parseBench(r io.Reader) (map[string][]float64, error) {
+	out := map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -205,11 +205,19 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 				name = name[:i]
 			}
 		}
-		if prev, ok := out[name]; !ok || ns < prev {
-			out[name] = ns
-		}
+		out[name] = append(out[name], ns)
 	}
 	return out, sc.Err()
+}
+
+// fastest folds each benchmark's readings to their minimum, the least
+// noisy estimate of the code's cost, for the drift comparison.
+func fastest(runs map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(runs))
+	for name, ns := range runs {
+		out[name] = slices.Min(ns)
+	}
+	return out
 }
 
 // diff compares fresh results against the baseline and renders the
@@ -246,10 +254,11 @@ func diff(base, fresh map[string]float64, threshold float64) (int, string) {
 }
 
 // checkGates enforces the baseline's speedup gates against the fresh
-// results and renders the gate table. A gate whose benchmarks are
-// missing from the run fails: a silently skipped gate would read as a
-// pass.
-func checkGates(gates []speedupGate, fresh map[string]float64) (int, string) {
+// results and renders the gate table. A gate's ratio is the median
+// over rounds of numerator over denominator, pairing the k-th reading
+// of each. A gate whose benchmarks are missing from the run fails: a
+// silently skipped gate would read as a pass.
+func checkGates(gates []speedupGate, fresh map[string][]float64) (int, string) {
 	if len(gates) == 0 {
 		return 0, ""
 	}
@@ -257,26 +266,47 @@ func checkGates(gates []speedupGate, fresh map[string]float64) (int, string) {
 	failures := 0
 	fmt.Fprintf(&b, "\n%-26s %8s %8s\n", "speedup gate", "ratio", "min")
 	for _, g := range gates {
-		num, okN := fresh[g.Numerator]
-		den, okD := fresh[g.Denominator]
-		if !okN || !okD || den == 0 {
+		num, den := fresh[g.Numerator], fresh[g.Denominator]
+		var ratios []float64
+		for k := 0; k < len(num) && k < len(den); k++ {
+			if den[k] > 0 {
+				ratios = append(ratios, num[k]/den[k])
+			}
+		}
+		if len(ratios) == 0 {
 			missing := g.Numerator
-			if okN {
+			if len(num) > 0 {
 				missing = g.Denominator
 			}
 			fmt.Fprintf(&b, "%-26s %8s %8.2f  FAIL (%s missing)\n", g.Name, "-", g.MinRatio, missing)
 			failures++
 			continue
 		}
-		ratio := num / den
+		ratio := median(ratios)
 		mark := ""
 		if ratio < g.MinRatio {
 			mark = "  FAIL"
 			failures++
 		}
-		fmt.Fprintf(&b, "%-26s %8.2f %8.2f%s\n", g.Name, ratio, g.MinRatio, mark)
+		fmt.Fprintf(&b, "%-26s %8.2f %8.2f%s", g.Name, ratio, g.MinRatio, mark)
+		if len(ratios) > 1 {
+			fmt.Fprintf(&b, "  (rounds %.2f)", ratios)
+		}
+		b.WriteString("\n")
 	}
 	return failures, b.String()
+}
+
+// median returns the middle of xs, the mean of the middle two for an
+// even count.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,8 +33,8 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
 	for name, ns := range want {
-		if got[name] != ns {
-			t.Errorf("%s = %v, want %v", name, got[name], ns)
+		if len(got[name]) != 1 || got[name][0] != ns {
+			t.Errorf("%s = %v, want [%v]", name, got[name], ns)
 		}
 	}
 }
@@ -44,8 +45,11 @@ func TestParseBenchKeepsFastestDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["BenchmarkX"] != 40.0 {
-		t.Errorf("duplicate fold = %v, want the minimum 40.0", got["BenchmarkX"])
+	if want := []float64{50, 40, 45}; !slices.Equal(got["BenchmarkX"], want) {
+		t.Errorf("readings = %v, want %v in order", got["BenchmarkX"], want)
+	}
+	if f := fastest(got)["BenchmarkX"]; f != 40.0 {
+		t.Errorf("duplicate fold = %v, want the minimum 40.0", f)
 	}
 }
 
@@ -109,17 +113,17 @@ func TestCheckGates(t *testing.T) {
 		{Name: "speedup", Numerator: "BenchmarkA/full", Denominator: "BenchmarkA/fast", MinRatio: 1.3},
 		{Name: "floor", Numerator: "BenchmarkB/full", Denominator: "BenchmarkB/fast", MinRatio: 0.85},
 	}
-	fresh := map[string]float64{
-		"BenchmarkA/full": 140,
-		"BenchmarkA/fast": 100, // 1.40x: passes the 1.3 gate
-		"BenchmarkB/full": 90,
-		"BenchmarkB/fast": 100, // 0.90x: above the 0.85 floor
+	fresh := map[string][]float64{
+		"BenchmarkA/full": {140},
+		"BenchmarkA/fast": {100}, // 1.40x: passes the 1.3 gate
+		"BenchmarkB/full": {90},
+		"BenchmarkB/fast": {100}, // 0.90x: above the 0.85 floor
 	}
 	if n, report := checkGates(gates, fresh); n != 0 {
 		t.Fatalf("failures = %d, want 0\n%s", n, report)
 	}
 
-	fresh["BenchmarkA/full"] = 120 // 1.20x: below the gate
+	fresh["BenchmarkA/full"] = []float64{120} // 1.20x: below the gate
 	n, report := checkGates(gates, fresh)
 	if n != 1 {
 		t.Fatalf("failures = %d, want 1\n%s", n, report)
@@ -131,5 +135,24 @@ func TestCheckGates(t *testing.T) {
 	delete(fresh, "BenchmarkB/fast") // a missing side must fail, not skip
 	if n, _ := checkGates(gates, fresh); n != 2 {
 		t.Errorf("failures with missing benchmark = %d, want 2", n)
+	}
+}
+
+// TestCheckGatesMedianOfRounds pins that a gate reads the median of
+// its per-round ratios, pairing the k-th reading of each side: one
+// noisy round moves it neither way.
+func TestCheckGatesMedianOfRounds(t *testing.T) {
+	gates := []speedupGate{{Name: "speedup", Numerator: "BenchmarkA/full", Denominator: "BenchmarkA/fast", MinRatio: 3.0}}
+	fresh := map[string][]float64{
+		"BenchmarkA/full": {310, 320, 150, 330, 900},
+		"BenchmarkA/fast": {100, 100, 100, 100, 100}, // ratios 3.1, 3.2, 1.5, 3.3, 9.0
+	}
+	n, report := checkGates(gates, fresh)
+	if n != 0 || !strings.Contains(report, "3.20") {
+		t.Fatalf("failures = %d, want 0 at the median 3.20\n%s", n, report)
+	}
+	fresh["BenchmarkA/fast"] = []float64{100, 120, 120, 120, 20} // ratios 3.1, 2.67, 1.25, 2.75, 45
+	if n, report := checkGates(gates, fresh); n != 1 || !strings.Contains(report, "2.75") {
+		t.Fatalf("failures = %d, want 1 at the median 2.75\n%s", n, report)
 	}
 }

@@ -26,8 +26,8 @@
 // A run or figure may ask for at most scale 64, a max_cycles override
 // may only lower the default cycle limit, and llc_bytes and tile_elems
 // overrides must lie in [1 MiB, 64 MiB] and [1024, 32768]; anything
-// beyond gets 400. Every figure job runs on one pool of -figworkers
-// simulations.
+// beyond gets 400, and so does an unknown request field. Every figure
+// job runs on one pool of -figworkers simulations.
 package main
 
 import (
@@ -45,6 +45,18 @@ import (
 	"dx100/internal/obs/prof"
 	"dx100/internal/serve"
 	"dx100/internal/sim"
+)
+
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// headers and readTimeout for the whole request, a 16 MiB pattern body
+// included; an idle keep-alive connection closes after idleTimeout.
+// A progress stream (SSE) lifts the read deadline once its request is
+// read, and there is no write timeout, so streams stay open for as
+// long as their run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -83,7 +95,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr, "workers", *workers,

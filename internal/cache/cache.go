@@ -49,6 +49,7 @@ type Config struct {
 // SizeBytes returns the capacity of the configuration.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * memspace.LineSize }
 
+// line is one way of one set.
 type line struct {
 	valid bool
 	dirty bool
@@ -56,39 +57,82 @@ type line struct {
 	used  uint64 // LRU stamp
 }
 
+// mshr tracks one outstanding line miss. The cache owns a fixed pool
+// of them, so a miss allocates nothing: forward and filled are bound
+// once, when the pool is built, and waiters keeps its backing array
+// across reuses.
 type mshr struct {
 	addr    memspace.PAddr // line address
 	waiters []func(now sim.Cycle)
-	// inflight marks that the request was accepted by the level below
-	// (otherwise it is still being retried).
-	inflight bool
-	kind     Kind
+	kind    Kind
+	// forward sends the miss below after the tag-check latency;
+	// filled installs the line when the level below answers.
+	forward, filled func(now sim.Cycle)
 }
 
-// Cache is one level of the hierarchy.
+// fifo is a queue backed by a reusable slice: pops advance a head
+// index instead of reslicing, and the backing array is recycled once
+// drained, so steady-state operation does not allocate.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+func (q *fifo[T]) peek() T  { return q.buf[q.head] }
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // release the slot's references
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}
+
+// train is one stride-prefetcher trigger: the miss that matched the
+// stride, and the stride.
+type train struct {
+	miss   memspace.PAddr
+	stride int64
+}
+
+// Cache is one level of the hierarchy. A Cache is a sim.Ticker but
+// does not register itself: NewHierarchy ticks its caches through one
+// ticker, and the code that builds a standalone cache registers it.
 type Cache struct {
 	cfg    Config
 	eng    *sim.Engine
 	stats  *sim.Stats
 	prefix string
 	below  Level
-	sets   [][]line
-	stamp  uint64
-	mshrs  map[memspace.PAddr]*mshr
+	// lines holds every set's ways back to back: way w of set s is
+	// lines[s*Ways+w], so the whole cache is one allocation.
+	lines []line
+	stamp uint64
+	mshrs map[memspace.PAddr]*mshr
+	// free is the MSHR pool: MSHRs+1 entries, the spare covering a
+	// waiter that re-enters Access while its fill still holds the
+	// filled MSHR.
+	free []*mshr
 
 	portCycle sim.Cycle
 	portUsed  int
 
 	// blocked holds downstream accesses the level below rejected;
-	// they drain in Tick, avoiding per-cycle retry events. Pops
-	// advance head instead of reslicing so the backing array is
-	// reused once drained.
-	blocked     []blockedAccess
-	blockedHead int
+	// they drain in Tick, avoiding per-cycle retry events.
+	blocked fifo[blockedAccess]
 
-	// Stride prefetcher state.
+	// Stride prefetcher state. trains queues the matched strides whose
+	// prefetches fire next cycle, through prefetch, bound once.
 	lastMiss   memspace.PAddr
 	lastStride int64
+	trains     fifo[train]
+	prefetch   func(now sim.Cycle)
 
 	cAccesses   *sim.Counter
 	cHits       *sim.Counter
@@ -110,7 +154,8 @@ type Cache struct {
 	trace *obs.Sink
 }
 
-// New builds a cache on top of below.
+// New builds a cache on top of below. It does not register the cache
+// on eng; see Cache.
 func New(eng *sim.Engine, cfg Config, below Level, stats *sim.Stats, prefix string) *Cache {
 	c := &Cache{
 		cfg:    cfg,
@@ -118,18 +163,21 @@ func New(eng *sim.Engine, cfg Config, below Level, stats *sim.Stats, prefix stri
 		stats:  stats,
 		prefix: prefix,
 		below:  below,
-		sets:   make([][]line, cfg.Sets),
-		mshrs:  make(map[memspace.PAddr]*mshr),
+		lines:  make([]line, cfg.Sets*cfg.Ways),
+		mshrs:  make(map[memspace.PAddr]*mshr, cfg.MSHRs),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+	for range cfg.MSHRs + 1 {
+		m := &mshr{}
+		m.forward = func(n sim.Cycle) { c.retryAccess(n, m.addr, Load, m.filled) }
+		m.filled = func(n sim.Cycle) { c.fill(n, m) }
+		c.free = append(c.free, m)
 	}
+	c.prefetch = c.firePrefetches
 	c.cAccesses = stats.Counter(prefix + "accesses")
 	c.cHits = stats.Counter(prefix + "hits")
 	c.cMisses = stats.Counter(prefix + "misses")
 	c.cPrefetches = stats.Counter(prefix + "prefetches")
 	c.cWritebacks = stats.Counter(prefix + "writebacks")
-	eng.Register(c)
 	return c
 }
 
@@ -171,10 +219,16 @@ func (c *Cache) indexTag(addr memspace.PAddr) (set int, tag uint64) {
 	return int(l % uint64(c.cfg.Sets)), l / uint64(c.cfg.Sets)
 }
 
+// ways returns set's lines.
+func (c *Cache) ways(set int) []line {
+	return c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+}
+
 func (c *Cache) lookup(addr memspace.PAddr) *line {
 	set, tag := c.indexTag(addr)
-	for i := range c.sets[set] {
-		if ln := &c.sets[set][i]; ln.valid && ln.tag == tag {
+	ways := c.ways(set)
+	for i := range ways {
+		if ln := &ways[i]; ln.valid && ln.tag == tag {
 			return ln
 		}
 	}
@@ -184,33 +238,47 @@ func (c *Cache) lookup(addr memspace.PAddr) *line {
 // PresentHere reports residency at this level only.
 func (c *Cache) PresentHere(addr memspace.PAddr) bool { return c.lookup(addr) != nil }
 
-// victim picks the LRU way of the set, writing back a dirty victim.
-func (c *Cache) victim(now sim.Cycle, set int) *line {
-	var v *line
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+// lru returns set's first invalid way, or else its least recently
+// used one.
+func (c *Cache) lru(set int) *line {
+	ways := c.ways(set)
+	v := &ways[0]
+	for i := range ways {
+		ln := &ways[i]
 		if !ln.valid {
 			return ln
 		}
-		if v == nil || ln.used < v.used {
+		if ln.used < v.used {
 			v = ln
 		}
 	}
+	return v
+}
+
+// lineOf returns the address of the line ln holds in set.
+func (c *Cache) lineOf(ln *line, set int) memspace.PAddr {
+	return memspace.PAddr((ln.tag*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits)
+}
+
+// victim picks the LRU way of the set, writing back a dirty victim.
+func (c *Cache) victim(now sim.Cycle, set int) *line {
+	v := c.lru(set)
+	if !v.valid {
+		return v
+	}
 	if c.trace != nil {
-		evAddr := (v.tag*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits
 		dirty := int64(0)
 		if v.dirty {
 			dirty = 1
 		}
 		c.trace.Emit(obs.Event{
 			Cycle: uint64(now), Kind: obs.EvCacheEvict, Src: c.prefix,
-			Args: [6]int64{int64(evAddr), int64(set), dirty},
+			Args: [6]int64{int64(c.lineOf(v, set)), int64(set), dirty},
 		})
 	}
 	if v.dirty {
 		c.cWritebacks.Inc()
-		wbAddr := memspace.PAddr((v.tag*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits)
-		c.retryAccess(now, wbAddr, Store, nil)
+		c.retryAccess(now, c.lineOf(v, set), Store, nil)
 	}
 	return v
 }
@@ -224,10 +292,10 @@ type blockedAccess struct {
 // retryAccess pushes an access to the level below, queueing it for
 // Tick-time retry if rejected.
 func (c *Cache) retryAccess(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone func(sim.Cycle)) {
-	if c.blockedHead == len(c.blocked) && c.below.Access(now, addr, kind, onDone) {
+	if c.blocked.len() == 0 && c.below.Access(now, addr, kind, onDone) {
 		return
 	}
-	c.blocked = append(c.blocked, blockedAccess{addr, kind, onDone})
+	c.blocked.push(blockedAccess{addr, kind, onDone})
 }
 
 // Access implements Level.
@@ -291,16 +359,16 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 	} else {
 		c.cPrefetches.Inc()
 	}
-	m := &mshr{addr: lineAddr, kind: kind}
+	m := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	m.addr, m.kind = lineAddr, kind
 	if onDone != nil {
 		m.waiters = append(m.waiters, onDone)
 	}
 	c.mshrs[lineAddr] = m
 	// After the tag-check latency, forward below; on return, fill and
 	// wake the waiters.
-	c.eng.After(c.cfg.Latency, func(n sim.Cycle) {
-		c.retryAccess(n, lineAddr, Load, func(n2 sim.Cycle) { c.fill(n2, m) })
-	})
+	c.eng.After(c.cfg.Latency, m.forward)
 	if kind != Prefetch {
 		c.trainPrefetcher(now, lineAddr)
 	}
@@ -323,6 +391,9 @@ func (c *Cache) fill(now sim.Cycle, m *mshr) {
 	for _, w := range m.waiters {
 		w(now)
 	}
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	c.free = append(c.free, m)
 }
 
 // trainPrefetcher implements a stride prefetcher: two consecutive
@@ -334,48 +405,37 @@ func (c *Cache) trainPrefetcher(now sim.Cycle, missAddr memspace.PAddr) {
 	}
 	stride := int64(missAddr) - int64(c.lastMiss)
 	if c.lastMiss != 0 && stride == c.lastStride && stride != 0 && abs64(stride) <= 4*memspace.LineSize {
-		for d := 1; d <= c.cfg.PrefetchDegree; d++ {
-			pa := memspace.PAddr(int64(missAddr) + stride*int64(d))
-			addr := pa
-			c.eng.After(1, func(n sim.Cycle) {
-				// Best effort: dropped if ports/MSHRs are busy.
-				c.Access(n, addr, Prefetch, nil)
-			})
-		}
+		c.trains.push(train{missAddr, stride})
+		c.eng.After(1, c.prefetch)
 	}
 	c.lastStride = stride
 	c.lastMiss = missAddr
 }
 
+// firePrefetches issues the oldest queued train's PrefetchDegree
+// prefetches. Every train waits exactly one cycle, so trains fire in
+// the order they were queued.
+func (c *Cache) firePrefetches(now sim.Cycle) {
+	t := c.trains.pop()
+	for d := 1; d <= c.cfg.PrefetchDegree; d++ {
+		// Best effort: dropped if ports/MSHRs are busy.
+		c.Access(now, memspace.PAddr(int64(t.miss)+t.stride*int64(d)), Prefetch, nil)
+	}
+}
+
 // Tick implements sim.Ticker: it drains rejected downstream accesses
 // as the level below frees up. A cache is busy while misses are
-// outstanding.
+// outstanding. A cache acts on its own only to retry; fills and
+// waiter callbacks arrive through scheduled events.
 func (c *Cache) Tick(now sim.Cycle) bool {
-	for c.blockedHead < len(c.blocked) {
-		b := c.blocked[c.blockedHead]
+	for c.blocked.len() > 0 {
+		b := c.blocked.peek()
 		if !c.below.Access(now, b.addr, b.kind, b.onDone) {
 			break
 		}
-		c.blocked[c.blockedHead] = blockedAccess{}
-		c.blockedHead++
+		c.blocked.pop()
 	}
-	if c.blockedHead == len(c.blocked) {
-		c.blocked = c.blocked[:0]
-		c.blockedHead = 0
-	}
-	return len(c.mshrs) > 0 || c.blockedHead < len(c.blocked)
-}
-
-// NextWake implements sim.WakeHinter. A cache acts on its own only to
-// retry blocked downstream accesses — the level below can free ports
-// or buffer space on any cycle, so a non-empty retry queue pins the
-// clock. Everything else (fills, waiter callbacks) arrives through
-// scheduled events.
-func (c *Cache) NextWake(now sim.Cycle) (sim.Cycle, bool) {
-	if c.blockedHead < len(c.blocked) {
-		return now + 1, true
-	}
-	return sim.NeverWake, true
+	return len(c.mshrs) > 0 || c.blocked.len() > 0
 }
 
 func abs64(v int64) int64 {

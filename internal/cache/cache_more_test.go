@@ -18,6 +18,7 @@ func TestBlockedQueueDrains(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MSHRs = 8
 	c := New(eng, cfg, below, st, "c.")
+	eng.Register(c)
 	done := 0
 	eng.After(1, func(now sim.Cycle) {
 		for i := 0; i < 4; i++ {
@@ -48,7 +49,9 @@ func TestPrefetchesAreBestEffort(t *testing.T) {
 		eng.MaxCycles = 1_000_000
 		st := sim.NewStats()
 		below := &fixedLevel{eng: eng, latency: 200}
-		return eng, New(eng, cfg, below, st, "c."), below, st
+		c := New(eng, cfg, below, st, "c.")
+		eng.Register(c)
+		return eng, c, below, st
 	}()
 	// Stream of sequential misses: the prefetcher trains but most
 	// prefetches find the two MSHRs occupied and are dropped silently.

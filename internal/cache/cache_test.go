@@ -37,6 +37,7 @@ func newTestCache(cfg Config) (*sim.Engine, *Cache, *fixedLevel, *sim.Stats) {
 	st := sim.NewStats()
 	below := &fixedLevel{eng: eng, latency: 50}
 	c := New(eng, cfg, below, st, "c.")
+	eng.Register(c)
 	return eng, c, below, st
 }
 

@@ -71,21 +71,10 @@ func (c *Cache) Touch(addr memspace.PAddr, kind Kind) {
 // dirty victim back to the level below.
 func (c *Cache) installTouch(la memspace.PAddr, dirty bool) {
 	set, tag := c.indexTag(la)
-	var v *line
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
-			v = ln
-			break
-		}
-		if v == nil || ln.used < v.used {
-			v = ln
-		}
-	}
+	v := c.lru(set)
 	if v.valid && v.dirty {
 		c.cWritebacks.Inc()
-		wbAddr := memspace.PAddr((v.tag*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits)
-		TouchLevel(c.below, wbAddr, Store)
+		TouchLevel(c.below, c.lineOf(v, set), Store)
 	}
 	c.stamp++
 	*v = line{valid: true, dirty: dirty, tag: tag, used: c.stamp}
@@ -108,25 +97,15 @@ func (c *Cache) touchTrain(missAddr memspace.PAddr) {
 	c.lastMiss = missAddr
 }
 
-// Quiet reports whether the cache holds no in-flight state: no
-// outstanding MSHRs and no blocked downstream retries. Functional
-// phases require every level quiet.
-func (c *Cache) Quiet() bool {
-	return len(c.mshrs) == 0 && c.blockedHead == len(c.blocked)
-}
-
-// Quiet reports whether the adapter's overflow buffer is empty.
-func (a *MemAdapter) Quiet() bool { return a.pendingHead == len(a.pending) }
-
-// Quiet reports whether every level of the hierarchy is quiet.
+// Quiet reports whether every level of the hierarchy holds no
+// in-flight state: no outstanding MSHRs, no blocked downstream
+// retries, and an empty DRAM overflow buffer. Functional phases
+// require it.
 func (h *Hierarchy) Quiet() bool {
-	if !h.LLC.Quiet() || !h.Mem.Quiet() {
-		return false
-	}
-	for i := range h.L1 {
-		if !h.L1[i].Quiet() || !h.L2[i].Quiet() {
+	for _, c := range h.caches {
+		if len(c.mshrs) > 0 || c.blocked.len() > 0 {
 			return false
 		}
 	}
-	return true
+	return h.Mem.pending.len() == 0
 }

@@ -13,10 +13,8 @@ import (
 type MemAdapter struct {
 	eng *sim.Engine
 	sys *dram.System
-	// pending drains head-first in Tick; the head index avoids
-	// reslicing and the backing array is reused once empty.
-	pending     []*dram.Request
-	pendingHead int
+	// pending drains head-first in Tick.
+	pending fifo[*dram.Request]
 	// MaxPending bounds the overflow buffer; Access refuses beyond it
 	// so the MSHR back-pressure propagates upward.
 	MaxPending int
@@ -39,27 +37,19 @@ func (a *MemAdapter) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDon
 	if a.sys.Submit(r) {
 		return true
 	}
-	if len(a.pending)-a.pendingHead >= a.MaxPending {
+	if a.pending.len() >= a.MaxPending {
 		return false
 	}
-	a.pending = append(a.pending, r)
+	a.pending.push(r)
 	return true
 }
 
 // Tick drains the overflow buffer into freed request-buffer slots.
 func (a *MemAdapter) Tick(now sim.Cycle) bool {
-	for a.pendingHead < len(a.pending) {
-		if !a.sys.Submit(a.pending[a.pendingHead]) {
-			break
-		}
-		a.pending[a.pendingHead] = nil
-		a.pendingHead++
+	for a.pending.len() > 0 && a.sys.Submit(a.pending.peek()) {
+		a.pending.pop()
 	}
-	if a.pendingHead == len(a.pending) {
-		a.pending = a.pending[:0]
-		a.pendingHead = 0
-	}
-	return a.pendingHead < len(a.pending)
+	return a.pending.len() > 0
 }
 
 // NextWake implements sim.WakeHinter: the adapter acts only while the
@@ -67,19 +57,24 @@ func (a *MemAdapter) Tick(now sim.Cycle) bool {
 // head request's channel is full, Tick retries in vain; the slot frees
 // only when that channel issues a command, which the DRAM hint bounds.
 func (a *MemAdapter) NextWake(now sim.Cycle) (sim.Cycle, bool) {
-	if a.pendingHead < len(a.pending) && a.sys.CanAccept(a.pending[a.pendingHead].Addr) {
+	if a.pending.len() > 0 && a.sys.CanAccept(a.pending.peek().Addr) {
 		return now + 1, true
 	}
 	return sim.NeverWake, true
 }
 
 // Hierarchy is the full cache system of one processor: per-core L1D
-// and L2, a shared LLC, and the DRAM adapter.
+// and L2, a shared LLC, and the DRAM adapter. It is the one ticker of
+// its caches: a cycle on which no cache holds a blocked retry ticks
+// none of them.
 type Hierarchy struct {
 	L1  []*Cache // per core
 	L2  []*Cache // per core
 	LLC *Cache
 	Mem *MemAdapter
+	// caches lists every cache in tick order: the LLC, then each
+	// core's L2 and L1.
+	caches []*Cache
 }
 
 // HierarchyConfig sizes the three levels.
@@ -118,23 +113,55 @@ func SkylakeLike(cores int, llcBytes int) HierarchyConfig {
 func NewHierarchy(eng *sim.Engine, cfg HierarchyConfig, sys *dram.System, stats *sim.Stats, prefix string) *Hierarchy {
 	h := &Hierarchy{Mem: NewMemAdapter(eng, sys)}
 	h.LLC = New(eng, cfg.LLC, h.Mem, stats, prefix+"llc.")
+	h.caches = append(h.caches, h.LLC)
 	for i := 0; i < cfg.Cores; i++ {
 		l2 := New(eng, cfg.L2, h.LLC, stats, prefix+"l2.")
 		l1 := New(eng, cfg.L1, l2, stats, prefix+"l1d.")
 		h.L2 = append(h.L2, l2)
 		h.L1 = append(h.L1, l1)
+		h.caches = append(h.caches, l2, l1)
 	}
+	eng.Register(h)
 	return h
+}
+
+// Tick implements sim.Ticker: it ticks every cache that holds a
+// blocked retry, in tick order. A cache's Tick only retries, through
+// the Access of the level below, which queues no retry anywhere, so
+// skipping the caches with empty queues matches ticking every cache in
+// turn. The hierarchy is busy while any miss is outstanding.
+func (h *Hierarchy) Tick(now sim.Cycle) bool {
+	busy := false
+	for _, c := range h.caches {
+		if c.blocked.len() > 0 {
+			c.Tick(now)
+		}
+		if len(c.mshrs) > 0 || c.blocked.len() > 0 {
+			busy = true
+		}
+	}
+	return busy
+}
+
+// NextWake implements sim.WakeHinter. A cache acts on its own only to
+// retry blocked downstream accesses; the level below can free ports
+// or buffer space on any cycle, so a non-empty retry queue pins the
+// clock.
+func (h *Hierarchy) NextWake(now sim.Cycle) (sim.Cycle, bool) {
+	for _, c := range h.caches {
+		if c.blocked.len() > 0 {
+			return now + 1, true
+		}
+	}
+	return sim.NeverWake, true
 }
 
 // AttachTrace directs fill/eviction events from every level into sink
 // (nil detaches). Events carry the level's stats prefix as Src, so one
 // sink distinguishes "llc." from "l1d." traffic.
 func (h *Hierarchy) AttachTrace(sink *obs.Sink) {
-	h.LLC.AttachTrace(sink)
-	for i := range h.L1 {
-		h.L1[i].AttachTrace(sink)
-		h.L2[i].AttachTrace(sink)
+	for _, c := range h.caches {
+		c.AttachTrace(sink)
 	}
 }
 
@@ -142,11 +169,8 @@ func (h *Hierarchy) AttachTrace(sink *obs.Sink) {
 // hierarchy — the snoop DX100's interface performs during the fill
 // stage (§3.6).
 func (h *Hierarchy) Present(addr memspace.PAddr) bool {
-	if h.LLC.PresentHere(addr) {
-		return true
-	}
-	for i := range h.L1 {
-		if h.L1[i].PresentHere(addr) || h.L2[i].PresentHere(addr) {
+	for _, c := range h.caches {
+		if c.PresentHere(addr) {
 			return true
 		}
 	}

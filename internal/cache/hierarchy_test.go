@@ -141,7 +141,7 @@ func TestMemAdapterSleepsOnFullChannel(t *testing.T) {
 			t.Fatalf("access %d rejected", i)
 		}
 	}
-	if a.pendingHead == len(a.pending) {
+	if a.pending.len() == 0 {
 		t.Fatal("no request overflowed into the adapter's buffer")
 	}
 	if w, _ := a.NextWake(0); w != sim.NeverWake {

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"dx100/internal/cache"
 	"dx100/internal/memspace"
 	"dx100/internal/obs/prof"
@@ -36,6 +38,12 @@ type entry struct {
 	state   state
 	waitCnt int
 	wakers  []uint64
+	seq     uint64
+	// executed, loaded, atomicAcked and atomicDone are the slot's
+	// completions, bound once in NewCore. An op keeps its slot until it
+	// retires, and it cannot retire before its completion fires, so a
+	// completion reads the seq of the op it completes.
+	executed, loaded, atomicAcked, atomicDone func(now sim.Cycle)
 }
 
 // seqQueue is a FIFO of sequence numbers backed by a reusable slice:
@@ -83,7 +91,11 @@ type Core struct {
 	pending    MicroOp // fetched op awaiting ROB space (valid when hasPending)
 	hasPending bool
 
+	// ring holds the window; its length is the power of two at or
+	// above cfg.ROB, so at masks instead of dividing. Capacity checks
+	// use cfg.ROB.
 	ring          []entry
+	mask          uint64
 	head          uint64 // oldest unretired seq
 	tail          uint64 // next seq to allocate
 	robUsed       int
@@ -93,6 +105,10 @@ type Core struct {
 	sqUsed        int
 	atomicPending bool
 	inflight      int // memory ops issued, completion pending
+	// stored is the L1 ack of every store. Stores complete at issue,
+	// so their slot can be reused before the ack arrives: stored reads
+	// no slot.
+	stored func(now sim.Cycle)
 
 	finished bool
 
@@ -133,7 +149,27 @@ func NewCore(eng *sim.Engine, cfg Config, l1 cache.Level, translate func(memspac
 		prefix:    prefix,
 		translate: translate,
 		l1:        l1,
-		ring:      make([]entry, cfg.ROB),
+	}
+	n := 1 << bits.Len(uint(cfg.ROB-1))
+	c.ring, c.mask = make([]entry, n), uint64(n-1)
+	for i := range c.ring {
+		e := &c.ring[i]
+		e.executed = func(sim.Cycle) { c.complete(e.seq) }
+		e.loaded = func(sim.Cycle) {
+			c.lqUsed--
+			c.inflight--
+			c.complete(e.seq)
+		}
+		e.atomicAcked = func(sim.Cycle) { c.eng.After(c.cfg.AtomicLat, e.atomicDone) }
+		e.atomicDone = func(sim.Cycle) {
+			c.atomicPending = false
+			c.inflight--
+			c.complete(e.seq)
+		}
+	}
+	c.stored = func(sim.Cycle) {
+		c.sqUsed--
+		c.inflight--
 	}
 	c.cCycles = stats.Counter(prefix + "cycles")
 	c.cSpin = stats.Counter(prefix + "spin_cycles")
@@ -165,7 +201,7 @@ func (c *Core) Done() bool {
 	return (c.stream == nil || c.streamDone) && !c.hasPending && c.head == c.tail && c.inflight == 0
 }
 
-func (c *Core) at(seq uint64) *entry { return &c.ring[seq%uint64(len(c.ring))] }
+func (c *Core) at(seq uint64) *entry { return &c.ring[seq&c.mask] }
 
 // Tick implements sim.Ticker: retire, fetch, then issue.
 func (c *Core) Tick(now sim.Cycle) bool {
@@ -275,7 +311,7 @@ func (c *Core) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 		return now + 1, true
 	}
 	// Fetch can pull (or discover the end of) the stream.
-	if c.stream != nil && !c.streamDone && !c.paused && c.tail-c.head < uint64(len(c.ring)) {
+	if c.stream != nil && !c.streamDone && !c.paused && c.tail-c.head < uint64(c.cfg.ROB) {
 		if !c.hasPending || c.robUsed+c.pending.weight() <= c.cfg.ROB {
 			return now + 1, true
 		}
@@ -365,7 +401,7 @@ func (c *Core) fetch() {
 	budget := c.cfg.Width
 	for budget > 0 {
 		// Peek capacity: an op needs ROB weight space and a ring slot.
-		if c.tail-c.head >= uint64(len(c.ring)) {
+		if c.tail-c.head >= uint64(c.cfg.ROB) {
 			return
 		}
 		var op MicroOp
@@ -393,7 +429,7 @@ func (c *Core) fetch() {
 		c.tail++
 		c.robUsed += w
 		e := c.at(seq)
-		*e = entry{op: op, state: stWaiting, wakers: e.wakers[:0]}
+		e.op, e.state, e.waitCnt, e.wakers, e.seq = op, stWaiting, 0, e.wakers[:0], seq
 		for _, d := range [2]uint32{op.Dep1, op.Dep2} {
 			if d == 0 || uint64(d) > seq {
 				continue
@@ -482,8 +518,7 @@ func (c *Core) issueALU(now sim.Cycle) {
 		if lat == 0 {
 			lat = 1
 		}
-		s := seq
-		c.eng.After(lat, func(sim.Cycle) { c.complete(s) })
+		c.eng.After(lat, e.executed)
 	}
 }
 
@@ -499,13 +534,7 @@ func (c *Core) issueMem(now sim.Cycle) {
 			if c.lqUsed >= c.cfg.LQ {
 				return
 			}
-			pa := c.translate(e.op.Addr)
-			s := seq
-			if !c.l1.Access(now, pa, cache.Load, func(sim.Cycle) {
-				c.lqUsed--
-				c.inflight--
-				c.complete(s)
-			}) {
+			if !c.l1.Access(now, c.translate(e.op.Addr), cache.Load, e.loaded) {
 				return // retry next cycle
 			}
 			c.lqUsed++
@@ -515,11 +544,7 @@ func (c *Core) issueMem(now sim.Cycle) {
 			if c.sqUsed >= c.cfg.SQ {
 				return
 			}
-			pa := c.translate(e.op.Addr)
-			if !c.l1.Access(now, pa, cache.Store, func(sim.Cycle) {
-				c.sqUsed--
-				c.inflight--
-			}) {
+			if !c.l1.Access(now, c.translate(e.op.Addr), cache.Store, c.stored) {
 				return
 			}
 			c.sqUsed++
@@ -533,15 +558,7 @@ func (c *Core) issueMem(now sim.Cycle) {
 			if seq != c.head {
 				return
 			}
-			pa := c.translate(e.op.Addr)
-			s := seq
-			if !c.l1.Access(now, pa, cache.Store, func(n sim.Cycle) {
-				c.eng.After(c.cfg.AtomicLat, func(sim.Cycle) {
-					c.atomicPending = false
-					c.inflight--
-					c.complete(s)
-				})
-			}) {
+			if !c.l1.Access(now, c.translate(e.op.Addr), cache.Store, e.atomicAcked) {
 				return
 			}
 			c.atomicPending = true

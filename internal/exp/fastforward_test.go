@@ -155,7 +155,7 @@ func steppingOf(e *sim.Engine) stepping {
 // stops happening) fails here even though results stay identical.
 var gzzStepping = map[Mode]stepping{
 	Baseline: {visited: 214066, jumps: 130603, skipped: 699356, declines: map[string]uint64{
-		"*cache.Cache": 286, "*cpu.Core": 48631, "*dram.System": 8651,
+		"*cache.Hierarchy": 286, "*cpu.Core": 48631, "*dram.System": 8651,
 	}},
 	DX: {visited: 59766, jumps: 44882, skipped: 109539, declines: map[string]uint64{
 		"*cpu.Core": 10, "*dram.System": 2960, "*dx100.Accel": 11696,

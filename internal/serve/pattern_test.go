@@ -128,7 +128,11 @@ func TestSubmitBodyLimit(t *testing.T) {
 	// The test pins admission, not the run: a one-cycle budget ends the
 	// accepted job at once.
 	oneCycle := uint64(1)
-	req := runRequest{Pattern: &f, Mode: "baseline", Scale: 1, Overrides: &Overrides{MaxCycles: &oneCycle}}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := runRequest{Pattern: raw, Mode: "baseline", Scale: 1, Overrides: &Overrides{MaxCycles: &oneCycle}}
 	body, err := json.MarshalIndent(req, "", "    ")
 	if err != nil {
 		t.Fatal(err)

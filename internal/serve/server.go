@@ -400,12 +400,15 @@ type runRequest struct {
 	// joins the Spec and therefore the content hash: sampled and
 	// full-detail submissions never coalesce.
 	Sampling *exp.SamplingConfig `json:"sampling,omitempty"`
-	// Pattern, when non-nil, submits a Spatter-style gather/scatter
+	// Pattern, when present, submits a Spatter-style gather/scatter
 	// pattern file instead of a registry workload (Workload must then be
 	// empty). The normalized file joins the Spec, so two submissions of
 	// the same pattern — however the JSON was formatted — coalesce, and
 	// the served Result is byte-identical to `dx100sim -pattern ... -json`.
-	Pattern *pattern.File `json:"pattern,omitempty"`
+	// It stays raw JSON through the request decoder, which refuses
+	// unknown fields, and goes through pattern.Parse, which keeps the
+	// extra keys Spatter inputs carry.
+	Pattern json.RawMessage `json:"pattern,omitempty"`
 }
 
 // maxScale caps the dataset scale of a run or figure request, so one
@@ -426,18 +429,18 @@ const (
 // resolve turns the request into a fully-resolved Spec. The
 // max_cycles override may only lower the default cycle limit.
 func (rr runRequest) resolve() (exp.Spec, error) {
+	var pf *pattern.File
+	hasPattern := len(rr.Pattern) > 0 && string(rr.Pattern) != "null"
 	switch {
-	case rr.Pattern != nil && rr.Workload != "":
+	case hasPattern && rr.Workload != "":
 		return exp.Spec{}, fmt.Errorf("request names both workload %q and a pattern file", rr.Workload)
-	case rr.Pattern != nil:
-		// Re-validate server-side: the decoder above bypassed
-		// pattern.Parse, and hostile entries must fail here, not in the
-		// worker.
-		n := rr.Pattern.Normalized()
-		if err := n.Validate(); err != nil {
+	case hasPattern:
+		// Hostile entries must fail here, not in the worker.
+		f, err := pattern.Parse(rr.Pattern)
+		if err != nil {
 			return exp.Spec{}, err
 		}
-		rr.Pattern = &n
+		pf = f
 	default:
 		if _, ok := workloads.Registry[rr.Workload]; !ok {
 			return exp.Spec{}, fmt.Errorf("unknown workload %q (see dx100sim -list; micro.* names are also served)", rr.Workload)
@@ -490,7 +493,7 @@ func (rr runRequest) resolve() (exp.Spec, error) {
 	if cfg.Cores < 1 || cfg.Cores > 64 || cfg.Instances < 1 || cfg.Instances > cfg.Cores {
 		return exp.Spec{}, fmt.Errorf("invalid core/instance override (cores %d, instances %d)", cfg.Cores, cfg.Instances)
 	}
-	return exp.Spec{Workload: rr.Workload, Scale: rr.Scale, Config: cfg, Pattern: rr.Pattern, Sampling: rr.Sampling}, nil
+	return exp.Spec{Workload: rr.Workload, Scale: rr.Scale, Config: cfg, Pattern: pf, Sampling: rr.Sampling}, nil
 }
 
 type submitResponse struct {
@@ -518,7 +521,11 @@ const (
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var rr runRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxRunBody)
-	if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// A misspelled override must not run the default system under the
+	// default spec's id.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rr); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
@@ -649,6 +656,14 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, j *job, re
 		httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
+	// A server ReadTimeout bounds reading the request, not the stream.
+	// A read deadline left on the connection would fail the background
+	// read net/http keeps open while the handler runs and cancel
+	// r.Context(), ending the stream mid-run. net/http clears it when it
+	// starts that read on a bodiless request; the stream clears it too
+	// rather than lean on that detail. A writer with no connection (a
+	// test recorder) has no deadline to clear, so the error is dropped.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)

@@ -330,6 +330,83 @@ func TestEventsStreamTerminal(t *testing.T) {
 	}
 }
 
+// TestEventsOutliveReadTimeout pins that a progress stream stays open
+// past the server's ReadTimeout and still ends with its terminal event.
+// net/http keeps the whole-request read deadline on the connection
+// while a handler runs and cancels the request context when it passes,
+// so a stream that kept the deadline would end early with no terminal
+// event while its job ran on.
+func TestEventsOutliveReadTimeout(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readTimeout = 200 * time.Millisecond
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ReadTimeout = readTimeout
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	// A scale-32 run takes seconds; the test cancels it once the stream
+	// has outlived the timeout.
+	sr, code := postRun(t, ts, `{"workload":"IS","scale":32}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status = %d, want 202", code)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + sr.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := make(chan string)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		defer close(events)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if name, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+				select {
+				case events <- name:
+				case <-stop:
+					return
+				}
+			}
+		}
+	}()
+	outlived := time.After(5 * readTimeout)
+	for waiting := true; waiting; {
+		select {
+		case name, ok := <-events:
+			if !ok {
+				t.Fatal("stream closed before the run ended")
+			}
+			if State(name).terminal() {
+				t.Fatalf("run ended (%s) before the stream outlived the read timeout", name)
+			}
+		case <-outlived:
+			waiting = false
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+sr.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	var last string
+	for name := range events {
+		last = name
+	}
+	if last != string(StateCanceled) {
+		t.Fatalf("last event = %q, want canceled", last)
+	}
+}
+
 // TestFigureJob runs a whole-figure batch (figure 9 restricted to IS)
 // and checks the figure payload plus per-run progress counting.
 func TestFigureJob(t *testing.T) {
@@ -424,11 +501,19 @@ func TestSubmitValidation(t *testing.T) {
 		{"llc_bytes one", `{"workload":"micro.gather","overrides":{"llc_bytes":1}}`},
 		{"llc_bytes negative", `{"workload":"micro.gather","overrides":{"llc_bytes":-1}}`},
 		{"tile_elems negative", `{"workload":"micro.gather","overrides":{"tile_elems":-4}}`},
+		{"misspelled override", `{"workload":"micro.gather","overrides":{"tile_elem":4096}}`},
+		{"deleted override", `{"workload":"micro.gather","overrides":{"no_fast_forward":true}}`},
 	}
 	for _, tc := range cases {
 		if _, code := postRun(t, ts, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, code)
 		}
+	}
+	// Spatter inputs carry keys the pattern compiler does not read; a
+	// pattern entry keeps them.
+	extra := `{"pattern":{"entries":[{"kernel":"gather","pattern":[0,1],"pattern-size":2}]},"mode":"baseline"}`
+	if _, code := postRun(t, ts, extra); code != http.StatusAccepted {
+		t.Errorf("pattern entry with an extra key: status = %d, want 202", code)
 	}
 	resp, err := http.Get(ts.URL + "/v1/runs/" + strings.Repeat("0", 64))
 	if err != nil {

@@ -50,6 +50,9 @@ func (sr *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection beneath.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
 // traceMiddleware wraps every route: it parses an incoming W3C
 // traceparent header (continuing the caller's trace when one is sent,
 // starting a fresh one otherwise), echoes the request span's context

@@ -1,5 +1,5 @@
 // Package sim provides the discrete-event simulation engine shared by
-// every timing model in this repository: a cycle clock, an event heap,
+// every timing model in this repository: a cycle clock, an event wheel,
 // and a set of tickers that are stepped once per cycle while active.
 //
 // The engine is deliberately hybrid. Components with dense per-cycle
@@ -17,7 +17,7 @@
 // stalled on a full ROB, a drained DX100 queue. Tickers that can bound
 // their own idleness additionally implement WakeHinter; when every
 // registered ticker hints, Run jumps the clock directly to the
-// earliest of (a) the minimum hint and (b) the head of the event heap,
+// earliest of (a) the minimum hint and (b) the next pending event,
 // instead of stepping through the dead cycles one by one. Tickers that
 // maintain per-cycle statistics also implement CycleSkipper so the
 // skipped cycles are accounted exactly; the contract is that a run
@@ -29,6 +29,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dx100/internal/obs"
 )
@@ -48,7 +49,7 @@ const DefaultCheckEvery = Cycle(1 << 20)
 
 // Ticker is a component stepped once per cycle while the engine runs.
 // Tick reports whether the component still has work outstanding; the
-// engine stops when no ticker has work and the event heap is empty.
+// engine stops when no ticker has work and no event is pending.
 type Ticker interface {
 	// Tick advances the component by one cycle. busy reports whether
 	// the component has outstanding work (requests in flight,
@@ -63,7 +64,7 @@ type Ticker interface {
 // component acts before then. The engine only consults hints between
 // full Steps, so the returned bound may assume the rest of the system
 // is frozen: anything that would wake the component earlier — an event
-// callback, a downstream queue draining — is either in the event heap
+// callback, a downstream queue draining — is either a pending event
 // (which bounds every jump) or covered by that component's own hint.
 //
 // Rules for implementations:
@@ -105,6 +106,12 @@ type TickerFunc func(now Cycle) bool
 
 // Tick calls f.
 func (f TickerFunc) Tick(now Cycle) bool { return f(now) }
+
+// wheelSize is the timing wheel's horizon: an event due fewer than
+// wheelSize cycles ahead goes on the wheel, a later one on the heap.
+// The longest delay the models schedule is a DRAM read completion
+// (52 cycles), so the heap holds only the rare long timer.
+const wheelSize = 64
 
 // event is a scheduled callback.
 type event struct {
@@ -183,8 +190,17 @@ func (h *minHeap[T]) pop() T {
 // Engine owns simulated time. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now     Cycle
-	seq     uint64
+	now Cycle
+	seq uint64
+	// wheel holds the events due within the next wheelSize-1 cycles,
+	// one FIFO slot per cycle modulo wheelSize; bit i of wheelBits is
+	// set while slot i is non-empty. An event due at cycle t sits in
+	// slot t%wheelSize, which no other pending cycle shares, and a
+	// slot appends in Schedule order, which is seq order.
+	wheel     [wheelSize][]event
+	wheelBits uint64
+	// events holds the events due wheelSize or more cycles after the
+	// cycle that scheduled them.
 	events  minHeap[event]
 	tickers []Ticker
 	// hinters and skippers parallel tickers: the optional interfaces
@@ -245,11 +261,11 @@ func NewEngine() *Engine {
 // Now returns the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// EventsPending reports whether the event heap holds undelivered
-// events. The sampler's quiescence predicate polls it before a
-// functional phase: an in-flight event cannot be fast-forwarded.
+// EventsPending reports whether any scheduled event is undelivered.
+// The sampler's quiescence predicate polls it before a functional
+// phase: an in-flight event cannot be fast-forwarded.
 func (e *Engine) EventsPending() bool {
-	return e.events.len() > 0
+	return e.wheelBits != 0 || e.events.len() > 0
 }
 
 // FastForwarded reports how many clock jumps Run has taken and how
@@ -307,7 +323,26 @@ func (e *Engine) Schedule(at Cycle, fn func(now Cycle)) {
 		at = e.now + 1
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, fn: fn})
+	ev := event{at: at, seq: e.seq, fn: fn}
+	if at-e.now >= wheelSize {
+		e.events.push(ev)
+		return
+	}
+	slot := at % wheelSize
+	e.wheel[slot] = append(e.wheel[slot], ev)
+	e.wheelBits |= 1 << slot
+}
+
+// nextWheel returns the cycle of the earliest wheel event, or NeverWake
+// when the wheel is empty. Pending wheel events are due in
+// (now, now+wheelSize), so rotating the slot bits to start at now+1
+// puts the earliest one at the lowest set bit.
+func (e *Engine) nextWheel() Cycle {
+	if e.wheelBits == 0 {
+		return NeverWake
+	}
+	rot := bits.RotateLeft64(e.wheelBits, -int((e.now+1)%wheelSize))
+	return e.now + 1 + Cycle(bits.TrailingZeros64(rot))
 }
 
 // After runs fn delay cycles from now (at least one cycle later).
@@ -318,18 +353,32 @@ func (e *Engine) After(delay Cycle, fn func(now Cycle)) {
 // Step advances the clock one cycle: fires due events in (cycle, seq)
 // order, then ticks every ticker. It reports whether any component is
 // still busy.
+//
+// Due heap events fire before the wheel slot. A heap event due now was
+// scheduled at least wheelSize cycles ago and a wheel event due now
+// fewer, so the heap event holds the smaller seq. Events scheduled
+// while the slot fires are due next cycle or later, so they land in
+// other slots or on the heap, never in the slot being fired.
 func (e *Engine) Step() (busy bool) {
 	e.now++
 	for e.events.len() > 0 && e.events.items[0].at <= e.now {
 		ev := e.events.pop()
 		ev.fn(e.now)
 	}
+	if slot := e.now % wheelSize; e.wheelBits&(1<<slot) != 0 {
+		for _, ev := range e.wheel[slot] {
+			ev.fn(e.now)
+		}
+		clear(e.wheel[slot]) // release the callbacks' references
+		e.wheel[slot] = e.wheel[slot][:0]
+		e.wheelBits &^= 1 << slot
+	}
 	for _, t := range e.tickers {
 		if t.Tick(e.now) {
 			busy = true
 		}
 	}
-	return busy || e.events.len() > 0
+	return busy || e.EventsPending()
 }
 
 // fastForward jumps the clock to just before the next cycle at which
@@ -337,8 +386,8 @@ func (e *Engine) Step() (busy bool) {
 // skipped cycles are accounted through CycleSkipper so statistics stay
 // byte-identical to cycle-by-cycle stepping.
 func (e *Engine) fastForward() {
-	target := NeverWake
-	if e.events.len() > 0 {
+	target := e.nextWheel()
+	if e.events.len() > 0 && e.events.items[0].at < target {
 		target = e.events.items[0].at
 	}
 	// Query latest-registered tickers first: cores and accelerators

@@ -25,6 +25,17 @@ func TestEngineZeroAllocsWithNilTrace(t *testing.T) {
 		t.Fatalf("dense Step allocates %.1f allocs/op with nil trace, want 0", n)
 	}
 
+	// Event-heavy regime: every cycle schedules events on both sides
+	// of the wheel horizon, so Step fires wheel slots and heap events.
+	e4 := NewEngine()
+	e4.Register(&scheduler{e: e4})
+	for i := 0; i < 1024; i++ {
+		e4.Step()
+	}
+	if n := testing.AllocsPerRun(500, func() { e4.Step() }); n != 0 {
+		t.Fatalf("event-heavy Step allocates %.1f allocs/op with nil trace, want 0", n)
+	}
+
 	// Sparse regime: Run covers the cycles almost entirely by
 	// fast-forward jumps — the path that consults Engine.Trace.
 	e2 := NewEngine()
@@ -77,27 +88,39 @@ func TestEngineZeroAllocsWithNilTrace(t *testing.T) {
 	}
 }
 
-// BenchmarkSchedulePop measures the generic event heap: one Schedule
-// plus the eventual pop, in steady state. The -benchmem column is the
-// satellite's proof of zero allocations per operation.
+// BenchmarkSchedulePop measures one event's life in steady state: its
+// Schedule, then the Step that fires it. Delays fall on both sides of
+// the wheel horizon, so the mix covers wheel slots and the heap. The
+// -benchmem column pins zero allocations per event.
 func BenchmarkSchedulePop(b *testing.B) {
+	delays := [...]Cycle{1, 4, 12, 42, 52, 63, 64, 65, 200}
 	e := NewEngine()
-	for i := 0; i < 256; i++ {
-		e.Schedule(Cycle(1+i%64), nop)
-	}
-	for e.events.len() > 0 {
-		e.events.pop()
+	for i := 0; i < 4096; i++ { // reach every slot's high-water mark
+		e.After(delays[i%len(delays)], nop)
+		e.Step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.now+Cycle(1+i%64), nop)
-		if e.events.len() >= 64 {
-			for e.events.len() > 0 {
-				e.events.pop()
-			}
-		}
+		e.After(delays[i%len(delays)], nop)
+		e.Step()
 	}
+}
+
+// scheduler is a ticker that schedules events every cycle, with delays
+// on both sides of the wheel horizon.
+type scheduler struct {
+	e *Engine
+	n int
+}
+
+func (s *scheduler) Tick(now Cycle) bool {
+	s.n++
+	s.e.After(Cycle(1+s.n%8), nop)
+	if s.n%4 == 0 {
+		s.e.After(wheelSize+Cycle(s.n%64), nop)
+	}
+	return true
 }
 
 // busyHinter is always busy and always declines the jump — the dense

@@ -181,26 +181,26 @@ func TestRunDoneSampledAtCycleBoundary(t *testing.T) {
 	}
 }
 
-// The generic event heap must not allocate once its backing slice has
-// reached the high-water mark: no interface boxing on push or pop.
+// Scheduling and firing must not allocate once the wheel slots and
+// the heap have reached their high-water marks: no interface boxing,
+// and a fired slot keeps its backing array.
 func TestSchedulePopZeroAllocsSteadyState(t *testing.T) {
 	e := NewEngine()
-	for i := 0; i < 256; i++ { // grow the heap to its high-water mark
-		e.Schedule(Cycle(1000+i), nop)
-	}
-	for e.events.len() > 0 {
-		e.events.pop()
-	}
-	avg := testing.AllocsPerRun(1000, func() {
+	round := func() {
 		for i := 0; i < 64; i++ {
-			e.Schedule(e.now+Cycle(1+i%16), nop)
+			// Odd i lands beyond the wheel horizon, on the heap.
+			e.After(Cycle(1+i%16)+Cycle(i%2)*wheelSize, nop)
 		}
-		for e.events.len() > 0 {
-			e.events.pop()
+		for e.EventsPending() {
+			e.Step()
 		}
-	})
+	}
+	for range 8 { // every slot alignment recurs within 4 rounds
+		round()
+	}
+	avg := testing.AllocsPerRun(1000, round)
 	if avg != 0 {
-		t.Fatalf("Schedule/pop allocates %.2f objects per round in steady state, want 0", avg)
+		t.Fatalf("Schedule/Step allocates %.2f objects per round in steady state, want 0", avg)
 	}
 }
 
