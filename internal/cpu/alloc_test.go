@@ -39,7 +39,7 @@ func TestCoreZeroAllocsSteadyState(t *testing.T) {
 		{Kind: Atomic, Addr: 0x5000},
 	}
 	i := 0
-	core.Run(FuncStream(func() (MicroOp, bool) {
+	core.Run(funcStream(func() (MicroOp, bool) {
 		op := pattern[i%len(pattern)]
 		i++
 		return op, true

@@ -404,22 +404,16 @@ func (c *Core) fetch() {
 		if c.tail-c.head >= uint64(c.cfg.ROB) {
 			return
 		}
-		var op MicroOp
-		if c.hasPending {
-			op = c.pending
-		} else {
-			var ok bool
-			op, ok = c.stream.Next()
-			if !ok {
+		if !c.hasPending {
+			if !c.stream.Next(&c.pending) {
 				c.streamDone = true
 				return
 			}
+			c.hasPending = true
 		}
-		w := op.weight()
+		w := c.pending.weight()
 		if c.robUsed+w > c.cfg.ROB {
 			// No space: hold the op until retirement frees room.
-			c.pending = op
-			c.hasPending = true
 			return
 		}
 		c.hasPending = false
@@ -429,8 +423,8 @@ func (c *Core) fetch() {
 		c.tail++
 		c.robUsed += w
 		e := c.at(seq)
-		e.op, e.state, e.waitCnt, e.wakers, e.seq = op, stWaiting, 0, e.wakers[:0], seq
-		for _, d := range [2]uint32{op.Dep1, op.Dep2} {
+		e.op, e.state, e.waitCnt, e.wakers, e.seq = c.pending, stWaiting, 0, e.wakers[:0], seq
+		for _, d := range [2]uint32{e.op.Dep1, e.op.Dep2} {
 			if d == 0 || uint64(d) > seq {
 				continue
 			}

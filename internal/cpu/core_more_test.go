@@ -36,7 +36,7 @@ func TestPendingOpPerformanceLinear(t *testing.T) {
 	cfg.ROB = 8
 	n := 200_000
 	i := 0
-	s := FuncStream(func() (MicroOp, bool) {
+	s := funcStream(func() (MicroOp, bool) {
 		if i >= n {
 			return MicroOp{}, false
 		}

@@ -241,27 +241,16 @@ func TestDepOnRetiredOpIsComplete(t *testing.T) {
 	}
 }
 
-func TestFuncStream(t *testing.T) {
-	i := 0
-	s := FuncStream(func() (MicroOp, bool) {
-		if i >= 10 {
-			return MicroOp{}, false
-		}
-		i++
-		return MicroOp{Kind: ALU}, true
-	})
-	eng := sim.NewEngine()
-	eng.MaxCycles = 10_000
-	st := sim.NewStats()
-	mem := &memStub{eng: eng, latency: 1}
-	core := NewCore(eng, SkylakeLike(), mem, ident, st, "core.")
-	core.Run(s)
-	if _, err := eng.Run(func() bool { return core.Done() }); err != nil {
-		t.Fatalf("run: %v", err)
+// funcStream adapts a generator function to the Stream interface.
+type funcStream func() (MicroOp, bool)
+
+// Next implements Stream.
+func (f funcStream) Next(op *MicroOp) bool {
+	o, ok := f()
+	if ok {
+		*op = o
 	}
-	if st.Get("core.instructions") != 10 {
-		t.Fatalf("instructions = %v", st.Get("core.instructions"))
-	}
+	return ok
 }
 
 func TestGatherChainMLPShape(t *testing.T) {

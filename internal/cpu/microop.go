@@ -69,9 +69,12 @@ func (op *MicroOp) weight() int {
 	return int(op.Weight)
 }
 
-// Stream produces µops. Next returns ok=false when the program ends.
+// Stream produces µops. Next writes the next µop into the caller's
+// slot *op and reports true; once the program has ended it reports
+// false and leaves *op untouched. A stream that delegates passes the
+// slot on, so a µop is copied once however many streams it crosses.
 type Stream interface {
-	Next() (MicroOp, bool)
+	Next(op *MicroOp) bool
 }
 
 // SliceStream adapts a fixed []MicroOp to the Stream interface.
@@ -81,17 +84,11 @@ type SliceStream struct {
 }
 
 // Next implements Stream.
-func (s *SliceStream) Next() (MicroOp, bool) {
+func (s *SliceStream) Next(op *MicroOp) bool {
 	if s.pos >= len(s.Ops) {
-		return MicroOp{}, false
+		return false
 	}
-	op := s.Ops[s.pos]
+	*op = s.Ops[s.pos]
 	s.pos++
-	return op, true
+	return true
 }
-
-// FuncStream adapts a generator function to the Stream interface.
-type FuncStream func() (MicroOp, bool)
-
-// Next implements Stream.
-func (f FuncStream) Next() (MicroOp, bool) { return f() }

@@ -73,7 +73,7 @@ func (c *Core) Quiesced() bool {
 //
 // The caller must have brought the machine to quiescence first: a
 // still-issued entry here is a contract violation and panics.
-func (c *Core) DrainWindow(apply func(op MicroOp)) (weight int, blocked bool) {
+func (c *Core) DrainWindow(apply func(op *MicroOp)) (weight int, blocked bool) {
 	for c.head < c.tail {
 		e := c.at(c.head)
 		switch e.state {
@@ -95,9 +95,8 @@ func (c *Core) DrainWindow(apply func(op MicroOp)) (weight int, blocked bool) {
 			weight += c.retireHeadFunc()
 			continue
 		}
-		op := e.op
-		c.countFuncOp(op)
-		apply(op)
+		c.countFuncOp(e.op.Kind)
+		apply(&e.op)
 		c.complete(c.head)
 		weight += c.retireHeadFunc()
 	}
@@ -133,21 +132,21 @@ func (c *Core) dropRetiredReady() {
 	}
 }
 
-// FuncNext yields the next architectural op for functional execution:
-// the held pending op first, then the stream.
-// ok=false marks the stream exhausted (Done() then holds once the
-// window is empty).
-func (c *Core) FuncNext() (MicroOp, bool) {
+// FuncNext writes the next architectural op for functional execution
+// into *op: the held pending op first, then the stream.
+// false marks the stream exhausted (Done() then holds once the window
+// is empty) and leaves *op untouched.
+func (c *Core) FuncNext(op *MicroOp) bool {
 	if c.hasPending {
 		c.hasPending = false
-		return c.pending, true
+		*op = c.pending
+		return true
 	}
-	op, ok := c.stream.Next()
-	if !ok {
+	if !c.stream.Next(op) {
 		c.streamDone = true
-		return MicroOp{}, false
+		return false
 	}
-	return op, true
+	return true
 }
 
 // FuncUnget hands an unconsumed op back (an unready barrier pulled by
@@ -163,10 +162,10 @@ func (c *Core) FuncUnget(op MicroOp) {
 // FuncRetireOp counts a functionally executed op exactly as the timed
 // retire/issue paths would — instruction weight plus the per-kind
 // memory counters — and returns the weight consumed.
-func (c *Core) FuncRetireOp(op MicroOp) int {
+func (c *Core) FuncRetireOp(op *MicroOp) int {
 	w := op.weight()
 	c.cInstr.Add(float64(w))
-	c.countFuncOp(op)
+	c.countFuncOp(op.Kind)
 	return w
 }
 
@@ -174,7 +173,7 @@ func (c *Core) FuncRetireOp(op MicroOp) int {
 // memory ops touch the core's cache front functionally (atomics are
 // stores architecturally, as in issueMem), effects emit immediately.
 // ALU and ready barriers have no side effects beyond retirement.
-func (c *Core) FuncApply(op MicroOp, now sim.Cycle) {
+func (c *Core) FuncApply(op *MicroOp, now sim.Cycle) {
 	switch op.Kind {
 	case Load:
 		cache.TouchLevel(c.l1, c.translate(op.Addr), cache.Load)
@@ -189,8 +188,8 @@ func (c *Core) FuncApply(op MicroOp, now sim.Cycle) {
 
 // countFuncOp bumps the per-kind issue counters for a functionally
 // executed op (the timed path bumps them in issueMem).
-func (c *Core) countFuncOp(op MicroOp) {
-	switch op.Kind {
+func (c *Core) countFuncOp(k Kind) {
+	switch k {
 	case Load:
 		c.cLoads.Inc()
 	case Store:

@@ -69,17 +69,17 @@ func TestFunctionalPhaseCountsLikeDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, eng, c)
-	apply := func(op MicroOp) { c.FuncApply(op, eng.Now()) }
+	apply := func(op *MicroOp) { c.FuncApply(op, eng.Now()) }
 	if _, blocked := c.DrainWindow(apply); blocked || !c.Drained() {
 		t.Fatalf("window drain blocked=%v drained=%v with no barrier in the program", blocked, c.Drained())
 	}
+	var op MicroOp
 	for n := 0; n < 200; n++ {
-		op, ok := c.FuncNext()
-		if !ok {
+		if !c.FuncNext(&op) {
 			t.Fatal("stream ended inside the functional phase")
 		}
-		c.FuncRetireOp(op)
-		c.FuncApply(op, eng.Now())
+		c.FuncRetireOp(&op)
+		c.FuncApply(&op, eng.Now())
 	}
 	c.Resume()
 	if _, err := eng.Run(c.Done); err != nil {
@@ -116,7 +116,7 @@ func TestDrainWindowBlocksOnBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, eng, c)
-	apply := func(op MicroOp) { c.FuncApply(op, eng.Now()) }
+	apply := func(op *MicroOp) { c.FuncApply(op, eng.Now()) }
 	if w, blocked := c.DrainWindow(apply); !blocked || w != 0 || c.Drained() {
 		t.Fatalf("drain past an unready barrier: weight %d, blocked %v, drained %v", w, blocked, c.Drained())
 	}
@@ -127,13 +127,10 @@ func TestDrainWindowBlocksOnBarrier(t *testing.T) {
 	if mem.touches[cache.Store] != 1 {
 		t.Fatalf("store parked behind the barrier touched %d times, want 1", mem.touches[cache.Store])
 	}
-	for {
-		op, ok := c.FuncNext()
-		if !ok {
-			break
-		}
-		c.FuncRetireOp(op)
-		c.FuncApply(op, eng.Now())
+	var op MicroOp
+	for c.FuncNext(&op) {
+		c.FuncRetireOp(&op)
+		c.FuncApply(&op, eng.Now())
 	}
 	if !c.Done() || st.Get("core.instructions") != float64(len(ops)) {
 		t.Fatalf("done %v, instructions %v; want true, %d", c.Done(), st.Get("core.instructions"), len(ops))
@@ -141,13 +138,21 @@ func TestDrainWindowBlocksOnBarrier(t *testing.T) {
 }
 
 // TestFuncUnget: an op handed back re-emerges first, and only one op
-// can be held at a time.
+// can be held at a time. Past the end of the stream FuncNext reports
+// false and leaves the caller's op as it was.
 func TestFuncUnget(t *testing.T) {
 	_, c, _, _ := newTouchCore(1, []MicroOp{{Kind: ALU, Lat: 1}, {Kind: ALU, Lat: 2}})
-	op, _ := c.FuncNext()
+	var op, again MicroOp
+	c.FuncNext(&op)
 	c.FuncUnget(op)
-	if again, ok := c.FuncNext(); !ok || again.Lat != 1 {
+	if !c.FuncNext(&again) || again.Lat != 1 {
 		t.Fatalf("FuncNext after FuncUnget = %+v, want the handed-back op", again)
+	}
+	if !c.FuncNext(&again) || again.Lat != 2 {
+		t.Fatalf("FuncNext = %+v, want the second op", again)
+	}
+	if c.FuncNext(&again) || again.Lat != 2 {
+		t.Fatalf("FuncNext past the end reported an op or overwrote the caller's: %+v", again)
 	}
 	c.FuncUnget(op)
 	defer func() {
@@ -174,5 +179,5 @@ func TestDrainWindowPanicsInFlight(t *testing.T) {
 			t.Fatal("DrainWindow with an issued entry did not panic")
 		}
 	}()
-	c.DrainWindow(func(MicroOp) {})
+	c.DrainWindow(func(*MicroOp) {})
 }

@@ -189,13 +189,13 @@ func (d *driver) emitChunk() error {
 }
 
 // Next implements cpu.Stream.
-func (d *driver) Next() (cpu.MicroOp, bool) {
+func (d *driver) Next(op *cpu.MicroOp) bool {
 	for d.pos >= len(d.buf) {
 		d.buf = d.buf[:0]
 		d.pos = 0
 		if d.ki >= len(d.kernels) {
 			if d.finished {
-				return cpu.MicroOp{}, false
+				return false
 			}
 			d.finished = true
 			// Final synchronization: wait for the accelerator to go
@@ -216,9 +216,9 @@ func (d *driver) Next() (cpu.MicroOp, bool) {
 			panic(fmt.Sprintf("exp: driver emit failed: %v", err))
 		}
 	}
-	op := d.buf[d.pos]
+	*op = d.buf[d.pos]
 	d.pos++
-	return op, true
+	return true
 }
 
 // attachDXStreams gives each accelerator instance a driver core; the

@@ -12,9 +12,9 @@ import (
 // executing its effects against the accelerator's machine).
 func drainDriver(t *testing.T, d *driver) (effects, barriers, loads int) {
 	t.Helper()
+	var op cpu.MicroOp
 	for {
-		op, ok := d.Next()
-		if !ok {
+		if !d.Next(&op) {
 			return effects, barriers, loads
 		}
 		switch op.Kind {

@@ -411,14 +411,14 @@ type seqStream struct {
 	idx   int
 }
 
-func (s *seqStream) Next() (cpu.MicroOp, bool) {
+func (s *seqStream) Next(op *cpu.MicroOp) bool {
 	for s.idx < len(s.parts) {
-		if op, ok := s.parts[s.idx].Next(); ok {
-			return op, true
+		if s.parts[s.idx].Next(op) {
+			return true
 		}
 		s.idx++
 	}
-	return cpu.MicroOp{}, false
+	return false
 }
 
 // attachBaselineStreams partitions each kernel's outer iterations
@@ -437,14 +437,13 @@ func (s *system) attachBaselineStreams(inst *workloads.Instance) error {
 			span := hi - lo
 			myLo := lo + span*int64(c)/int64(n)
 			myHi := lo + span*int64(c+1)/int64(n)
-			g := &loopir.UopGen{
-				K: k, B: inst.Binder, Space: inst.Space,
-				Lo: myLo, Hi: myHi,
-				Atomic: inst.AtomicRMW && n > 1,
+			g, err := loopir.NewUopGen(k, inst.Binder, inst.Space, myLo, myHi, inst.AtomicRMW && n > 1)
+			if err != nil {
+				return err
 			}
 			ki := ki
 			parts = append(parts,
-				g.Stream(),
+				g,
 				// Fence, signal completion, wait for the other cores.
 				&cpu.SliceStream{Ops: []cpu.MicroOp{
 					{Kind: cpu.Barrier},

@@ -2,8 +2,10 @@ package loopir
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"dx100/internal/cpu"
 	"dx100/internal/dx100"
 	"dx100/internal/memspace"
 )
@@ -354,10 +356,110 @@ func TestLegalRejectsNonCommutativeRMW(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsUnboundArray: the DX100 compiler and the baseline
+// generator both refuse a kernel whose arrays are not all bound; the
+// generator's error names the first unbound array it resolves.
 func TestCompileRejectsUnboundArray(t *testing.T) {
 	k := gatherKernel(8, 8)
-	if _, err := Compile(k, Binder{Base: map[string]memspace.VAddr{"A": 0}}, 64); err == nil {
+	b := Binder{Base: map[string]memspace.VAddr{"A": 0}}
+	if _, err := Compile(k, b, 64); err == nil {
 		t.Fatal("unbound arrays accepted")
+	}
+	if _, err := NewUopGen(k, b, memspace.New(), 0, 8, false); err == nil || !strings.Contains(err.Error(), `unbound array "B"`) {
+		t.Fatalf("baseline generator: err = %v, want one naming unbound array B", err)
+	}
+}
+
+// TestUopGenIndexOutOfRangePanics: the generator checks every index
+// it computes against its array's length, and a wild one stops the
+// run with the array, the index and the length.
+func TestUopGenIndexOutOfRangePanics(t *testing.T) {
+	k := gatherKernel(4, 8)
+	h := newHarness(t, k, map[string][]uint64{"B": {1, 2, 9, 3}}, 64)
+	g, err := NewUopGen(k, h.bind, h.sp, 0, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		const want = "loopir: baseline generation failed: A[9] out of range 8"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	var op cpu.MicroOp
+	for g.Next(&op) {
+	}
+	t.Fatal("stream drained past an out-of-range index")
+}
+
+// TestUopGenZeroAllocs: once its buffer holds an outer iteration, the
+// baseline generator allocates nothing per µop, here for a kernel with
+// an Inner loop, an If and an RMW (for i: for j in H[i]..H[i+1]:
+// if D[E[j]] < F: A[B[j]] += j).
+func TestUopGenZeroAllocs(t *testing.T) {
+	const n, deg = 1 << 12, 4
+	k := &Kernel{
+		Name: "rangecond",
+		Arrays: map[string]ArrayInfo{
+			"H": {dx100.U64, n + 1},
+			"E": {dx100.U64, n * deg},
+			"B": {dx100.U32, n * deg},
+			"D": {dx100.U64, n * deg},
+			"A": {dx100.U64, 64},
+		},
+		Params: map[string]uint64{"F": 1},
+		Var:    "i", Lo: Imm{0}, Hi: Imm{n},
+		Body: []Stmt{Inner{
+			Var: "j",
+			Lo:  Load{"H", Var{"i"}},
+			Hi:  Load{"H", Bin{dx100.OpAdd, Var{"i"}, Imm{1}}},
+			Body: []Stmt{If{
+				Cond: Bin{dx100.OpLT, Load{"D", Load{"E", Var{"j"}}}, Param{"F"}},
+				Body: []Stmt{Update{Array: "A", Idx: Load{"B", Var{"j"}}, Op: dx100.OpAdd, Val: Var{"j"}}},
+			}},
+		}},
+	}
+	sp := memspace.New()
+	b := Binder{Base: map[string]memspace.VAddr{}}
+	for name, info := range k.Arrays {
+		b.Base[name] = sp.Alloc(name, uint64(info.Len*info.DType.Size())).Base
+	}
+	fill := func(name string, f func(i int) uint64) {
+		w, err := sp.Words(b.Base[name], k.Arrays[name].DType.Size(), k.Arrays[name].Len)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < w.Len(); i++ {
+			w.Set(i, f(i))
+		}
+	}
+	// Every outer iteration emits the same µops: deg inner iterations,
+	// every other one taking the If.
+	fill("H", func(i int) uint64 { return uint64(i * deg) })
+	fill("E", func(i int) uint64 { return uint64(i) })
+	fill("D", func(i int) uint64 { return uint64(i % 2) })
+	fill("B", func(i int) uint64 { return uint64(i % 64) })
+	g, err := NewUopGen(k, b, sp, 0, n, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var op cpu.MicroOp
+	var kinds [cpu.Effect + 1]int
+	for i := 0; i < 64 && g.Next(&op); i++ {
+		kinds[op.Kind]++
+	}
+	if kinds[cpu.Load] == 0 || kinds[cpu.Store] == 0 {
+		t.Fatalf("µop mix %v: the kernel no longer reaches its RMW", kinds)
+	}
+	pull := func() {
+		for i := 0; i < 64; i++ {
+			if !g.Next(&op) {
+				t.Fatal("stream ended")
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, pull); a != 0 {
+		t.Fatalf("%v allocations per 64 µops, want 0", a)
 	}
 }
 

@@ -72,6 +72,56 @@ func TestReadWriteWord(t *testing.T) {
 	}
 }
 
+// TestWordsView: a view reads and writes the same little-endian words
+// as ReadWord and WriteWord, and Space.Words refuses a range outside
+// one allocation.
+func TestWordsView(t *testing.T) {
+	sp := New()
+	r := sp.Alloc("w", 64)
+	sp.Alloc("next", 64)
+	w4, err := sp.Words(r.Base+8, 4, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w8, err := sp.Words(r.Base, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w8.Set(1, 0x1122334455667788)
+	if got := w4.Get(0); got != 0x55667788 {
+		t.Fatalf("4-byte view of an 8-byte word = %#x", got)
+	}
+	w4.Set(13, 0xCAFEBABE1)
+	if got := sp.ReadWord(r.Base+60, 4); got != 0xAFEBABE1 {
+		t.Fatalf("ReadWord after a truncating Set = %#x", got)
+	}
+	sp.WriteWord(r.Base+56, 8, 7)
+	if got := w8.Get(7); got != 7 || w8.Addr(7) != r.Base+56 || w4.Addr(1) != r.Base+12 {
+		t.Fatalf("Get(7) = %d, Addr(7) = %#x, Addr(1) = %#x", got, uint64(w8.Addr(7)), uint64(w4.Addr(1)))
+	}
+	for _, bad := range []struct {
+		va   VAddr
+		size int
+		n    int
+	}{
+		{r.Base, 8, 9},      // overruns the allocation
+		{r.Base + 64, 4, 1}, // starts past its end
+		{0, 8, 1},           // page 0 is never mapped
+		{r.Base, 2, 1},      // unsupported word size
+		{r.Base + 60, 8, 1}, // a word straddling the end
+	} {
+		if _, err := sp.Words(bad.va, bad.size, bad.n); err == nil {
+			t.Errorf("Words(%#x, %d, %d) accepted", uint64(bad.va), bad.size, bad.n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Get past the view's end did not panic")
+		}
+	}()
+	w8.Get(8)
+}
+
 func TestRegionOf(t *testing.T) {
 	sp := New()
 	a := sp.Alloc("a", 128)

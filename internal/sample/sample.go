@@ -106,7 +106,7 @@ func (x *Executor) Advance(quota int) (executed int, allDone bool) {
 // advanceCore executes up to budget weight on one core: first the
 // parked window, then ops interpreted straight from the stream.
 func (x *Executor) advanceCore(c *cpu.Core, budget int, now sim.Cycle) int {
-	apply := func(op cpu.MicroOp) { c.FuncApply(op, now) }
+	apply := func(op *cpu.MicroOp) { c.FuncApply(op, now) }
 	used := 0
 	if !c.Drained() {
 		w, blocked := c.DrainWindow(apply)
@@ -122,21 +122,18 @@ func (x *Executor) advanceCore(c *cpu.Core, budget int, now sim.Cycle) int {
 			}
 		}
 	}
-	for used < budget {
-		op, ok := c.FuncNext()
-		if !ok {
-			break
-		}
+	var op cpu.MicroOp
+	for used < budget && c.FuncNext(&op) {
 		if op.Kind == cpu.Barrier && op.Ready != nil && !op.Ready() {
 			if x.drainAccels(c) && op.Ready() {
-				used += c.FuncRetireOp(op)
+				used += c.FuncRetireOp(&op)
 				continue
 			}
 			c.FuncUnget(op)
 			break
 		}
-		used += c.FuncRetireOp(op)
-		c.FuncApply(op, now)
+		used += c.FuncRetireOp(&op)
+		c.FuncApply(&op, now)
 	}
 	return used
 }

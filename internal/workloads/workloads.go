@@ -47,7 +47,7 @@ type Instance struct {
 	// metadata only and never enters the Result or the content hash.
 	HotClass func(pa memspace.PAddr) int
 
-	arrays map[string]arrayView
+	arrays map[string]memspace.Words
 }
 
 // HubClass and TailClass index the HotClass counter slices.
@@ -72,8 +72,8 @@ func (inst *Instance) markHotClass(names []string, hub []bool, slotsPerNode int)
 		if !ok {
 			continue
 		}
-		lo := inst.Space.Translate(v.base)
-		ranges = append(ranges, paRange{lo: lo, hi: lo + memspace.PAddr(v.n*v.esz), esz: v.esz})
+		lo := inst.Space.Translate(v.Base())
+		ranges = append(ranges, paRange{lo: lo, hi: lo + memspace.PAddr(v.Len()*v.ElemSize()), esz: v.ElemSize()})
 	}
 	if len(ranges) == 0 {
 		return
@@ -90,12 +90,6 @@ func (inst *Instance) markHotClass(names []string, hub []bool, slotsPerNode int)
 		}
 		return -1
 	}
-}
-
-type arrayView struct {
-	base memspace.VAddr
-	esz  int
-	n    int
 }
 
 // Builder constructs an instance at the given scale (1 = unit-test
@@ -124,7 +118,7 @@ func newInstance(name, pattern string, sp *memspace.Space, ks []*loopir.Kernel) 
 		Kernels:  ks,
 		Binder:   loopir.Binder{Base: map[string]memspace.VAddr{}},
 		MaxRange: make([]int, len(ks)),
-		arrays:   map[string]arrayView{},
+		arrays:   map[string]memspace.Words{},
 	}
 	for _, k := range ks {
 		names := make([]string, 0, len(k.Arrays))
@@ -138,8 +132,12 @@ func newInstance(name, pattern string, sp *memspace.Space, ks []*loopir.Kernel) 
 			}
 			info := k.Arrays[n]
 			r := sp.Alloc(name+"."+n, uint64(info.Len*info.DType.Size()))
+			w, err := sp.Words(r.Base, info.DType.Size(), info.Len)
+			if err != nil {
+				panic(fmt.Sprintf("workloads: %s: %v", name, err))
+			}
 			inst.Binder.Base[n] = r.Base
-			inst.arrays[n] = arrayView{base: r.Base, esz: info.DType.Size(), n: info.Len}
+			inst.arrays[n] = w
 		}
 	}
 	return inst
@@ -165,22 +163,19 @@ func (inst *Instance) PatternFor(index, target string) prefetch.Pattern {
 // setU64 fills array name from vals (raw words).
 func (inst *Instance) setU64(name string, vals []uint64) {
 	v := inst.arrays[name]
-	if len(vals) > v.n {
+	if len(vals) > v.Len() {
 		panic(fmt.Sprintf("workloads: %s overflow", name))
 	}
 	for i, x := range vals {
-		inst.Space.WriteWord(v.base+memspace.VAddr(i*v.esz), v.esz, x)
+		v.Set(i, x)
 	}
 }
 
 // Read returns raw element i of array name.
-func (inst *Instance) Read(name string, i int) uint64 {
-	v := inst.arrays[name]
-	return inst.Space.ReadWord(v.base+memspace.VAddr(i*v.esz), v.esz)
-}
+func (inst *Instance) Read(name string, i int) uint64 { return inst.arrays[name].Get(i) }
 
 // Len returns the element count of array name.
-func (inst *Instance) Len(name string) int { return inst.arrays[name].n }
+func (inst *Instance) Len(name string) int { return inst.arrays[name].Len() }
 
 // ChunkFor returns the safe outer chunk of kernel ki for a given tile
 // capacity.
@@ -202,9 +197,8 @@ func (inst *Instance) Checksum(names ...string) uint64 {
 	var sum uint64
 	for _, n := range names {
 		v := inst.arrays[n]
-		for i := 0; i < v.n; i++ {
-			raw := inst.Space.ReadWord(v.base+memspace.VAddr(i*v.esz), v.esz)
-			sum = sum*1099511628211 + raw
+		for i := 0; i < v.Len(); i++ {
+			sum = sum*1099511628211 + v.Get(i)
 		}
 	}
 	return sum
@@ -214,8 +208,8 @@ func (inst *Instance) Checksum(names ...string) uint64 {
 func (inst *Instance) pattern(index, target string) prefetch.Pattern {
 	iv, tv := inst.arrays[index], inst.arrays[target]
 	return prefetch.Pattern{
-		IndexBase: iv.base, IndexCount: iv.n, IndexSize: iv.esz,
-		TargetBase: tv.base, TargetSize: tv.esz,
+		IndexBase: iv.Base(), IndexCount: iv.Len(), IndexSize: iv.ElemSize(),
+		TargetBase: tv.Base(), TargetSize: tv.ElemSize(),
 	}
 }
 

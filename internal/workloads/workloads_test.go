@@ -1,9 +1,14 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math/rand"
 	"testing"
 
+	"dx100/internal/cpu"
 	"dx100/internal/dx100"
 	"dx100/internal/loopir"
 )
@@ -14,7 +19,7 @@ func interpretInstance(t *testing.T, inst *Instance) map[string][]uint64 {
 	t.Helper()
 	state := map[string][]uint64{}
 	for name, v := range inst.arrays {
-		vals := make([]uint64, v.n)
+		vals := make([]uint64, v.Len())
 		for i := range vals {
 			vals[i] = inst.Read(name, i)
 		}
@@ -92,36 +97,131 @@ func TestDX100MatchesInterpreter(t *testing.T) {
 	}
 }
 
+// baselineDigests pins the baseline µop generator's output: the
+// SHA-256, over every op's Kind, Addr, Lat, Dep1, Dep2 and Weight in
+// order, of each case's drained streams. The table was recorded from
+// the name-resolving generator the slot-resolved one replaced, so any
+// change to the µops emitted fails here, not only one that moves the
+// goldens' cycle counts.
+var baselineDigests = map[string]string{
+	"IS":                 "13045b165768d0cb43cd65a358c2c636a579fccc10769881a65741a4d15cc70d", // 163840 ops
+	"CG":                 "ca416976769439516eb3a34c947d4ccf18ddc686657992d90b34b971a960003b", // 422200 ops
+	"BFS":                "be252a7b885dd64cec8b3270f82915a346de6eea40d4daf71fba7fba2964f314", // 383670 ops
+	"PR":                 "a6ff66a62bb7d09ddd50fba5dab2858b35ab6d5d18d27d4a51f19e03459f0e71", // 425462 ops
+	"BC":                 "4ceac408dae127e79e28c035307ca95f44812f1b0b9ef88d49481a250e117b1f", // 361660 ops
+	"PRH":                "0b3ea82042e9face8eb0ebc438c6fb19f5de1f7c9250bce3d5fe1511e4a7c72d", // 458752 ops
+	"PRO":                "a358d3ae3f73989a846557d056c7a1802d73e05105f16fe8a11987f5b20a6e0e", // 393216 ops
+	"GZZ":                "2164b2bc210331766790185cba46a653290107e625f780c2a8b5bc67d4f76b0d", // 254292 ops
+	"GZZI":               "6e103d2fcafac2421cdcb81f2a30f68c988997bdfca1b4e356de120d3689b96c", // 97680 ops
+	"GZP":                "39dd7f0d6801076f9f0bf12013f3e9f0afa7fffa7bf6c8a5bd12ca51464f2e29", // 254047 ops
+	"GZPI":               "9c1bd417ff6a9c6bf8e496ca656001ad3208856ff162ec77f9b714a816a6965e", // 96408 ops
+	"XRAGE":              "2f586711379f8cb731ace7905f54db8470c1137e55fac86b8353a92edc278976", // 393216 ops
+	"micro.gather":       "54bc30808742e2dac40ec7d3770db1eb274fbd9396a5a7359959a0ffb4b92839", // 262144 ops
+	"micro.gather.spd":   "54bc30808742e2dac40ec7d3770db1eb274fbd9396a5a7359959a0ffb4b92839", // 262144 ops
+	"micro.rmw":          "09573495d04808dbfcd404aa1631f76d39ef4e3160a4c741423a18c025fac3c6", // 393216 ops
+	"micro.rmw.atomic":   "09573495d04808dbfcd404aa1631f76d39ef4e3160a4c741423a18c025fac3c6", // 393216 ops
+	"micro.scatter":      "acfef65bfd2090565c8ea0ae7e7bf411de1d2c115428c642b3b0350db29d2a10", // 262144 ops
+	"IS.atomic.core1of4": "47559c21a4e5b4c9b57b98380b540211a5876cebe32e9709e2cc1c63b1a6b39e", // 24576 ops
+}
+
+// streamDigest drains s into h and returns the number of ops.
+func streamDigest(h hash.Hash, s cpu.Stream) int {
+	var b [20]byte
+	var op cpu.MicroOp
+	n := 0
+	for ; s.Next(&op); n++ {
+		b[0] = byte(op.Kind)
+		binary.LittleEndian.PutUint64(b[1:], uint64(op.Addr))
+		b[9] = op.Lat
+		binary.LittleEndian.PutUint32(b[10:], op.Dep1)
+		binary.LittleEndian.PutUint32(b[14:], op.Dep2)
+		binary.LittleEndian.PutUint16(b[18:], op.Weight)
+		h.Write(b[:])
+	}
+	return n
+}
+
+// baselineStream builds kernel k's generator over the share of its
+// outer iterations that core c of n runs, as exp partitions them.
+func baselineStream(t testing.TB, inst *Instance, k *loopir.Kernel, c, n int, atomic bool) cpu.Stream {
+	t.Helper()
+	lo, hi, err := loopir.InterpretBounds(k, &loopir.Env{Params: k.Params})
+	if err != nil {
+		t.Fatalf("bounds: %v", err)
+	}
+	span := hi - lo
+	g, err := loopir.NewUopGen(k, inst.Binder, inst.Space, lo+span*int64(c)/int64(n), lo+span*int64(c+1)/int64(n), atomic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestBaselineStreamMatchesInterpreter drains the baseline µop
 // generator (which applies its writes while emitting) and checks the
-// final memory state.
+// final memory state against the interpreter and the µop stream
+// against baselineDigests. The atomic case is IS as core 1 of 4 with
+// locked RMWs, the stream a multi-core baseline run gives that core.
 func TestBaselineStreamMatchesInterpreter(t *testing.T) {
-	for _, name := range Order {
+	names := append(append([]string{}, Order...),
+		"micro.gather", "micro.gather.spd", "micro.rmw", "micro.rmw.atomic", "micro.scatter")
+	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			inst := Registry[name](1)
 			want := interpretInstance(t, inst)
+			h := sha256.New()
 			ops := 0
 			for _, k := range inst.Kernels {
-				env := &loopir.Env{Params: k.Params}
-				lo, hi, err := loopir.InterpretBounds(k, env)
-				if err != nil {
-					t.Fatalf("bounds: %v", err)
-				}
-				g := &loopir.UopGen{K: k, B: inst.Binder, Space: inst.Space, Lo: lo, Hi: hi}
-				s := g.Stream()
-				for {
-					_, ok := s.Next()
-					if !ok {
-						break
-					}
-					ops++
-				}
+				ops += streamDigest(h, baselineStream(t, inst, k, 0, 1, false))
 			}
 			if ops == 0 {
 				t.Fatal("baseline stream empty")
 			}
 			compareState(t, inst, want, "baseline")
+			if got := hex.EncodeToString(h.Sum(nil)); got != baselineDigests[name] {
+				t.Errorf("µop stream digest %s (%d ops), want %s", got, ops, baselineDigests[name])
+			}
+		})
+	}
+	t.Run("IS.atomic.core1of4", func(t *testing.T) {
+		inst := Registry["IS"](1)
+		if !inst.AtomicRMW {
+			t.Fatal("IS no longer marks its RMWs atomic")
+		}
+		h := sha256.New()
+		ops := 0
+		for _, k := range inst.Kernels {
+			ops += streamDigest(h, baselineStream(t, inst, k, 1, 4, true))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != baselineDigests["IS.atomic.core1of4"] {
+			t.Errorf("µop stream digest %s (%d ops), want %s", got, ops, baselineDigests["IS.atomic.core1of4"])
+		}
+	})
+}
+
+// BenchmarkUopGen times the baseline µop generator alone: one
+// iteration builds and drains the streams of every kernel of GZZ or PR
+// at scale 2, and ns/µop divides the time by the µops drained. The
+// generator writes its results to memory as it goes, so later
+// iterations update the same arrays and emit the same µops.
+func BenchmarkUopGen(b *testing.B) {
+	for _, name := range []string{"GZZ", "PR"} {
+		b.Run(name, func(b *testing.B) {
+			inst := Registry[name](2)
+			var op cpu.MicroOp
+			ops := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, k := range inst.Kernels {
+					s := baselineStream(b, inst, k, 0, 1, false)
+					for s.Next(&op) {
+						ops++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/µop")
 		})
 	}
 }
