@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test ./internal/workloads/pattern -run '^$$' -fuzz FuzzPatternCompile -fuzztime=30s
 	$(GO) test ./internal/dram -run '^$$' -fuzz FuzzBankHitCounts -fuzztime=30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventOrder -fuzztime=30s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzSubmitRun -fuzztime=30s
 
 # Regenerate every figure/table (tens of minutes; see EXPERIMENTS.md).
 bench:

@@ -35,7 +35,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -59,26 +61,37 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-func main() {
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stderr)) }
+
+// run is the daemon: it parses args, serves until ctx is done or
+// SIGINT/SIGTERM arrives, drains, and returns the exit code.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dx100d", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":8100", "listen address")
-		workers    = flag.Int("workers", 2, "concurrent job executors")
-		queueDepth = flag.Int("queue", 64, "bounded job-queue depth (full submissions get 503)")
-		cacheDir   = flag.String("cache", "", "result cache directory (empty = in-memory only)")
-		timeout    = flag.Duration("timeout", 0, "per-job wall-clock budget (0 = none)")
-		figWorkers = flag.Int("figworkers", 0, "per-figure experiment pool width (0 = one per CPU)")
-		profWin    = flag.Int64("profile-window", int64(prof.DefaultWindow), "telemetry sampling interval in cycles for run jobs: live `timeline` SSE events plus GET /v1/runs/{id}/timeline (0 = off)")
-		drain      = flag.Duration("drain", 2*time.Minute, "graceful-shutdown budget before in-flight jobs are canceled")
-		pprof      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (operator-only: exposes heap contents)")
-		logLevel   = flag.String("log-level", "info", "minimum slog level: debug, info, warn, error")
+		addr       = fs.String("addr", ":8100", "listen address")
+		workers    = fs.Int("workers", 2, "concurrent job executors")
+		queueDepth = fs.Int("queue", 64, "bounded job-queue depth (full submissions get 503)")
+		cacheDir   = fs.String("cache", "", "result cache directory (empty = in-memory only)")
+		timeout    = fs.Duration("timeout", 0, "per-job wall-clock budget (0 = none)")
+		figWorkers = fs.Int("figworkers", 0, "per-figure experiment pool width (0 = one per CPU)")
+		profWin    = fs.Int64("profile-window", int64(prof.DefaultWindow), "telemetry sampling interval in cycles for run jobs: live `timeline` SSE events plus GET /v1/runs/{id}/timeline (0 = off)")
+		drain      = fs.Duration("drain", 2*time.Minute, "graceful-shutdown budget before in-flight jobs are canceled")
+		pprof      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (operator-only: exposes heap contents)")
+		logLevel   = fs.String("log-level", "info", "minimum slog level: debug, info, warn, error")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h exits 0, as under flag.ExitOnError
+		}
+		return 2
+	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintf(os.Stderr, "dx100d: bad -log-level %q: %v\n", *logLevel, err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dx100d: bad -log-level %q: %v\n", *logLevel, err)
+		return 2
 	}
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	srv, err := serve.New(serve.Config{
 		Workers:       *workers,
@@ -91,30 +104,32 @@ func main() {
 		Pprof:         *pprof,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dx100d:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dx100d:", err)
+		return 1
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(stderr, "dx100d:", err)
+		return 1
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr, "workers", *workers,
-			"queue", *queueDepth, "cache", *cacheDir, "pprof", *pprof)
-		errc <- httpSrv.ListenAndServe()
-	}()
+	logger.Info("listening", "addr", ln.Addr().String(), "workers", *workers,
+		"queue", *queueDepth, "cache", *cacheDir, "pprof", *pprof)
+	go func() { errc <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "dx100d:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dx100d:", err)
+		return 1
 	case <-ctx.Done():
 	}
 	logger.Info("shutting down: draining jobs", "budget", *drain)
@@ -122,8 +137,9 @@ func main() {
 	defer cancel()
 	httpSrv.Shutdown(shutdownCtx)
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "dx100d:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dx100d:", err)
+		return 1
 	}
 	logger.Info("drained cleanly")
+	return 0
 }

@@ -20,16 +20,23 @@ import (
 func main() {
 	const n = 1024
 	sp := memspace.New()
-	a := memspace.NewArray[uint32](sp, "A", 1<<16)
-	b := memspace.NewArray[uint32](sp, "B", n)
-	c := memspace.NewArray[uint32](sp, "C", n)
+	// Each array is an allocation of 32-bit words, read and written
+	// through a view of its words.
+	alloc := func(name string, n int) memspace.Words {
+		w, err := sp.Words(sp.Alloc(name, 4*uint64(n)).Base, 4, n)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return w
+	}
+	a, b, c := alloc("A", 1<<16), alloc("B", n), alloc("C", n)
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < a.Len(); i++ {
-		a.Set(i, rng.Uint32())
+		a.Set(i, uint64(rng.Uint32()))
 	}
 	for i := 0; i < n; i++ {
-		b.Set(i, uint32(rng.Intn(a.Len())))
+		b.Set(i, uint64(rng.Intn(a.Len())))
 	}
 
 	// The DX100 version of `for i { C[i] = A[B[i]] }` (Figure 7d):

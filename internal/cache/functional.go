@@ -36,20 +36,38 @@ func TouchLevel(l Level, addr memspace.PAddr, kind Kind) {
 // over the LRU victim (writing a dirty victim back below), train the
 // stride prefetcher. Prefetch touches install without counting as
 // demand traffic, exactly like the timed prefetch path.
+//
+// One pass over the set finds both the tag and the victim the timed
+// path's lru would pick: the first invalid way, or else the first way
+// with the least used stamp. Nothing below can change this set before
+// the install, since a touch below never reaches back up.
 func (c *Cache) Touch(addr memspace.PAddr, kind Kind) {
 	la := memspace.LineAddr(addr)
-	if ln := c.lookup(la); ln != nil {
-		if kind == Prefetch {
+	set, tag := c.indexTag(la)
+	ways := c.ways(set)
+	var v *line
+	for i := range ways {
+		ln := &ways[i]
+		switch {
+		case !ln.valid:
+			if v == nil || v.valid {
+				v = ln
+			}
+		case ln.tag == tag:
+			if kind == Prefetch {
+				return
+			}
+			c.cAccesses.Inc()
+			c.cHits.Inc()
+			c.stamp++
+			ln.used = c.stamp
+			if kind == Store {
+				ln.dirty = true
+			}
 			return
+		case v == nil || v.valid && ln.used < v.used:
+			v = ln
 		}
-		c.cAccesses.Inc()
-		c.cHits.Inc()
-		c.stamp++
-		ln.used = c.stamp
-		if kind == Store {
-			ln.dirty = true
-		}
-		return
 	}
 	if kind == Prefetch {
 		c.cPrefetches.Inc()
@@ -59,25 +77,18 @@ func (c *Cache) Touch(addr memspace.PAddr, kind Kind) {
 	}
 	// The timed miss path forwards below as a Load (stores
 	// write-allocate: the dirty bit lands in this level's line), then
-	// fills over the LRU victim.
+	// fills over the LRU victim, functionally writing a dirty victim
+	// back below.
 	TouchLevel(c.below, la, Load)
-	c.installTouch(la, kind == Store)
-	if kind != Prefetch {
-		c.touchTrain(la)
-	}
-}
-
-// installTouch fills la over the LRU victim, functionally writing a
-// dirty victim back to the level below.
-func (c *Cache) installTouch(la memspace.PAddr, dirty bool) {
-	set, tag := c.indexTag(la)
-	v := c.lru(set)
 	if v.valid && v.dirty {
 		c.cWritebacks.Inc()
 		TouchLevel(c.below, c.lineOf(v, set), Store)
 	}
 	c.stamp++
-	*v = line{valid: true, dirty: dirty, tag: tag, used: c.stamp}
+	*v = line{valid: true, dirty: kind == Store, tag: tag, used: c.stamp}
+	if kind != Prefetch {
+		c.touchTrain(la)
+	}
 }
 
 // touchTrain is trainPrefetcher without the event delay: a matched

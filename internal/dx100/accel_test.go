@@ -54,14 +54,14 @@ func TestAccelGatherEndToEnd(t *testing.T) {
 	r := newRig(t, cfg)
 	n := 1024
 	aSize := 1 << 16
-	arrA := memspace.NewArray[uint32](r.sp, "A", aSize)
-	arrB := memspace.NewArray[uint32](r.sp, "B", n)
+	arrA := words(r.sp, 4, "A", aSize)
+	arrB := words(r.sp, 4, "B", n)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < aSize; i++ {
-		arrA.Set(i, uint32(i)^0xABCD)
+		arrA.Set(i, uint64(i)^0xABCD)
 	}
 	for i := 0; i < n; i++ {
-		arrB.Set(i, uint32(rng.Intn(aSize)))
+		arrB.Set(i, uint64(rng.Intn(aSize)))
 	}
 	ac := r.accel
 	ac.TLB().Preload(r.sp.RegionOf(arrA.Base()))
@@ -104,7 +104,7 @@ func TestAccelGatherEndToEnd(t *testing.T) {
 
 func TestAccelReadyBitsDropOnSend(t *testing.T) {
 	r := newRig(t, smallCfg())
-	arr := memspace.NewArray[uint32](r.sp, "A", 1024)
+	arr := words(r.sp, 4, "A", 1024)
 	ac := r.accel
 	ac.SetReg(0, 0)
 	ac.SetReg(1, 64)
@@ -127,7 +127,7 @@ func TestAccelReadyBitsDropOnSend(t *testing.T) {
 func TestAccelScatterWritesMemory(t *testing.T) {
 	r := newRig(t, smallCfg())
 	n := 512
-	arrA := memspace.NewArray[uint32](r.sp, "A", 1<<14)
+	arrA := words(r.sp, 4, "A", 1<<14)
 	ac := r.accel
 	idx, val := ac.Machine().Tile(0), ac.Machine().Tile(1)
 	rng := rand.New(rand.NewSource(3))
@@ -143,7 +143,7 @@ func TestAccelScatterWritesMemory(t *testing.T) {
 	}
 	r.run(t)
 	for i := 0; i < n; i++ {
-		if got := arrA.Get(perm[i]); got != uint32(i+7) {
+		if got := arrA.Get(perm[i]); got != uint64(i+7) {
 			t.Fatalf("A[%d] = %d, want %d", perm[i], got, i+7)
 		}
 	}
@@ -158,8 +158,10 @@ func TestAccelScatterWritesMemory(t *testing.T) {
 
 func TestAccelIRMWAccumulates(t *testing.T) {
 	r := newRig(t, smallCfg())
-	arrA := memspace.NewArray[uint64](r.sp, "A", 256)
-	arrA.Fill(5)
+	arrA := words(r.sp, 8, "A", 256)
+	for i := 0; i < arrA.Len(); i++ {
+		arrA.Set(i, 5)
+	}
 	ac := r.accel
 	idx, val := ac.Machine().Tile(0), ac.Machine().Tile(1)
 	// Many updates to few locations: coalescing should merge them.
@@ -196,11 +198,11 @@ func TestAccelChainingOverlapsSLDandILD(t *testing.T) {
 	n := 1024
 	build := func(serialize bool) sim.Cycle {
 		r := newRig(t, cfg)
-		arrA := memspace.NewArray[uint32](r.sp, "A", 1<<16)
-		arrB := memspace.NewArray[uint32](r.sp, "B", n)
+		arrA := words(r.sp, 4, "A", 1<<16)
+		arrB := words(r.sp, 4, "B", n)
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < n; i++ {
-			arrB.Set(i, uint32(rng.Intn(1<<16)))
+			arrB.Set(i, uint64(rng.Intn(1<<16)))
 		}
 		ac := r.accel
 		ac.SetReg(0, 0)
@@ -232,7 +234,7 @@ func TestAccelChainingOverlapsSLDandILD(t *testing.T) {
 
 func TestAccelConditionalISTOnlyWritesTaken(t *testing.T) {
 	r := newRig(t, smallCfg())
-	arrA := memspace.NewArray[uint32](r.sp, "A", 1024)
+	arrA := words(r.sp, 4, "A", 1024)
 	ac := r.accel
 	idx, val, cond := ac.Machine().Tile(0), ac.Machine().Tile(1), ac.Machine().Tile(2)
 	n := 128
@@ -249,7 +251,7 @@ func TestAccelConditionalISTOnlyWritesTaken(t *testing.T) {
 	}
 	r.run(t)
 	for i := 0; i < n; i++ {
-		want := uint32(0)
+		want := uint64(0)
 		if i%4 == 3 {
 			want = 1
 		}
@@ -295,7 +297,7 @@ func TestAccelSPDPortTiming(t *testing.T) {
 func TestRouterRoutes(t *testing.T) {
 	r := newRig(t, smallCfg())
 	router := NewRouter(r.accel, r.hier.L1[0])
-	arr := memspace.NewArray[uint32](r.sp, "A", 64)
+	arr := words(r.sp, 4, "A", 64)
 	memPA := r.sp.Translate(arr.Base())
 	lo, hi := r.accel.SPDRange()
 	if memPA >= lo && memPA < hi {
@@ -324,7 +326,7 @@ func TestRouterRoutes(t *testing.T) {
 
 func TestAccelHBitRoutesToLLC(t *testing.T) {
 	r := newRig(t, smallCfg())
-	arrA := memspace.NewArray[uint32](r.sp, "A", 4096)
+	arrA := words(r.sp, 4, "A", 4096)
 	// Warm the LLC with A's lines.
 	warmed := 0
 	toWarm := 4096 * 4 / memspace.LineSize
@@ -410,7 +412,7 @@ func TestAccelRangeFuserTiming(t *testing.T) {
 func TestAccelWAWBlocksDispatch(t *testing.T) {
 	// Two SLDs into the same tile must serialize (scoreboard, §3.5).
 	r := newRig(t, smallCfg())
-	arr := memspace.NewArray[uint32](r.sp, "A", 4096)
+	arr := words(r.sp, 4, "A", 4096)
 	ac := r.accel
 	ac.SetReg(0, 0)
 	ac.SetReg(1, 1024)

@@ -14,6 +14,15 @@ func newTestMachine(tileElems int) (*memspace.Space, *Machine) {
 	return sp, m
 }
 
+// words allocates n size-byte words under name and returns their view.
+func words(sp *memspace.Space, size int, name string, n int) memspace.Words {
+	w, err := sp.Words(sp.Alloc(name, uint64(size*n)).Base, size, n)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
 // elemIndex converts an element address offset into an index operand.
 func mustExec(t *testing.T, m *Machine, in Instr) {
 	t.Helper()
@@ -24,14 +33,14 @@ func mustExec(t *testing.T, m *Machine, in Instr) {
 
 func TestSLDThenILDGather(t *testing.T) {
 	sp, m := newTestMachine(64)
-	a := memspace.NewArray[uint32](sp, "A", 256)
-	b := memspace.NewArray[uint32](sp, "B", 64)
+	a := words(sp, 4, "A", 256)
+	b := words(sp, 4, "B", 64)
 	for i := 0; i < 256; i++ {
-		a.Set(i, uint32(i*3))
+		a.Set(i, uint64(i*3))
 	}
 	perm := rand.New(rand.NewSource(1)).Perm(256)
 	for i := 0; i < 64; i++ {
-		b.Set(i, uint32(perm[i]))
+		b.Set(i, uint64(perm[i]))
 	}
 	m.SetReg(0, 0)  // start
 	m.SetReg(1, 64) // count
@@ -52,7 +61,7 @@ func TestSLDThenILDGather(t *testing.T) {
 
 func TestSLDStrideAndStart(t *testing.T) {
 	sp, m := newTestMachine(16)
-	a := memspace.NewArray[uint64](sp, "A", 100)
+	a := words(sp, 8, "A", 100)
 	for i := 0; i < 100; i++ {
 		a.Set(i, uint64(1000+i))
 	}
@@ -69,7 +78,7 @@ func TestSLDStrideAndStart(t *testing.T) {
 
 func TestISTScatter(t *testing.T) {
 	sp, m := newTestMachine(16)
-	a := memspace.NewArray[uint32](sp, "A", 64)
+	a := words(sp, 4, "A", 64)
 	idx := m.Tile(0)
 	val := m.Tile(1)
 	for i := 0; i < 8; i++ {
@@ -80,7 +89,7 @@ func TestISTScatter(t *testing.T) {
 	val.SetSize(8)
 	mustExec(t, m, Instr{Op: IST, DType: U32, Base: a.Base(), TS1: 0, TS2: 1, TC: NoTile})
 	for i := 0; i < 8; i++ {
-		if got := a.Get(i * 7 % 64); got != uint32(100+i) {
+		if got := a.Get(i * 7 % 64); got != uint64(100+i) {
 			t.Fatalf("A[%d] = %d", i*7%64, got)
 		}
 	}
@@ -88,8 +97,10 @@ func TestISTScatter(t *testing.T) {
 
 func TestIRMWAccumulate(t *testing.T) {
 	sp, m := newTestMachine(16)
-	a := memspace.NewArray[uint64](sp, "A", 8)
-	a.Fill(10)
+	a := words(sp, 8, "A", 8)
+	for i := 0; i < a.Len(); i++ {
+		a.Set(i, 10)
+	}
 	idx, val := m.Tile(0), m.Tile(1)
 	// Three updates to the same element: must all apply.
 	targets := []int{2, 2, 2, 5}
@@ -110,7 +121,7 @@ func TestIRMWAccumulate(t *testing.T) {
 
 func TestConditionalISTSkips(t *testing.T) {
 	sp, m := newTestMachine(16)
-	a := memspace.NewArray[uint32](sp, "A", 16)
+	a := words(sp, 4, "A", 16)
 	idx, val, cond := m.Tile(0), m.Tile(1), m.Tile(2)
 	for i := 0; i < 4; i++ {
 		idx.SetRaw(i, uint64(i))
@@ -122,7 +133,7 @@ func TestConditionalISTSkips(t *testing.T) {
 	cond.SetSize(4)
 	mustExec(t, m, Instr{Op: IST, DType: U32, Base: a.Base(), TS1: 0, TS2: 1, TC: 2})
 	for i := 0; i < 4; i++ {
-		want := uint32(0)
+		want := uint64(0)
 		if i%2 == 1 {
 			want = 99
 		}
@@ -218,7 +229,7 @@ func TestRNGOverflowErrors(t *testing.T) {
 
 func TestSSTStreamsBack(t *testing.T) {
 	sp, m := newTestMachine(16)
-	c := memspace.NewArray[uint32](sp, "C", 16)
+	c := words(sp, 4, "C", 16)
 	src := m.Tile(0)
 	for i := 0; i < 8; i++ {
 		src.SetRaw(i, uint64(i+50))
@@ -229,7 +240,7 @@ func TestSSTStreamsBack(t *testing.T) {
 	m.SetReg(2, 1)
 	mustExec(t, m, Instr{Op: SST, DType: U32, Base: c.Base(), TS1: 0, RS1: 0, RS2: 1, RS3: 2, TC: NoTile})
 	for i := 0; i < 8; i++ {
-		if got := c.Get(4 + i); got != uint32(i+50) {
+		if got := c.Get(4 + i); got != uint64(i+50) {
 			t.Fatalf("C[%d] = %d", 4+i, got)
 		}
 	}
@@ -238,15 +249,15 @@ func TestSSTStreamsBack(t *testing.T) {
 func TestMultiLevelIndirection(t *testing.T) {
 	// A[B[C[i]]] — two chained ILDs (Table 1, UME GZZI pattern).
 	sp, m := newTestMachine(16)
-	a := memspace.NewArray[uint64](sp, "A", 32)
-	b := memspace.NewArray[uint32](sp, "B", 32)
-	c := memspace.NewArray[uint32](sp, "C", 8)
+	a := words(sp, 8, "A", 32)
+	b := words(sp, 4, "B", 32)
+	c := words(sp, 4, "C", 8)
 	for i := 0; i < 32; i++ {
 		a.Set(i, uint64(i+1000))
-		b.Set(i, uint32((i*5)%32))
+		b.Set(i, uint64((i*5)%32))
 	}
 	for i := 0; i < 8; i++ {
-		c.Set(i, uint32((i*3)%32))
+		c.Set(i, uint64((i*3)%32))
 	}
 	m.SetReg(0, 0)
 	m.SetReg(1, 8)
@@ -269,7 +280,7 @@ func TestIRMWMatchesReferenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sp, m := newTestMachine(32)
 		arrLen := 16
-		a := memspace.NewArray[uint64](sp, "A", arrLen)
+		a := words(sp, 8, "A", arrLen)
 		ref := make([]uint64, arrLen)
 		n := 1 + rng.Intn(32)
 		idx, val := m.Tile(0), m.Tile(1)
@@ -303,14 +314,14 @@ func TestGatherMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sp, m := newTestMachine(64)
-		a := memspace.NewArray[uint32](sp, "A", 128)
-		b := memspace.NewArray[uint32](sp, "B", 64)
+		a := words(sp, 4, "A", 128)
+		b := words(sp, 4, "B", 64)
 		for i := 0; i < 128; i++ {
-			a.Set(i, rng.Uint32())
+			a.Set(i, uint64(rng.Uint32()))
 		}
 		n := 1 + rng.Intn(64)
 		for i := 0; i < n; i++ {
-			b.Set(i, uint32(rng.Intn(128)))
+			b.Set(i, uint64(rng.Intn(128)))
 		}
 		m.SetReg(0, 0)
 		m.SetReg(1, uint64(n))
@@ -323,7 +334,7 @@ func TestGatherMatchesReferenceProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if uint32(m.Tile(1).Raw(i)) != a.Get(int(b.Get(i))) {
+			if uint32(m.Tile(1).Raw(i)) != uint32(a.Get(int(b.Get(i)))) {
 				return false
 			}
 		}

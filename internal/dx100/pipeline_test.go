@@ -15,7 +15,7 @@ func TestIndirectPingPongOverlap(t *testing.T) {
 	cfg := smallCfg()
 	run := func(serialize bool) sim.Cycle {
 		r := newRig(t, cfg)
-		arrA := memspace.NewArray[uint32](r.sp, "A", 1<<16)
+		arrA := words(r.sp, 4, "A", 1<<16)
 		ac := r.accel
 		rng := rand.New(rand.NewSource(5))
 		for _, tile := range []uint8{0, 2} {
@@ -50,7 +50,7 @@ func TestIndirectPingPongOverlap(t *testing.T) {
 // stage concurrently and a third waits for a free Row Table.
 func TestIndirectQueueDepthTwo(t *testing.T) {
 	r := newRig(t, smallCfg())
-	arrA := memspace.NewArray[uint32](r.sp, "A", 1<<16)
+	arrA := words(r.sp, 4, "A", 1<<16)
 	ac := r.accel
 	for tile := uint8(0); tile < 3; tile++ {
 		idx := ac.Machine().Tile(tile * 2)
@@ -89,7 +89,7 @@ func TestForceLLCRouteAblation(t *testing.T) {
 	cfg := smallCfg()
 	cfg.ForceLLCRoute = true
 	r := newRig(t, cfg)
-	arrA := memspace.NewArray[uint32](r.sp, "A", 1<<14)
+	arrA := words(r.sp, 4, "A", 1<<14)
 	ac := r.accel
 	idx := ac.Machine().Tile(0)
 	for i := 0; i < 512; i++ {
@@ -112,7 +112,7 @@ func TestForceLLCRouteAblation(t *testing.T) {
 // not affect the queued instruction (the send captures its operands).
 func TestRegisterSnapshotAtSend(t *testing.T) {
 	r := newRig(t, smallCfg())
-	arr := memspace.NewArray[uint64](r.sp, "A", 4096)
+	arr := words(r.sp, 8, "A", 4096)
 	for i := 0; i < 4096; i++ {
 		arr.Set(i, uint64(i+1))
 	}
@@ -169,10 +169,10 @@ func TestTLBEviction(t *testing.T) {
 // must produce correct results.
 func TestIRMWConcurrentWithILDDifferentTiles(t *testing.T) {
 	r := newRig(t, smallCfg())
-	arrA := memspace.NewArray[uint64](r.sp, "A", 1024)
-	arrB := memspace.NewArray[uint32](r.sp, "B", 1<<14)
+	arrA := words(r.sp, 8, "A", 1024)
+	arrB := words(r.sp, 4, "B", 1<<14)
 	for i := 0; i < 1<<14; i++ {
-		arrB.Set(i, uint32(i)^0x5A)
+		arrB.Set(i, uint64(i)^0x5A)
 	}
 	ac := r.accel
 	idx1, val1 := ac.Machine().Tile(0), ac.Machine().Tile(1)

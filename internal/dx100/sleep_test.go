@@ -73,7 +73,7 @@ func TestBlockedFillSkipMatchesStepping(t *testing.T) {
 		cfg.RowTable = RowTableConfig{Rows: 1, Cols: 1}
 		r := newRig(t, cfg)
 		r.eng.DisableFastForward = noFF
-		arrA := memspace.NewArray[uint32](r.sp, "A", 1<<16)
+		arrA := words(r.sp, 4, "A", 1<<16)
 		ac := r.accel
 		ac.TLB().Preload(r.sp.RegionOf(arrA.Base()))
 		rng := rand.New(rand.NewSource(11))
@@ -123,8 +123,8 @@ func TestBlockedFillSleepRules(t *testing.T) {
 	cfg.RowTable = RowTableConfig{Rows: 1, Cols: 1}
 	r := newRig(t, cfg)
 	a := r.accel
-	arr := memspace.NewArray[uint32](r.sp, "A", 1<<20)
-	other := memspace.NewArray[uint32](r.sp, "other", 1)
+	arr := words(r.sp, 4, "A", 1<<20)
+	other := words(r.sp, 4, "other", 1)
 	a.TLB().Preload(r.sp.RegionOf(arr.Base()))
 	// Two elements in the same bank but different rows: with one-row
 	// slices the second insert must wait for the first column's response.

@@ -55,13 +55,12 @@ func evalAt(t *testing.T, jobs int) []MainRow {
 	return rows
 }
 
+// TestMainEvaluationSerialParallelIdentical compares the references,
+// each simulated alone, with a fresh evaluation on four workers.
 func TestMainEvaluationSerialParallelIdentical(t *testing.T) {
-	serial := evalAt(t, 1)
+	serial, sk := refRows(t, detNames, true)
 	parallel := evalAt(t, 4)
-	sk, pk := rowsKey(serial), rowsKey(parallel)
-	if sk != pk {
-		t.Fatalf("serial and parallel MainEvaluation rows differ:\n--- serial ---\n%s\n--- parallel ---\n%s", sk, pk)
-	}
+	requireSame(t, "parallel MainEvaluation rows", sk, rowsKey(parallel))
 	// Figures rendered from the rows must also match byte for byte.
 	for i, pair := range [][2]*Series{
 		{Fig9(serial), Fig9(parallel)},
@@ -69,18 +68,15 @@ func TestMainEvaluationSerialParallelIdentical(t *testing.T) {
 		{Fig11(serial), Fig11(parallel)},
 		{Fig12(serial), Fig12(parallel)},
 	} {
-		if a, b := pair[0].String(), pair[1].String(); a != b {
-			t.Fatalf("figure %d differs between serial and parallel rows:\n%s\nvs\n%s", i+9, a, b)
-		}
+		requireSame(t, fmt.Sprintf("figure %d from parallel rows", i+9), pair[0].String(), pair[1].String())
 	}
 }
 
+// TestMainEvaluationRunToRunDeterministic runs the evaluation again,
+// later in the same process, and compares it with the references.
 func TestMainEvaluationRunToRunDeterministic(t *testing.T) {
-	first := evalAt(t, 4)
-	second := evalAt(t, 4)
-	if a, b := rowsKey(first), rowsKey(second); a != b {
-		t.Fatalf("two parallel MainEvaluation runs differ:\n%s\nvs\n%s", a, b)
-	}
+	_, first := refRows(t, detNames, true)
+	requireSame(t, "second MainEvaluation", first, rowsKey(evalAt(t, 4)))
 }
 
 // golden holds the fixed-seed scale-1 metrics for the representative
@@ -100,10 +96,7 @@ var goldens = map[string]struct {
 }
 
 func TestGoldenMetrics(t *testing.T) {
-	rows, err := Runner{}.MainEvaluation(1, detNames, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := refRows(t, detNames, false)
 	approx := func(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 	for _, r := range rows {
 		want, ok := goldens[r.Workload]

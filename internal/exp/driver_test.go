@@ -143,22 +143,12 @@ func TestDriverPartitioning(t *testing.T) {
 }
 
 func TestBaselineAtomicsOnlyWhenMulticore(t *testing.T) {
-	inst := workloads.Registry["IS"](1)
-	cfg := Default(Baseline)
-	cfg.Cores = 1
-	res, err := RunInstance(inst, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Get("core0.atomics") != 0 {
+	one := plain("IS", Baseline)
+	one.cfg.Cores = 1
+	if ref(t, one).result(t).Stats.Get("core0.atomics") != 0 {
 		t.Fatal("single-core baseline used atomics")
 	}
-	inst2 := workloads.Registry["IS"](1)
-	res2, err := RunInstance(inst2, Default(Baseline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.Get("core0.atomics") == 0 {
+	if ref(t, plain("IS", Baseline)).result(t).Stats.Get("core0.atomics") == 0 {
 		t.Fatal("multi-core baseline skipped atomics")
 	}
 }

@@ -19,50 +19,25 @@ import (
 // setup, and check that the fast path actually engages (a hint bug
 // that silently disabled jumping would otherwise never fail a test).
 
-func ffPair(t *testing.T, name string, scale int, cfg SystemConfig) (on, off Result) {
-	t.Helper()
-	rOn, err := Run(name, scale, cfg)
-	if err != nil {
-		t.Fatalf("%s/%s ff on: %v", name, cfg.Mode, err)
-	}
-	rOff, err := RunOpts(name, scale, cfg, RunOptions{NoFastForward: true})
-	if err != nil {
-		t.Fatalf("%s/%s ff off: %v", name, cfg.Mode, err)
-	}
-	return rOn, rOff
+// exact is c stepped cycle by cycle.
+func exact(c cell) cell {
+	c.noFF = true
+	return c
 }
 
 func TestFastForwardResultEquivalence(t *testing.T) {
 	for _, name := range detNames {
 		for _, mode := range []Mode{Baseline, DMP, DX} {
-			on, off := ffPair(t, name, 1, Default(mode))
-			if k1, k2 := resultKey(on), resultKey(off); k1 != k2 {
-				t.Errorf("%s/%s: fast-forward changed the results\n--- ff on ---\n%s\n--- ff off ---\n%s",
-					name, mode, k1, k2)
-			}
-			w1, err := ResultJSON(on)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w2, err := ResultJSON(off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(w1, w2) {
-				t.Errorf("%s/%s: fast-forward changed the wire form\n--- ff on ---\n%s\n--- ff off ---\n%s",
-					name, mode, w1, w2)
-			}
+			on, off := ref(t, plain(name, mode)), ref(t, exact(plain(name, mode)))
+			requireSame(t, name+"/"+mode.String()+" with fast-forward off", on.String(), off.String())
 		}
 	}
 }
 
 func TestFastForwardEquivalenceWithWarmLLC(t *testing.T) {
-	cfg := Default(DX)
-	cfg.WarmLLC = true
-	on, off := ffPair(t, "GZZ", 1, cfg)
-	if k1, k2 := resultKey(on), resultKey(off); k1 != k2 {
-		t.Errorf("warmed GZZ/dx100: fast-forward changed the results\n--- ff on ---\n%s\n--- ff off ---\n%s", k1, k2)
-	}
+	c := plain("GZZ", DX)
+	c.cfg.WarmLLC = true
+	requireSame(t, "warmed GZZ/dx100 with fast-forward off", ref(t, c).key, ref(t, exact(c)).key)
 }
 
 // TestFastForwardEquivalenceUnderBackPressure covers the sleep states
@@ -70,21 +45,12 @@ func TestFastForwardEquivalenceWithWarmLLC(t *testing.T) {
 // fill on full Row Table slices for hundreds of thousands of cycles,
 // which the accelerator sleeps through and counts in SkipCycles.
 func TestFastForwardEquivalenceUnderBackPressure(t *testing.T) {
-	on, off := ffPair(t, "IS", 3, Default(DX))
-	if on.Stats.Get("dx100.0.rt.stalls") == 0 {
+	c := cell{name: "IS", scale: 3, cfg: Default(DX)}
+	on := ref(t, c)
+	if on.result(t).Stats.Get("dx100.0.rt.stalls") == 0 {
 		t.Fatal("IS/dx100 at scale 3 counted no Row Table stalls: the case no longer reaches a blocked fill")
 	}
-	w1, err := ResultJSON(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := ResultJSON(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w1, w2) {
-		t.Errorf("IS/dx100 scale 3: fast-forward changed the wire form\n--- ff on ---\n%s\n--- ff off ---\n%s", w1, w2)
-	}
+	requireSame(t, "IS/dx100 scale 3 wire form with fast-forward off", on.wire, ref(t, exact(c)).wire)
 }
 
 // TestTraceSteppingNeutral pins that fast-forward changes only the

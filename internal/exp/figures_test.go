@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dx100/internal/workloads"
@@ -13,10 +14,13 @@ import (
 // so `go test` covers every experiment code path; the benchmarks run
 // them at evaluation scale.
 
+// fig8a is the scale-1 Fig 8a series both Fig 8a tests read.
+var fig8a = sync.OnceValues(func() (*Series, error) { return Runner{}.Fig8aAllHit(1) })
+
 // TestFig8aRuns also pins the scale-1 cycle counts of the five All-Hit
 // microbenchmarks: the only golden on the WarmLLC warm-up path.
 func TestFig8aRuns(t *testing.T) {
-	s, err := Runner{}.Fig8aAllHit(1)
+	s, err := fig8a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func TestFig8aRuns(t *testing.T) {
 func TestFig8aRMWAtomicGapShape(t *testing.T) {
 	// The RMW-Atomic speedup must far exceed RMW-NoAtom: eliminating
 	// fences is DX100's largest microbenchmark win (§6.1).
-	s, err := Runner{}.Fig8aAllHit(1)
+	s, err := fig8a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +78,7 @@ func fmtSscanf(s string, v *float64) (int, error) {
 }
 
 func TestFig9And10And11Render(t *testing.T) {
-	rows, err := Runner{}.MainEvaluation(1, []string{"IS", "GZZ"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := refRows(t, []string{"IS", "GZZ"}, true)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -97,7 +98,8 @@ func TestFig9And10And11Render(t *testing.T) {
 }
 
 // TestFigureTable pins the figure names dx100sim -fig and dx100d serve,
-// and checks that a table entry renders what its direct call renders.
+// and checks that a table entry renders what its rows, read from
+// references, render.
 func TestFigureTable(t *testing.T) {
 	want := []string{"8a", "8bc", "9", "10", "11", "12", "13", "14", "ablation", "energy", "skew"}
 	if got := FigureNames(); !reflect.DeepEqual(got, want) {
@@ -109,10 +111,7 @@ func TestFigureTable(t *testing.T) {
 		withDMP bool
 		render  func([]MainRow) *Series
 	}{{"9", false, Fig9}, {"12", true, Fig12}} {
-		rows, err := Runner{}.MainEvaluation(1, names, tc.withDMP)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows, _ := refRows(t, names, tc.withDMP)
 		got, err := Runner{}.Figure(tc.fig, 1, names)
 		if err != nil {
 			t.Fatal(err)
@@ -181,19 +180,11 @@ func TestAblationShape(t *testing.T) {
 }
 
 func TestEnergyOfBreakdown(t *testing.T) {
-	res, err := Run("IS", 1, Default(DX))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := EnergyOf(res, 1)
+	e := EnergyOf(ref(t, plain("IS", DX)).result(t), 1)
 	if e.TotalUJ <= 0 || e.DRAM <= 0 || e.DX100 <= 0 {
 		t.Fatalf("energy breakdown wrong: %+v", e)
 	}
-	base, err := Run("IS", 1, Default(Baseline))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb := EnergyOf(base, 0)
+	eb := EnergyOf(ref(t, plain("IS", Baseline)).result(t), 0)
 	if eb.Core <= e.Core {
 		t.Fatal("baseline core energy should exceed DX100's (instruction reduction)")
 	}

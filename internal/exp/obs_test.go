@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dx100/internal/obs"
@@ -32,27 +34,12 @@ var updateGoldens = flag.Bool("update", false, "rewrite golden trace files under
 func TestTraceResultNeutral(t *testing.T) {
 	for _, name := range []string{"micro.gather", "micro.scatter"} {
 		t.Run(name, func(t *testing.T) {
-			cfg := Default(DX)
-			plain, err := RunOpts(name, 1, cfg, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			sink := obs.NewSink(0)
-			traced, err := RunOpts(name, 1, cfg, RunOptions{Trace: sink})
+			traced, err := RunOpts(name, 1, Default(DX), RunOptions{Trace: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b1, err := ResultJSON(plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b2, err := ResultJSON(traced)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Fatalf("traced run differs from plain run:\n%s\n---\n%s", b1, b2)
-			}
+			requireSame(t, "traced run", ref(t, plain(name, DX)).wire, wireOf(t, traced))
 			// The neutrality only means something if the sink actually
 			// observed the run: every layer must have emitted.
 			if sink.Total() == 0 {
@@ -76,35 +63,41 @@ func TestTraceResultNeutral(t *testing.T) {
 // DX100 activity, small enough to review in a diff.
 const goldenTraceLines = 250
 
-// captureTraceHead runs a freshly built instance on the DX100 system
-// with a spilling JSONL sink and returns the first goldenTraceLines
-// lines of the trace.
-func captureTraceHead(t *testing.T, build func() *workloads.Instance) string {
-	t.Helper()
+// traceHead runs inst on the DX100 system with a spilling JSONL sink
+// and returns the first goldenTraceLines lines of the trace.
+func traceHead(inst *workloads.Instance) (string, error) {
 	var buf bytes.Buffer
 	sink := obs.NewSink(0)
 	sink.SpillJSONL(&buf)
-	if _, err := RunInstanceOpts(build(), Default(DX), RunOptions{Trace: sink}); err != nil {
-		t.Fatal(err)
+	if _, err := RunInstanceOpts(inst, Default(DX), RunOptions{Trace: sink}); err != nil {
+		return "", err
 	}
 	if err := sink.Close(); err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	lines := strings.SplitAfter(buf.String(), "\n")
 	if len(lines) < goldenTraceLines {
-		t.Fatalf("trace too short for the golden: %d lines", len(lines))
+		return "", fmt.Errorf("trace too short for the golden: %d lines", len(lines))
 	}
-	return strings.Join(lines[:goldenTraceLines], "")
+	return strings.Join(lines[:goldenTraceLines], ""), nil
 }
 
-// captureGoldenTrace is captureTraceHead for the original golden
-// workload (micro.gather, scale 1).
-func captureGoldenTrace(t *testing.T) string {
+// captureTraceHead is traceHead of a freshly built instance.
+func captureTraceHead(t *testing.T, inst *workloads.Instance) string {
 	t.Helper()
-	return captureTraceHead(t, func() *workloads.Instance {
-		return workloads.Registry["micro.gather"](1)
-	})
+	head, err := traceHead(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return head
 }
+
+// goldenTrace is the trace head of the original golden workload
+// (micro.gather, scale 1), traced once for the golden and the
+// stability check.
+var goldenTrace = sync.OnceValues(func() (string, error) {
+	return traceHead(workloads.Registry["micro.gather"](1))
+})
 
 // goldenTraceDiff diffs a captured trace head against the committed
 // golden at path, rewriting it first under -update. The simulator is
@@ -157,7 +150,11 @@ func goldenTraceDiff(t *testing.T, path, got string) {
 // TestGoldenTraceMicroGather pins the head of the micro.gather DX100
 // event trace.
 func TestGoldenTraceMicroGather(t *testing.T) {
-	goldenTraceDiff(t, filepath.Join("testdata", "micro_gather_dx_trace.jsonl"), captureGoldenTrace(t))
+	got, err := goldenTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenTraceDiff(t, filepath.Join("testdata", "micro_gather_dx_trace.jsonl"), got)
 }
 
 // goldenGraphInstance is a deliberately small skewed graph (power-law
@@ -176,29 +173,31 @@ func goldenGraphInstance() *workloads.Instance {
 // micro.gather golden.
 func TestGoldenTraceGraphSkewed(t *testing.T) {
 	goldenTraceDiff(t, filepath.Join("testdata", "graph_pr_push_dx_trace.jsonl"),
-		captureTraceHead(t, goldenGraphInstance))
+		captureTraceHead(t, goldenGraphInstance()))
 }
 
 // TestGoldenTracePattern pins the head of the compiled golden pattern
 // file's DX100 event trace.
 func TestGoldenTracePattern(t *testing.T) {
-	goldenTraceDiff(t, filepath.Join("testdata", "pattern_xrage_dx_trace.jsonl"),
-		captureTraceHead(t, func() *workloads.Instance {
-			inst, err := pattern.Compile(patternFile(t), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return inst
-		}))
+	inst, err := pattern.Compile(patternFile(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenTraceDiff(t, filepath.Join("testdata", "pattern_xrage_dx_trace.jsonl"), captureTraceHead(t, inst))
 }
 
 // TestGoldenTraceStableAcrossRuns guards the golden's premise without
-// touching the file: two captures in one process are byte-identical.
+// touching the file: a second capture in the same process is
+// byte-identical to the first.
 func TestGoldenTraceStableAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("second full traced run")
 	}
-	a, b := captureGoldenTrace(t), captureGoldenTrace(t)
+	a, err := goldenTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := captureTraceHead(t, workloads.Registry["micro.gather"](1))
 	if a != b {
 		t.Fatal("two traced runs of the same spec produced different traces")
 	}

@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"dx100/internal/workloads"
 	"dx100/internal/workloads/pattern"
 )
 
@@ -33,7 +31,7 @@ func patternFile(t *testing.T) *pattern.File {
 // runPatternJSON compiles a fresh instance of the golden pattern file
 // (instances mutate as they run; Compile is deterministic) and returns
 // the Result wire form.
-func runPatternJSON(t *testing.T, scale int, cfg SystemConfig, opts RunOptions) []byte {
+func runPatternJSON(t *testing.T, scale int, cfg SystemConfig, opts RunOptions) string {
 	t.Helper()
 	inst, err := pattern.Compile(patternFile(t), scale)
 	if err != nil {
@@ -43,11 +41,7 @@ func runPatternJSON(t *testing.T, scale int, cfg SystemConfig, opts RunOptions) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ResultJSON(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return wireOf(t, res)
 }
 
 // TestPatternFastForwardEquivalence: a compiled-pattern run with
@@ -59,10 +53,8 @@ func TestPatternFastForwardEquivalence(t *testing.T) {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			t.Parallel()
 			cfg := Default(mode)
-			ff := runPatternJSON(t, 1, cfg, RunOptions{})
-			if exact := runPatternJSON(t, 1, cfg, RunOptions{NoFastForward: true}); !bytes.Equal(ff, exact) {
-				t.Errorf("fast-forward changed the result:\n%s\nvs\n%s", ff, exact)
-			}
+			requireSame(t, "run with fast-forward off", runPatternJSON(t, 1, cfg, RunOptions{}),
+				runPatternJSON(t, 1, cfg, RunOptions{NoFastForward: true}))
 		})
 	}
 }
@@ -78,28 +70,14 @@ func TestSampledFastForwardEquivalence(t *testing.T) {
 	scfg := &SamplingConfig{Interval: 20_000, Detail: 5_000, Warmup: 1_000}
 	t.Run("graph.pr.push", func(t *testing.T) {
 		t.Parallel()
-		run := func(noFF bool) []byte {
-			res, err := RunInstanceOpts(workloads.Registry["graph.pr.push"](1), Default(Baseline),
-				RunOptions{Sampling: scfg, NoFastForward: noFF})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := ResultJSON(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		if ff, exact := run(false), run(true); !bytes.Equal(ff, exact) {
-			t.Errorf("sampled run differs with fast-forward off:\n%s\nvs\n%s", ff, exact)
-		}
+		c := plain("graph.pr.push", Baseline)
+		c.sampling = scfg
+		requireSame(t, "sampled run with fast-forward off", ref(t, c).wire, ref(t, exact(c)).wire)
 	})
 	t.Run("pattern", func(t *testing.T) {
 		t.Parallel()
 		cfg := Default(Baseline)
-		ff := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg})
-		if exact := runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg, NoFastForward: true}); !bytes.Equal(ff, exact) {
-			t.Errorf("sampled run differs with fast-forward off:\n%s\nvs\n%s", ff, exact)
-		}
+		requireSame(t, "sampled run with fast-forward off", runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg}),
+			runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg, NoFastForward: true}))
 	})
 }

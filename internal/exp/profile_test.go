@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -60,12 +59,7 @@ func checkConservation(t *testing.T, res Result) {
 func TestProfileResultNeutral(t *testing.T) {
 	for _, name := range []string{"micro.gather", "GZZ"} {
 		t.Run(name, func(t *testing.T) {
-			cfg := Default(DX)
-			plain, err := RunOpts(name, 1, cfg, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			profiled, err := RunOpts(name, 1, cfg, RunOptions{ProfileWindow: profileWindow})
+			profiled, err := RunOpts(name, 1, Default(DX), RunOptions{ProfileWindow: profileWindow})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,17 +67,7 @@ func TestProfileResultNeutral(t *testing.T) {
 				t.Fatal("profiled run recorded no timeline")
 			}
 			profiled.Timeline, profiled.Stalls = nil, nil
-			b1, err := ResultJSON(plain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b2, err := ResultJSON(profiled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1, b2) {
-				t.Fatalf("profiled run differs from plain run:\n%s\n---\n%s", b1, b2)
-			}
+			requireSame(t, "profiled run", ref(t, plain(name, DX)).wire, wireOf(t, profiled))
 		})
 	}
 }

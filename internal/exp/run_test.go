@@ -8,22 +8,11 @@ import (
 	"dx100/internal/workloads"
 )
 
-// expected computes the reference memory state for an instance.
+// expected computes the final memory the loopir interpreter gives an
+// instance.
 func expected(t *testing.T, inst *workloads.Instance) map[string][]uint64 {
 	t.Helper()
-	state := map[string][]uint64{}
-	for _, k := range inst.Kernels {
-		for name, info := range k.Arrays {
-			if _, ok := state[name]; ok {
-				continue
-			}
-			vals := make([]uint64, info.Len)
-			for i := range vals {
-				vals[i] = inst.Read(name, i)
-			}
-			state[name] = vals
-		}
-	}
+	state := arrays(inst)
 	for _, k := range inst.Kernels {
 		env := &loopir.Env{Arrays: state, Params: k.Params}
 		if err := loopir.Interpret(k, env); err != nil {
@@ -33,31 +22,15 @@ func expected(t *testing.T, inst *workloads.Instance) map[string][]uint64 {
 	return state
 }
 
-func verifyState(t *testing.T, inst *workloads.Instance, want map[string][]uint64, label string) {
-	t.Helper()
-	for name, vals := range want {
-		for i, w := range vals {
-			if got := inst.Read(name, i); got != w {
-				t.Fatalf("%s: %s[%d] = %#x, want %#x", label, name, i, got, w)
-			}
-		}
-	}
-}
-
-// runVerified builds a fresh instance (builders are deterministic),
-// runs it in the given mode, and checks the timing run produced the
-// reference results.
+// runVerified reads the reference run of a workload in the given
+// system and checks that its final memory is the interpreter's.
 func runVerified(t *testing.T, name string, scale int, cfg SystemConfig) Result {
 	t.Helper()
-	inst := workloads.Registry[name](scale)
-	want := expected(t, inst)
-	// Rebuild: expected() read the pre-run state, but interpretation
-	// mutated only the copy, so inst is still pristine.
-	res, err := RunInstance(inst, cfg)
-	if err != nil {
-		t.Fatalf("run %s/%s: %v", name, cfg.Mode, err)
+	r := ref(t, cell{name: name, scale: scale, cfg: cfg})
+	if memDigest(expected(t, workloads.Registry[name](scale))) != r.mem {
+		t.Fatalf("%s/%s: final memory differs from the interpreter's", name, cfg.Mode)
 	}
-	verifyState(t, inst, want, name+"/"+cfg.Mode.String())
+	res := r.result(t)
 	if res.Cycles == 0 {
 		t.Fatalf("%s/%s: zero cycles", name, cfg.Mode)
 	}

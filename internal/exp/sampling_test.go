@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"dx100/internal/workloads"
 )
 
 // TestSampledWithinCI is the sampler's accuracy contract on real
@@ -20,16 +18,10 @@ func TestSampledWithinCI(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg := Default(Baseline)
-			full, err := RunInstanceOpts(workloads.Registry[name](2), cfg, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			scfg := &SamplingConfig{Interval: 10_000, Detail: 5_000, Warmup: 1_000}
-			sampled, err := RunInstanceOpts(workloads.Registry[name](2), cfg, RunOptions{Sampling: scfg})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := cell{name: name, scale: 2, cfg: Default(Baseline)}
+			full := ref(t, c).result(t)
+			c.sampling = &SamplingConfig{Interval: 10_000, Detail: 5_000, Warmup: 1_000}
+			sampled := ref(t, c).result(t)
 			st := sampled.Sampling
 			if st == nil {
 				t.Fatal("sampled run carries no SamplingStats")
@@ -47,7 +39,7 @@ func TestSampledWithinCI(t *testing.T) {
 			if st.FunctionalInstructions <= 0 || st.FunctionalInstructions >= full.Instructions {
 				t.Errorf("functional instructions = %v, want in (0, %v)", st.FunctionalInstructions, full.Instructions)
 			}
-			fullIPC := full.Instructions / (float64(full.Cycles) * float64(cfg.Cores))
+			fullIPC := full.Instructions / (float64(full.Cycles) * float64(c.cfg.Cores))
 			if d := math.Abs(fullIPC - st.IPC.Mean); d > st.IPC.Half {
 				t.Errorf("full-detail IPC %.6f outside sampled CI %.6f ± %.6f", fullIPC, st.IPC.Mean, st.IPC.Half)
 			}
@@ -70,16 +62,10 @@ func TestSampledWithinCI(t *testing.T) {
 // sampled DX run stays (almost entirely) detailed and its estimate
 // matches the full run.
 func TestSampledDXStaysExact(t *testing.T) {
-	cfg := Default(DX)
-	full, err := RunInstanceOpts(workloads.Registry["GZZ"](1), cfg, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := &SamplingConfig{Interval: 10_000, Detail: 5_000}
-	sampled, err := RunInstanceOpts(workloads.Registry["GZZ"](1), cfg, RunOptions{Sampling: scfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := plain("GZZ", DX)
+	full := ref(t, c).result(t)
+	c.sampling = &SamplingConfig{Interval: 10_000, Detail: 5_000}
+	sampled := ref(t, c).result(t)
 	if sampled.Sampling == nil {
 		t.Fatal("sampled run carries no SamplingStats")
 	}

@@ -91,13 +91,8 @@ func TestResultJSONRoundTrip(t *testing.T) {
 // (context + progress) does not perturb the simulation: the wire-form
 // Result is byte-identical with and without options.
 func TestRunOptsResultNeutral(t *testing.T) {
-	cfg := Default(Baseline)
-	plain, err := RunInstance(workloads.MicroGather(false, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var samples []ProgressSample
-	hooked, err := RunInstanceOpts(workloads.MicroGather(false, 1), cfg, RunOptions{
+	hooked, err := RunInstanceOpts(workloads.MicroGather(false, 1), Default(Baseline), RunOptions{
 		Context:       context.Background(),
 		Progress:      func(p ProgressSample) { samples = append(samples, p) },
 		ProgressEvery: 10_000,
@@ -105,11 +100,7 @@ func TestRunOptsResultNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := ResultJSON(plain)
-	b2, _ := ResultJSON(hooked)
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("hooked run differs from plain run:\n%s\n---\n%s", b1, b2)
-	}
+	requireSame(t, "hooked run", ref(t, plain("micro.gather", Baseline)).wire, wireOf(t, hooked))
 	if len(samples) == 0 {
 		t.Fatal("no progress samples over a >100k-cycle run at 10k cadence")
 	}

@@ -17,56 +17,27 @@ import (
 // workload, mode and stepping strategy. TestMainEvaluationSerialParallelIdentical
 // pins this for the assembled figures; these tests pin it cell by cell.
 
-// shardSpec is one cell of a batch: a registered workload at scale 1
-// in one mode and stepping strategy.
-type shardSpec struct {
-	name string
-	mode Mode
-	noFF bool
-}
-
-// shardCell runs one cell and renders everything observable about it:
-// the full-precision result key (all measured fields plus the
-// statistics registry) and the wire JSON the daemon would serve.
-func shardCell(c shardSpec) (string, error) {
-	res, err := RunOpts(c.name, 1, Default(c.mode), RunOptions{NoFastForward: c.noFF})
-	if err != nil {
-		return "", fmt.Errorf("%s/%s noff=%v: %w", c.name, c.mode, c.noFF, err)
-	}
-	wire, err := ResultJSON(res)
-	if err != nil {
-		return "", err
-	}
-	return resultKey(res) + string(wire), nil
-}
-
-// shardBatch renders every cell with the batch sharded across workers
-// pool workers; workers == 1 runs the cells one at a time.
-func shardBatch(t *testing.T, cells []shardSpec, workers int) []string {
+// checkShardEquivalence runs cells as one batch sharded across workers
+// pool workers, and compares each with its reference, simulated alone,
+// in its own subtest.
+func checkShardEquivalence(t *testing.T, cells []cell, workers int, label func(cell) string) {
 	t.Helper()
-	out := make([]string, len(cells))
+	alone := make([]string, len(cells))
+	for i, c := range cells {
+		alone[i] = ref(t, c).String()
+	}
+	pooled := make([]Result, len(cells))
 	err := Runner{Workers: workers}.forEach(len(cells), func(i int) (err error) {
-		out[i], err = shardCell(cells[i])
+		c := cells[i]
+		pooled[i], err = RunOpts(c.name, c.scale, c.cfg, RunOptions{NoFastForward: c.noFF})
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
-}
-
-// checkShardEquivalence runs cells one at a time, then sharded across
-// workers pool workers, and compares each cell in its own subtest.
-func checkShardEquivalence(t *testing.T, cells []shardSpec, workers int, label func(shardSpec) string) {
-	t.Helper()
-	alone := shardBatch(t, cells, 1)
-	pooled := shardBatch(t, cells, workers)
 	for i, c := range cells {
 		t.Run(label(c), func(t *testing.T) {
-			if alone[i] != pooled[i] {
-				t.Errorf("sharded across %d workers diverges from one at a time:\n--- alone ---\n%s\n--- sharded ---\n%s",
-					workers, alone[i], pooled[i])
-			}
+			requireSame(t, fmt.Sprintf("sharded across %d workers", workers), alone[i], resultKey(pooled[i])+wireOf(t, pooled[i]))
 		})
 	}
 }
@@ -75,20 +46,16 @@ func checkShardEquivalence(t *testing.T, cells []shardSpec, workers int, label f
 // workloads × all three measured systems × fast-forward on/off, sharded
 // across four workers.
 func TestShardEquivalenceMatrix(t *testing.T) {
-	var cells []shardSpec
+	var cells []cell
 	for _, name := range detNames {
 		for _, mode := range []Mode{Baseline, DMP, DX} {
-			for _, noFF := range []bool{false, true} {
-				if noFF && raceDetectorEnabled {
-					continue // exact stepping adds no interleavings; trimmed under -race (see norace_test.go)
-				}
-				cells = append(cells, shardSpec{name, mode, noFF})
+			cells = append(cells, plain(name, mode))
+			if !raceDetectorEnabled { // exact stepping adds no interleavings; trimmed under -race (see norace_test.go)
+				cells = append(cells, exact(plain(name, mode)))
 			}
 		}
 	}
-	checkShardEquivalence(t, cells, 4, func(c shardSpec) string {
-		return fmt.Sprintf("%s/%s/noff=%v", c.name, c.mode, c.noFF)
-	})
+	checkShardEquivalence(t, cells, 4, cell.String)
 }
 
 // TestShardEquivalenceWideFanout pins byte-identity with the pool's
@@ -101,15 +68,13 @@ func TestShardEquivalenceMatrix(t *testing.T) {
 func TestShardEquivalenceWideFanout(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	var cells []shardSpec
+	var cells []cell
 	for _, name := range []string{"GZZ", "IS"} {
 		for _, mode := range []Mode{Baseline, DMP} {
-			cells = append(cells, shardSpec{name, mode, false})
+			cells = append(cells, plain(name, mode))
 		}
 	}
-	checkShardEquivalence(t, cells, 4, func(c shardSpec) string {
-		return fmt.Sprintf("%s/%s", c.name, c.mode)
-	})
+	checkShardEquivalence(t, cells, 4, nameMode)
 }
 
 // TestShardEquivalenceAllWorkloads sweeps every registered workload in
@@ -119,13 +84,14 @@ func TestShardEquivalenceAllWorkloads(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("breadth sweep checks byte-identity, not interleavings; trimmed under -race (see norace_test.go)")
 	}
-	var cells []shardSpec
+	var cells []cell
 	for _, name := range workloads.Order {
 		for _, mode := range []Mode{Baseline, DMP, DX} {
-			cells = append(cells, shardSpec{name, mode, false})
+			cells = append(cells, plain(name, mode))
 		}
 	}
-	checkShardEquivalence(t, cells, 3, func(c shardSpec) string {
-		return fmt.Sprintf("%s/%s", c.name, c.mode)
-	})
+	checkShardEquivalence(t, cells, 3, nameMode)
 }
+
+// nameMode labels a fast-forwarded cell's subtest.
+func nameMode(c cell) string { return c.name + "/" + c.cfg.Mode.String() }

@@ -18,34 +18,26 @@ type harness struct {
 	sp   *memspace.Space
 	m    *dx100.Machine
 	bind Binder
-	arrs map[string]any // name -> memspace array
+	arrs map[string]memspace.Words
 }
 
 func newHarness(t *testing.T, k *Kernel, init map[string][]uint64, tileElems int) *harness {
 	t.Helper()
 	h := &harness{k: k, env: NewEnv(k), sp: memspace.New(),
-		bind: Binder{Base: map[string]memspace.VAddr{}}, arrs: map[string]any{}}
+		bind: Binder{Base: map[string]memspace.VAddr{}}, arrs: map[string]memspace.Words{}}
 	h.m = dx100.NewMachine(h.sp, dx100.MachineConfig{Tiles: 32, TileElems: tileElems, Regs: 32})
 	for name, info := range k.Arrays {
-		vals := init[name]
-		switch info.DType.Size() {
-		case 4:
-			a := memspace.NewArray[uint32](h.sp, name, info.Len)
-			for i, v := range vals {
-				a.Set(i, uint32(v))
-				h.env.Arrays[name][i] = uint64(uint32(v))
-			}
-			h.bind.Base[name] = a.Base()
-			h.arrs[name] = a
-		default:
-			a := memspace.NewArray[uint64](h.sp, name, info.Len)
-			for i, v := range vals {
-				a.Set(i, v)
-				h.env.Arrays[name][i] = v
-			}
-			h.bind.Base[name] = a.Base()
-			h.arrs[name] = a
+		size := info.DType.Size()
+		a, err := h.sp.Words(h.sp.Alloc(name, uint64(size*info.Len)).Base, size, info.Len)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i, v := range init[name] {
+			a.Set(i, v)
+			h.env.Arrays[name][i] = a.Get(i)
+		}
+		h.bind.Base[name] = a.Base()
+		h.arrs[name] = a
 	}
 	return h
 }
@@ -65,18 +57,9 @@ func (h *harness) runBoth(t *testing.T, chunk int) {
 		t.Fatalf("run: %v", err)
 	}
 	for name, ref := range h.env.Arrays {
-		switch a := h.arrs[name].(type) {
-		case memspace.Array[uint32]:
-			for i := range ref {
-				if got := uint64(a.Get(i)); got != ref[i] {
-					t.Fatalf("%s[%d] = %d, want %d", name, i, got, ref[i])
-				}
-			}
-		case memspace.Array[uint64]:
-			for i := range ref {
-				if got := a.Get(i); got != ref[i] {
-					t.Fatalf("%s[%d] = %d, want %d", name, i, got, ref[i])
-				}
+		for i := range ref {
+			if got := h.arrs[name].Get(i); got != ref[i] {
+				t.Fatalf("%s[%d] = %d, want %d", name, i, got, ref[i])
 			}
 		}
 	}

@@ -137,89 +137,9 @@ func TestRegionOf(t *testing.T) {
 	}
 }
 
-func TestArrayRoundTripTypes(t *testing.T) {
-	sp := New()
-	au32 := NewArray[uint32](sp, "u32", 10)
-	au32.Set(3, 0xFFFF0001)
-	if got := au32.Get(3); got != 0xFFFF0001 {
-		t.Fatalf("u32 = %#x", got)
-	}
-	ai32 := NewArray[int32](sp, "i32", 10)
-	ai32.Set(0, -42)
-	if got := ai32.Get(0); got != -42 {
-		t.Fatalf("i32 = %d", got)
-	}
-	af32 := NewArray[float32](sp, "f32", 10)
-	af32.Set(9, 3.5)
-	if got := af32.Get(9); got != 3.5 {
-		t.Fatalf("f32 = %v", got)
-	}
-	af64 := NewArray[float64](sp, "f64", 10)
-	af64.Set(1, -2.25)
-	if got := af64.Get(1); got != -2.25 {
-		t.Fatalf("f64 = %v", got)
-	}
-	ai64 := NewArray[int64](sp, "i64", 10)
-	ai64.Set(2, -1<<40)
-	if got := ai64.Get(2); got != -1<<40 {
-		t.Fatalf("i64 = %d", got)
-	}
-	ai64.Fill(9)
-	if ai64.Get(2) != 9 || ai64.Get(9) != 9 {
-		t.Fatal("Fill missed an element")
-	}
-	au64 := NewArray[uint64](sp, "u64", 10)
-	au64.Set(5, 1<<63)
-	if got := au64.Get(5); got != 1<<63 {
-		t.Fatalf("u64 = %#x", got)
-	}
-}
-
-func TestArrayAddrStride(t *testing.T) {
-	sp := New()
-	a := NewArray[uint32](sp, "a", 100)
-	if a.Addr(1)-a.Addr(0) != 4 {
-		t.Fatal("u32 stride != 4")
-	}
-	b := NewArray[float64](sp, "b", 100)
-	if b.Addr(1)-b.Addr(0) != 8 {
-		t.Fatal("f64 stride != 8")
-	}
-	if a.ElemSize() != 4 || b.ElemSize() != 8 {
-		t.Fatal("ElemSize wrong")
-	}
-}
-
-func TestArrayOutOfRangePanics(t *testing.T) {
-	sp := New()
-	a := NewArray[uint32](sp, "a", 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	a.Get(4)
-}
-
 func TestLineAddr(t *testing.T) {
 	if LineAddr(uint64(0x1007F)) != 0x10040 {
 		t.Fatalf("LineAddr = %#x", LineAddr(uint64(0x1007F)))
-	}
-}
-
-// Property: writing arbitrary u64 values at arbitrary indices and
-// reading them back is the identity, and neighbours are unaffected.
-func TestArrayWriteReadProperty(t *testing.T) {
-	sp := New()
-	a := NewArray[uint64](sp, "p", 64)
-	f := func(idx uint8, v uint64) bool {
-		i := int(idx) % 62
-		left, right := a.Get(i), a.Get(i+2)
-		a.Set(i+1, v)
-		return a.Get(i+1) == v && a.Get(i) == left && a.Get(i+2) == right
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

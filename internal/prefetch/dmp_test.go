@@ -9,8 +9,17 @@ import (
 	"dx100/internal/sim"
 )
 
+// words allocates n size-byte words under name and returns their view.
+func words(sp *memspace.Space, size int, name string, n int) memspace.Words {
+	w, err := sp.Words(sp.Alloc(name, uint64(size*n)).Base, size, n)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
 func setup(t *testing.T) (*sim.Engine, *sim.Stats, *memspace.Space, *cache.Hierarchy, *DMP,
-	memspace.Array[uint32], memspace.Array[uint32]) {
+	memspace.Words, memspace.Words) {
 	t.Helper()
 	eng := sim.NewEngine()
 	eng.MaxCycles = 5_000_000
@@ -18,10 +27,10 @@ func setup(t *testing.T) (*sim.Engine, *sim.Stats, *memspace.Space, *cache.Hiera
 	sp := memspace.New()
 	mem := dram.NewSystem(eng, dram.DDR4_3200(), st, "dram.")
 	h := cache.NewHierarchy(eng, cache.SkylakeLike(1, 8<<20), mem, st, "")
-	arrA := memspace.NewArray[uint32](sp, "A", 1<<16)
-	arrB := memspace.NewArray[uint32](sp, "B", 4096)
+	arrA := words(sp, 4, "A", 1<<16)
+	arrB := words(sp, 4, "B", 4096)
 	for i := 0; i < 4096; i++ {
-		arrB.Set(i, uint32((i*977)%(1<<16)))
+		arrB.Set(i, uint64((i*977)%(1<<16)))
 	}
 	d := New(eng, DefaultConfig(), sp, h.L2[0], h.L2[0], st, "dmp.")
 	d.Register(Pattern{
@@ -109,14 +118,14 @@ func TestDMPMultiLevelChase(t *testing.T) {
 	sp := memspace.New()
 	mem := dram.NewSystem(eng, dram.DDR4_3200(), st, "dram.")
 	h := cache.NewHierarchy(eng, cache.SkylakeLike(1, 8<<20), mem, st, "")
-	arrA := memspace.NewArray[uint32](sp, "A", 1<<14)
-	arrB := memspace.NewArray[uint32](sp, "B", 1<<14)
-	arrC := memspace.NewArray[uint32](sp, "C", 1024)
+	arrA := words(sp, 4, "A", 1<<14)
+	arrB := words(sp, 4, "B", 1<<14)
+	arrC := words(sp, 4, "C", 1024)
 	for i := 0; i < 1<<14; i++ {
-		arrB.Set(i, uint32((i*31)%(1<<14)))
+		arrB.Set(i, uint64((i*31)%(1<<14)))
 	}
 	for i := 0; i < 1024; i++ {
-		arrC.Set(i, uint32((i*7)%(1<<14)))
+		arrC.Set(i, uint64((i*7)%(1<<14)))
 	}
 	d := New(eng, DefaultConfig(), sp, h.L2[0], h.L2[0], st, "dmp.")
 	level2 := Pattern{IndexBase: arrB.Base(), IndexCount: 1 << 14, IndexSize: 4, TargetBase: arrA.Base(), TargetSize: 4}

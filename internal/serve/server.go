@@ -518,25 +518,33 @@ const (
 
 // --- handlers ----------------------------------------------------------
 
-func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
+// decodeRun reads a POST /v1/runs body into the Spec it asks for. A
+// refused body comes back with its status: 413 over maxRunBody, 400
+// for anything else.
+func decodeRun(w http.ResponseWriter, body io.ReadCloser) (exp.Spec, int, error) {
 	var rr runRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxRunBody)
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxRunBody))
 	// A misspelled override must not run the default system under the
 	// default spec's id.
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rr); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
-			return
+			return exp.Spec{}, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit)
 		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+		return exp.Spec{}, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
 	spec, err := rr.resolve()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		return exp.Spec{}, http.StatusBadRequest, err
+	}
+	return spec, 0, nil
+}
+
+func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
+	spec, status, err := decodeRun(w, r.Body)
+	if err != nil {
+		httpError(w, status, err)
 		return
 	}
 	id, err := spec.Hash()

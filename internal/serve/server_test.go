@@ -485,34 +485,39 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// badRuns are run requests the daemon refuses with 400.
+var badRuns = []struct {
+	name, body string
+}{
+	{"unknown workload", `{"workload":"nope"}`},
+	{"bad mode", `{"workload":"micro.gather","mode":"turbo"}`},
+	{"bad override", `{"workload":"micro.gather","overrides":{"cores":999}}`},
+	{"instances over cores", `{"workload":"micro.gather","overrides":{"cores":2,"instances":4}}`},
+	{"malformed json", `{`},
+	{"scale over the cap", `{"workload":"micro.gather","scale":65}`},
+	{"max_cycles over the default", `{"workload":"micro.gather","overrides":{"max_cycles":2000000001}}`},
+	{"max_cycles zero", `{"workload":"micro.gather","overrides":{"max_cycles":0}}`},
+	{"llc_bytes one", `{"workload":"micro.gather","overrides":{"llc_bytes":1}}`},
+	{"llc_bytes negative", `{"workload":"micro.gather","overrides":{"llc_bytes":-1}}`},
+	{"tile_elems negative", `{"workload":"micro.gather","overrides":{"tile_elems":-4}}`},
+	{"misspelled override", `{"workload":"micro.gather","overrides":{"tile_elem":4096}}`},
+	{"deleted override", `{"workload":"micro.gather","overrides":{"no_fast_forward":true}}`},
+}
+
+// patternExtraKey is a pattern run whose entry carries a key the
+// pattern compiler does not read, as Spatter inputs do.
+const patternExtraKey = `{"pattern":{"entries":[{"kernel":"gather","pattern":[0,1],"pattern-size":2}]},"mode":"baseline"}`
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, body string
-	}{
-		{"unknown workload", `{"workload":"nope"}`},
-		{"bad mode", `{"workload":"micro.gather","mode":"turbo"}`},
-		{"bad override", `{"workload":"micro.gather","overrides":{"cores":999}}`},
-		{"instances over cores", `{"workload":"micro.gather","overrides":{"cores":2,"instances":4}}`},
-		{"malformed json", `{`},
-		{"scale over the cap", `{"workload":"micro.gather","scale":65}`},
-		{"max_cycles over the default", `{"workload":"micro.gather","overrides":{"max_cycles":2000000001}}`},
-		{"max_cycles zero", `{"workload":"micro.gather","overrides":{"max_cycles":0}}`},
-		{"llc_bytes one", `{"workload":"micro.gather","overrides":{"llc_bytes":1}}`},
-		{"llc_bytes negative", `{"workload":"micro.gather","overrides":{"llc_bytes":-1}}`},
-		{"tile_elems negative", `{"workload":"micro.gather","overrides":{"tile_elems":-4}}`},
-		{"misspelled override", `{"workload":"micro.gather","overrides":{"tile_elem":4096}}`},
-		{"deleted override", `{"workload":"micro.gather","overrides":{"no_fast_forward":true}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRuns {
 		if _, code := postRun(t, ts, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, code)
 		}
 	}
 	// Spatter inputs carry keys the pattern compiler does not read; a
 	// pattern entry keeps them.
-	extra := `{"pattern":{"entries":[{"kernel":"gather","pattern":[0,1],"pattern-size":2}]},"mode":"baseline"}`
-	if _, code := postRun(t, ts, extra); code != http.StatusAccepted {
+	if _, code := postRun(t, ts, patternExtraKey); code != http.StatusAccepted {
 		t.Errorf("pattern entry with an extra key: status = %d, want 202", code)
 	}
 	resp, err := http.Get(ts.URL + "/v1/runs/" + strings.Repeat("0", 64))
