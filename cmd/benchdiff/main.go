@@ -1,10 +1,11 @@
 // Command benchdiff guards the simulator's performance envelope in two
-// ways. First, it runs the engine microbenchmarks, parses the standard
-// `go test -bench` output, and compares each ns/op against the
-// committed baseline in BENCH_engine.json; a benchmark slower than the
-// baseline by more than the threshold fails the run (exit 1), so an
-// accidental hot-loop regression is caught before the numbers in the
-// JSON go stale. Second, it enforces the baseline's speedup_gates:
+// ways. First, it runs the engine microbenchmarks in five rounds,
+// parses the standard `go test -bench` output, and compares each
+// benchmark's fastest reading against the committed baseline in
+// BENCH_engine.json; a benchmark slower than the baseline by more than
+// the threshold fails the run (exit 1), so an accidental hot-loop
+// regression is caught before the numbers in the JSON go stale, while
+// one round slowed by host noise cannot fail it. Second, it enforces the baseline's speedup_gates:
 // each gate names two benchmarks from the same fresh run and a minimum
 // ns/op ratio between them — e.g. a full-detail run must stay at least
 // 3x slower than the same run under interval sampling. Because a gate
@@ -63,19 +64,22 @@ type speedupGate struct {
 // benchPackages lists where the baselined microbenchmarks and the
 // speedup-gated benchmarks live; kept in sync with the `microbench`
 // Makefile target (minus the minutes-long end-to-end figure run, which
-// has no ns_per_op entry to gate on). The sampled runs take seconds
-// per iteration, so they run one iteration each (-benchtime=1x), in
-// five rounds: a round times the full-detail run and then the sampled
-// one, so both sides of a round's ratio see the same host load.
+// has no ns_per_op entry to gate on). The sampled runs take seconds per
+// iteration, so they run one iteration each (-benchtime=1x): a round
+// times the full-detail run and then the sampled one, so both sides of
+// a round's ratio see the same host load.
 var benchPackages = []struct {
 	pattern, pkg string
 	extra        []string
-	rounds       int
 }{
-	{"BenchmarkSchedulePop|BenchmarkEngineStep", "./internal/sim", nil, 1},
-	{"BenchmarkDRAMTick", "./internal/dram", nil, 1},
-	{"BenchmarkSampledRun", "./internal/exp", []string{"-benchtime=1x", "-timeout=30m"}, 5},
+	{"BenchmarkSchedulePop|BenchmarkEngineStep", "./internal/sim", nil},
+	{"BenchmarkDRAMTick", "./internal/dram", nil},
+	{"BenchmarkSampledRun", "./internal/exp", []string{"-benchtime=1x", "-timeout=30m"}},
 }
+
+// rounds is how many times each set runs: a drift comparison reads a
+// benchmark's fastest round, and a gate the median of its rounds.
+const rounds = 5
 
 // subNanosecond is the noise floor below which comparisons are
 // meaningless: BenchmarkEngineStepSparse measures ~0.016 ns/op because
@@ -150,15 +154,15 @@ func loadBaseline(path string) (map[string]float64, []speedupGate, error) {
 	return out, doc.SpeedupGates, nil
 }
 
-// runBenchmarks executes the gated benchmark sets, each for its
-// rounds, and collects every reading per benchmark in round order.
+// runBenchmarks runs each gated benchmark set rounds times and collects
+// every reading per benchmark in round order.
 func runBenchmarks() (map[string][]float64, error) {
 	var all strings.Builder
 	for _, set := range benchPackages {
 		args := []string{"test", "-run", "^$", "-bench", set.pattern, "-benchmem"}
 		args = append(args, set.extra...)
 		args = append(args, set.pkg)
-		for range set.rounds {
+		for range rounds {
 			cmd := exec.Command("go", args...)
 			cmd.Stderr = os.Stderr
 			out, err := cmd.Output()

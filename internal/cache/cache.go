@@ -101,6 +101,11 @@ type train struct {
 	stride int64
 }
 
+// line is the address of the train's d-th prefetch.
+func (t train) line(d int) memspace.PAddr {
+	return memspace.PAddr(int64(t.miss) + t.stride*int64(d))
+}
+
 // Cache is one level of the hierarchy. A Cache is a sim.Ticker but
 // does not register itself: NewHierarchy ticks its caches through one
 // ticker, and the code that builds a standalone cache registers it.
@@ -370,7 +375,10 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 	// wake the waiters.
 	c.eng.After(c.cfg.Latency, m.forward)
 	if kind != Prefetch {
-		c.trainPrefetcher(now, lineAddr)
+		if t, ok := c.strideMatch(lineAddr); ok {
+			c.trains.push(t)
+			c.eng.After(1, c.prefetch)
+		}
 	}
 	return true
 }
@@ -396,20 +404,19 @@ func (c *Cache) fill(now sim.Cycle, m *mshr) {
 	c.free = append(c.free, m)
 }
 
-// trainPrefetcher implements a stride prefetcher: two consecutive
-// misses with the same line stride trigger PrefetchDegree prefetches
-// ahead.
-func (c *Cache) trainPrefetcher(now sim.Cycle, missAddr memspace.PAddr) {
+// strideMatch trains the stride prefetcher on a demand miss and
+// reports whether it matched: two consecutive misses with the same
+// stride, of at most four lines, match. The returned train then
+// prefetches PrefetchDegree lines ahead along that stride.
+func (c *Cache) strideMatch(missAddr memspace.PAddr) (train, bool) {
 	if c.cfg.PrefetchDegree == 0 {
-		return
+		return train{}, false
 	}
 	stride := int64(missAddr) - int64(c.lastMiss)
-	if c.lastMiss != 0 && stride == c.lastStride && stride != 0 && abs64(stride) <= 4*memspace.LineSize {
-		c.trains.push(train{missAddr, stride})
-		c.eng.After(1, c.prefetch)
-	}
+	ok := c.lastMiss != 0 && stride == c.lastStride && stride != 0 && abs64(stride) <= 4*memspace.LineSize
 	c.lastStride = stride
 	c.lastMiss = missAddr
+	return train{missAddr, stride}, ok
 }
 
 // firePrefetches issues the oldest queued train's PrefetchDegree
@@ -419,7 +426,7 @@ func (c *Cache) firePrefetches(now sim.Cycle) {
 	t := c.trains.pop()
 	for d := 1; d <= c.cfg.PrefetchDegree; d++ {
 		// Best effort: dropped if ports/MSHRs are busy.
-		c.Access(now, memspace.PAddr(int64(t.miss)+t.stride*int64(d)), Prefetch, nil)
+		c.Access(now, t.line(d), Prefetch, nil)
 	}
 }
 

@@ -87,25 +87,14 @@ func (c *Cache) Touch(addr memspace.PAddr, kind Kind) {
 	c.stamp++
 	*v = line{valid: true, dirty: kind == Store, tag: tag, used: c.stamp}
 	if kind != Prefetch {
-		c.touchTrain(la)
-	}
-}
-
-// touchTrain is trainPrefetcher without the event delay: a matched
-// stride issues the prefetch touches immediately (they cannot train
-// further — prefetches never train, same as the timed path).
-func (c *Cache) touchTrain(missAddr memspace.PAddr) {
-	if c.cfg.PrefetchDegree == 0 {
-		return
-	}
-	stride := int64(missAddr) - int64(c.lastMiss)
-	if c.lastMiss != 0 && stride == c.lastStride && stride != 0 && abs64(stride) <= 4*memspace.LineSize {
-		for d := 1; d <= c.cfg.PrefetchDegree; d++ {
-			c.Touch(memspace.PAddr(int64(missAddr)+stride*int64(d)), Prefetch)
+		// A matched stride touches its prefetches at once, where the
+		// timed path waits a cycle. Prefetches never train.
+		if t, ok := c.strideMatch(la); ok {
+			for d := 1; d <= c.cfg.PrefetchDegree; d++ {
+				c.Touch(t.line(d), Prefetch)
+			}
 		}
 	}
-	c.lastStride = stride
-	c.lastMiss = missAddr
 }
 
 // Quiet reports whether every level of the hierarchy holds no

@@ -203,13 +203,22 @@ func (c *Core) Done() bool {
 
 func (c *Core) at(seq uint64) *entry { return &c.ring[seq&c.mask] }
 
+// finish reports whether the core has retired its whole stream,
+// recording the cycle it did so the first time.
+func (c *Core) finish(now sim.Cycle) bool {
+	if !c.Done() {
+		return false
+	}
+	if !c.finished {
+		c.finished = true
+		c.cDone.Set(float64(now))
+	}
+	return true
+}
+
 // Tick implements sim.Ticker: retire, fetch, then issue.
 func (c *Core) Tick(now sim.Cycle) bool {
-	if c.Done() {
-		if !c.finished {
-			c.finished = true
-			c.cDone.Set(float64(now))
-		}
+	if c.finish(now) {
 		return false
 	}
 	c.cCycles.Inc()
@@ -229,14 +238,19 @@ func (c *Core) Tick(now sim.Cycle) bool {
 			c.account.Add(c.stallBucket(), 1)
 		}
 	}
-	if c.Done() {
-		if !c.finished {
-			c.finished = true
-			c.cDone.Set(float64(now))
-		}
-		return false
+	return !c.finish(now)
+}
+
+// headBarrier returns the window head when it is a Barrier waiting to
+// complete, and nil otherwise.
+func (c *Core) headBarrier() *entry {
+	if c.head >= c.tail {
+		return nil
 	}
-	return true
+	if e := c.at(c.head); e.op.Kind == Barrier && e.state == stReady {
+		return e
+	}
+	return nil
 }
 
 // spinningBarrier reports whether the window head is a Barrier that
@@ -244,11 +258,41 @@ func (c *Core) Tick(now sim.Cycle) bool {
 // a pure predicate over simulator state (see MicroOp.Ready), so
 // evaluating it here has no effect on the model.
 func (c *Core) spinningBarrier() bool {
-	if c.head >= c.tail {
-		return false
+	e := c.headBarrier()
+	return e != nil && !e.op.released()
+}
+
+// memHead returns the oldest ready memory op, the only one that may
+// attempt the L1 next, or nil when none is ready or a pending atomic
+// fences the queue.
+func (c *Core) memHead() *entry {
+	if c.readyMem.len() == 0 || c.atomicPending {
+		return nil
 	}
-	e := c.at(c.head)
-	return e.op.Kind == Barrier && e.state == stReady && e.op.Ready != nil && !e.op.Ready()
+	return c.at(c.readyMem.peek())
+}
+
+// queueFull reports whether an op of kind k finds its load or store
+// queue full.
+func (c *Core) queueFull(k Kind) bool {
+	return k == Load && c.lqUsed >= c.cfg.LQ || k == Store && c.sqUsed >= c.cfg.SQ
+}
+
+// memSlot reports whether the ready memory op e has what it needs to
+// attempt the L1: room in its queue and, for an Atomic, the window
+// head.
+func (c *Core) memSlot(e *entry) bool {
+	k := e.op.Kind
+	return !c.queueFull(k) && (k != Atomic || e.seq == c.head)
+}
+
+// slotFree reports whether the ring has a slot for one more op.
+func (c *Core) slotFree() bool { return c.tail-c.head < uint64(c.cfg.ROB) }
+
+// heldFits reports whether the op fetch holds, if any, fits in the
+// ROB's remaining instruction weight.
+func (c *Core) heldFits() bool {
+	return !c.hasPending || c.robUsed+c.pending.weight() <= c.cfg.ROB
 }
 
 // stallBucket classifies a counted cycle in which the core made no
@@ -270,12 +314,8 @@ func (c *Core) stallBucket() prof.Bucket {
 	if c.spinningBarrier() {
 		return prof.Spin
 	}
-	if c.readyMem.len() > 0 && !c.atomicPending {
-		e := c.at(c.readyMem.peek())
-		if (e.op.Kind == Load && c.lqUsed >= c.cfg.LQ) ||
-			(e.op.Kind == Store && c.sqUsed >= c.cfg.SQ) {
-			return prof.LQSQFull
-		}
+	if e := c.memHead(); e != nil && c.queueFull(e.op.Kind) {
+		return prof.LQSQFull
 	}
 	if c.inflight > 0 {
 		// Memory outstanding. If nothing is ready to issue and entries
@@ -288,7 +328,7 @@ func (c *Core) stallBucket() prof.Bucket {
 		}
 		return prof.DRAMBound
 	}
-	if c.hasPending && c.robUsed+c.pending.weight() > c.cfg.ROB {
+	if !c.heldFits() {
 		return prof.ROBFull
 	}
 	return prof.Other
@@ -311,10 +351,8 @@ func (c *Core) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 		return now + 1, true
 	}
 	// Fetch can pull (or discover the end of) the stream.
-	if c.stream != nil && !c.streamDone && !c.paused && c.tail-c.head < uint64(c.cfg.ROB) {
-		if !c.hasPending || c.robUsed+c.pending.weight() <= c.cfg.ROB {
-			return now + 1, true
-		}
+	if c.stream != nil && !c.streamDone && !c.paused && c.slotFree() && c.heldFits() {
+		return now + 1, true
 	}
 	if c.readyALU.len() > 0 {
 		return now + 1, true
@@ -322,30 +360,13 @@ func (c *Core) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 	// A barrier whose predicate already holds completes next tick. A
 	// spinning barrier only burns spin_cycles (SkipCycles accounts
 	// them) until some other component changes the predicate's inputs.
-	if c.head < c.tail {
-		e := c.at(c.head)
-		if e.op.Kind == Barrier && e.state == stReady && (e.op.Ready == nil || e.op.Ready()) {
-			return now + 1, true
-		}
+	if e := c.headBarrier(); e != nil && e.op.released() {
+		return now + 1, true
 	}
 	// The memory queue issues in order: only the oldest ready op can
 	// attempt the L1, and only when its queue slot and fencing allow.
-	if c.readyMem.len() > 0 && !c.atomicPending {
-		e := c.at(c.readyMem.peek())
-		switch e.op.Kind {
-		case Load:
-			if c.lqUsed < c.cfg.LQ {
-				return now + 1, true
-			}
-		case Store:
-			if c.sqUsed < c.cfg.SQ {
-				return now + 1, true
-			}
-		case Atomic:
-			if c.readyMem.peek() == c.head {
-				return now + 1, true
-			}
-		}
+	if e := c.memHead(); e != nil && c.memSlot(e) {
+		return now + 1, true
 	}
 	return sim.NeverWake, true
 }
@@ -380,17 +401,30 @@ func (c *Core) retire() {
 		if e.state != stDone {
 			return
 		}
-		w := e.op.weight()
-		if w > budget && budget < c.cfg.Width {
+		if w := e.op.weight(); w > budget && budget < c.cfg.Width {
 			return // does not fit in what is left of this cycle
 		}
-		budget -= w
-		c.robUsed -= w
-		c.cInstr.Add(float64(w))
-		e.wakers = e.wakers[:0]
-		c.head++
+		budget -= c.retireHead()
 		c.acted = true
 	}
+}
+
+// retireHead retires the window head and returns its weight.
+func (c *Core) retireHead() int {
+	e := c.at(c.head)
+	w := c.countRetired(&e.op)
+	c.robUsed -= w
+	e.wakers = e.wakers[:0]
+	c.head++
+	return w
+}
+
+// countRetired counts op's instruction weight as retired and returns
+// it.
+func (c *Core) countRetired(op *MicroOp) int {
+	w := op.weight()
+	c.cInstr.Add(float64(w))
+	return w
 }
 
 // fetch pulls new µops into the window, resolving their dependences.
@@ -401,7 +435,7 @@ func (c *Core) fetch() {
 	budget := c.cfg.Width
 	for budget > 0 {
 		// Peek capacity: an op needs ROB weight space and a ring slot.
-		if c.tail-c.head >= uint64(c.cfg.ROB) {
+		if !c.slotFree() {
 			return
 		}
 		if !c.hasPending {
@@ -411,11 +445,11 @@ func (c *Core) fetch() {
 			}
 			c.hasPending = true
 		}
-		w := c.pending.weight()
-		if c.robUsed+w > c.cfg.ROB {
+		if !c.heldFits() {
 			// No space: hold the op until retirement frees room.
 			return
 		}
+		w := c.pending.weight()
 		c.hasPending = false
 		budget -= w
 		c.acted = true
@@ -481,14 +515,11 @@ func (c *Core) complete(seq uint64) {
 // issueBarrier completes a Barrier at the head of the window once its
 // predicate holds — the core spins until then.
 func (c *Core) issueBarrier() {
-	if c.head >= c.tail {
+	e := c.headBarrier()
+	if e == nil {
 		return
 	}
-	e := c.at(c.head)
-	if e.op.Kind != Barrier || e.state != stReady {
-		return
-	}
-	if e.op.Ready == nil || e.op.Ready() {
+	if e.op.released() {
 		c.complete(c.head)
 		c.acted = true
 	} else {
@@ -520,50 +551,53 @@ func (c *Core) issueALU(now sim.Cycle) {
 // respecting LQ/SQ capacity and atomic fencing.
 func (c *Core) issueMem(now sim.Cycle) {
 	budget := c.cfg.MemPorts
-	for budget > 0 && c.readyMem.len() > 0 && !c.atomicPending {
-		seq := c.readyMem.peek()
-		e := c.at(seq)
+	for budget > 0 {
+		e := c.memHead()
+		if e == nil || !c.memSlot(e) {
+			return
+		}
 		switch e.op.Kind {
 		case Load:
-			if c.lqUsed >= c.cfg.LQ {
-				return
-			}
 			if !c.l1.Access(now, c.translate(e.op.Addr), cache.Load, e.loaded) {
 				return // retry next cycle
 			}
 			c.lqUsed++
 			c.inflight++
-			c.cLoads.Inc()
 		case Store:
-			if c.sqUsed >= c.cfg.SQ {
-				return
-			}
 			if !c.l1.Access(now, c.translate(e.op.Addr), cache.Store, c.stored) {
 				return
 			}
 			c.sqUsed++
 			c.inflight++
-			c.cStores.Inc()
 			// Stores complete architecturally at issue (store buffer).
-			c.complete(seq)
+			c.complete(e.seq)
 		case Atomic:
 			// A locked RMW issues only at the head of the window and
 			// fences younger memory operations until it completes.
-			if seq != c.head {
-				return
-			}
 			if !c.l1.Access(now, c.translate(e.op.Addr), cache.Store, e.atomicAcked) {
 				return
 			}
 			c.atomicPending = true
 			c.inflight++
-			c.cAtomic.Inc()
 		}
+		c.countIssue(e.op.Kind)
 		if e.state != stDone {
 			e.state = stIssued
 		}
 		c.readyMem.pop()
 		budget--
 		c.acted = true
+	}
+}
+
+// countIssue bumps the per-kind counter of a memory op that issued.
+func (c *Core) countIssue(k Kind) {
+	switch k {
+	case Load:
+		c.cLoads.Inc()
+	case Store:
+		c.cStores.Inc()
+	case Atomic:
+		c.cAtomic.Inc()
 	}
 }

@@ -62,6 +62,10 @@ type MicroOp struct {
 	Emit func(now sim.Cycle)
 }
 
+// released reports whether a Barrier op may complete: it has no Ready
+// predicate, or the predicate holds.
+func (op *MicroOp) released() bool { return op.Ready == nil || op.Ready() }
+
 func (op *MicroOp) weight() int {
 	if op.Weight == 0 {
 		return 1

@@ -48,6 +48,9 @@ func newTouchCore(latency sim.Cycle, ops []MicroOp) (*sim.Engine, *Core, *touchS
 	return eng, c, mem, st
 }
 
+// noDrain is a drain hook with no accelerator behind it.
+func noDrain() bool { return false }
+
 // quiesce pauses the core and runs the engine until the handoff point.
 func quiesce(t *testing.T, eng *sim.Engine, c *Core) {
 	t.Helper()
@@ -69,17 +72,8 @@ func TestFunctionalPhaseCountsLikeDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, eng, c)
-	apply := func(op *MicroOp) { c.FuncApply(op, eng.Now()) }
-	if _, blocked := c.DrainWindow(apply); blocked || !c.Drained() {
-		t.Fatalf("window drain blocked=%v drained=%v with no barrier in the program", blocked, c.Drained())
-	}
-	var op MicroOp
-	for n := 0; n < 200; n++ {
-		if !c.FuncNext(&op) {
-			t.Fatal("stream ended inside the functional phase")
-		}
-		c.FuncRetireOp(&op)
-		c.FuncApply(&op, eng.Now())
+	if w := c.RunFunctional(200, eng.Now(), noDrain); w < 200 || !c.Drained() || c.Done() {
+		t.Fatalf("functional phase ran %d weight, drained %v, done %v; want 200, true, false", w, c.Drained(), c.Done())
 	}
 	c.Resume()
 	if _, err := eng.Run(c.Done); err != nil {
@@ -116,51 +110,46 @@ func TestDrainWindowBlocksOnBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, eng, c)
-	apply := func(op *MicroOp) { c.FuncApply(op, eng.Now()) }
-	if w, blocked := c.DrainWindow(apply); !blocked || w != 0 || c.Drained() {
+	if w, blocked := c.drainWindow(eng.Now()); !blocked || w != 0 || c.Drained() {
 		t.Fatalf("drain past an unready barrier: weight %d, blocked %v, drained %v", w, blocked, c.Drained())
 	}
 	release = true
-	if _, blocked := c.DrainWindow(apply); blocked || !c.Drained() {
+	if _, blocked := c.drainWindow(eng.Now()); blocked || !c.Drained() {
 		t.Fatal("drain still blocked after the barrier released")
 	}
 	if mem.touches[cache.Store] != 1 {
 		t.Fatalf("store parked behind the barrier touched %d times, want 1", mem.touches[cache.Store])
 	}
-	var op MicroOp
-	for c.FuncNext(&op) {
-		c.FuncRetireOp(&op)
-		c.FuncApply(&op, eng.Now())
-	}
+	c.RunFunctional(len(ops), eng.Now(), noDrain)
 	if !c.Done() || st.Get("core.instructions") != float64(len(ops)) {
 		t.Fatalf("done %v, instructions %v; want true, %d", c.Done(), st.Get("core.instructions"), len(ops))
 	}
 }
 
 // TestFuncUnget: an op handed back re-emerges first, and only one op
-// can be held at a time. Past the end of the stream FuncNext reports
+// can be held at a time. Past the end of the stream funcNext reports
 // false and leaves the caller's op as it was.
 func TestFuncUnget(t *testing.T) {
 	_, c, _, _ := newTouchCore(1, []MicroOp{{Kind: ALU, Lat: 1}, {Kind: ALU, Lat: 2}})
 	var op, again MicroOp
-	c.FuncNext(&op)
-	c.FuncUnget(op)
-	if !c.FuncNext(&again) || again.Lat != 1 {
-		t.Fatalf("FuncNext after FuncUnget = %+v, want the handed-back op", again)
+	c.funcNext(&op)
+	c.funcUnget(op)
+	if !c.funcNext(&again) || again.Lat != 1 {
+		t.Fatalf("funcNext after funcUnget = %+v, want the handed-back op", again)
 	}
-	if !c.FuncNext(&again) || again.Lat != 2 {
-		t.Fatalf("FuncNext = %+v, want the second op", again)
+	if !c.funcNext(&again) || again.Lat != 2 {
+		t.Fatalf("funcNext = %+v, want the second op", again)
 	}
-	if c.FuncNext(&again) || again.Lat != 2 {
-		t.Fatalf("FuncNext past the end reported an op or overwrote the caller's: %+v", again)
+	if c.funcNext(&again) || again.Lat != 2 {
+		t.Fatalf("funcNext past the end reported an op or overwrote the caller's: %+v", again)
 	}
-	c.FuncUnget(op)
+	c.funcUnget(op)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("second FuncUnget with an op pending did not panic")
+			t.Fatal("second funcUnget with an op pending did not panic")
 		}
 	}()
-	c.FuncUnget(op)
+	c.funcUnget(op)
 }
 
 // TestDrainWindowPanicsInFlight: draining before the machine is
@@ -176,8 +165,8 @@ func TestDrainWindowPanicsInFlight(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("DrainWindow with an issued entry did not panic")
+			t.Fatal("functional drain with an issued entry did not panic")
 		}
 	}()
-	c.DrainWindow(func(*MicroOp) {})
+	c.RunFunctional(1, eng.Now(), noDrain)
 }

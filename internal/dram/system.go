@@ -311,6 +311,12 @@ func (s *System) RowBufferHitRate() float64 {
 	return h / (h + m + c)
 }
 
+// PeakBytesPerCycle is the peak throughput of every channel's data
+// bus together, in bytes per DRAM cycle.
+func (s *System) PeakBytesPerCycle() float64 {
+	return float64(s.p.Channels) * s.p.PeakBytesPerDRAMCycle()
+}
+
 // BandwidthUtilization returns transferred bytes as a fraction of the
 // peak bytes the bus could have moved over the run so far.
 func (s *System) BandwidthUtilization() float64 {
@@ -318,7 +324,7 @@ func (s *System) BandwidthUtilization() float64 {
 	if cycles == 0 {
 		return 0
 	}
-	peak := float64(s.p.Channels) * s.p.PeakBytesPerDRAMCycle() * cycles
+	peak := s.PeakBytesPerCycle() * cycles
 	return s.stats.Get(s.prefix+"bytes") / peak
 }
 

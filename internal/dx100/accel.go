@@ -607,15 +607,20 @@ func (a *Accel) stepIndirectQueue(now sim.Cycle) {
 
 func (a *Accel) tryDispatch(now sim.Cycle) {
 	for a.canDispatchHead() {
-		fl := a.queue[a.qHead]
-		a.queue[a.qHead] = nil
-		a.qHead++
-		if a.qHead == len(a.queue) {
-			a.queue = a.queue[:0]
-			a.qHead = 0
-		}
-		a.dispatch(fl, now)
+		a.dispatch(a.pop(), now)
 	}
+}
+
+// pop removes the oldest queued instruction.
+func (a *Accel) pop() *inflight {
+	fl := a.queue[a.qHead]
+	a.queue[a.qHead] = nil
+	a.qHead++
+	if a.qHead == len(a.queue) {
+		a.queue = a.queue[:0]
+		a.qHead = 0
+	}
+	return fl
 }
 
 // canDispatchHead reports whether the oldest queued instruction could
@@ -638,18 +643,26 @@ func (a *Accel) canDispatchHead() bool {
 	return a.scoreboardOK(fl.ins)
 }
 
-// dispatch executes the instruction functionally (§5: the timing model
-// reuses the verified functional machine for all data movement) and
-// initializes the unit's timing state.
-func (a *Accel) dispatch(fl *inflight, now sim.Cycle) {
+// execute runs the instruction on the functional machine with the
+// register operands captured at send time (§5: the timing model reuses
+// the verified functional machine for all data movement), and counts
+// its dispatch.
+func (a *Accel) execute(fl *inflight) {
 	ins := fl.ins
-	// Restore the register operands captured at send time.
 	a.m.SetReg(ins.RS1, fl.regs[0])
 	a.m.SetReg(ins.RS2, fl.regs[1])
 	a.m.SetReg(ins.RS3, fl.regs[2])
 	if err := a.m.Exec(ins); err != nil {
-		panic(fmt.Sprintf("dx100: functional execution of dispatched instruction failed: %v", err))
+		panic(fmt.Sprintf("dx100: functional execution of %v failed: %v", ins.Op, err))
 	}
+	a.stats.Inc(a.prefix + "dispatch." + ins.Op.String())
+}
+
+// dispatch executes the instruction and initializes the unit's timing
+// state.
+func (a *Accel) dispatch(fl *inflight, now sim.Cycle) {
+	a.execute(fl)
+	ins := fl.ins
 	dests, nd, srcs, ns := operandTiles(ins)
 	for _, t := range dests[:nd] {
 		a.tileUse[t]++
@@ -688,7 +701,6 @@ func (a *Accel) dispatch(fl *inflight, now sim.Cycle) {
 		fl.n = a.m.Tile(ins.TD).Size() // fused output length, known post-exec
 		a.units[uRange] = fl
 	}
-	a.stats.Inc(a.prefix + "dispatch." + ins.Op.String())
 }
 
 // retire releases the instruction's operands and frees its unit.
@@ -702,14 +714,12 @@ func (a *Accel) retire(u unit, fl *inflight) {
 	dests, nd, srcs, ns := operandTiles(fl.ins)
 	for _, t := range dests[:nd] {
 		a.tileUse[t]--
-		a.tileRefs[t]--
 		if a.tileWriter[t] == fl {
 			a.tileWriter[t] = nil
 		}
 	}
 	for _, t := range srcs[:ns] {
 		a.tileUse[t]--
-		a.tileRefs[t]--
 	}
 	if u == uIndirect {
 		for i, q := range a.indQ {
@@ -725,9 +735,22 @@ func (a *Accel) retire(u unit, fl *inflight) {
 	} else {
 		a.units[u] = nil
 	}
-	a.retired++
-	a.stats.Inc(a.prefix + "retire." + fl.ins.Op.String())
+	a.release(fl.ins)
 	a.stats.Set(a.prefix+"tlb.misses", float64(a.tlb.Misses))
+}
+
+// release drops the instruction's tile references, which Send took,
+// and counts its retirement.
+func (a *Accel) release(ins Instr) {
+	dests, nd, srcs, ns := operandTiles(ins)
+	for _, t := range dests[:nd] {
+		a.tileRefs[t]--
+	}
+	for _, t := range srcs[:ns] {
+		a.tileRefs[t]--
+	}
+	a.retired++
+	a.stats.Inc(a.prefix + "retire." + ins.Op.String())
 }
 
 // srcLimit bounds per-element consumption by the progress of in-flight

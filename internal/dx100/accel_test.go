@@ -322,6 +322,14 @@ func TestRouterRoutes(t *testing.T) {
 	if r.st.Get("l1d.accesses") != 1 {
 		t.Fatalf("l1 accesses = %v", r.st.Get("l1d.accesses"))
 	}
+	// The functional path takes the same route: a scratchpad touch has
+	// no cache state to warm, and a memory touch reaches the L1.
+	router.Touch(lo, cache.Load)
+	router.Touch(memPA, cache.Load)
+	if r.st.Get("dx100.spd.accesses") != 1 || r.st.Get("l1d.accesses") != 2 {
+		t.Fatalf("after touches: spd accesses %v, l1 accesses %v; want 1, 2",
+			r.st.Get("dx100.spd.accesses"), r.st.Get("l1d.accesses"))
+	}
 }
 
 func TestAccelHBitRoutesToLLC(t *testing.T) {
@@ -427,5 +435,80 @@ func TestAccelWAWBlocksDispatch(t *testing.T) {
 	r.run(t)
 	if got := r.st.Get("dx100.retire.SLD"); got != 2 {
 		t.Fatalf("retired SLDs = %v", got)
+	}
+}
+
+// TestFunctionalDrainMatchesTimed runs one gather-then-scatter program
+// on two accelerators, one timed to completion and one drained
+// functionally, with the registers clobbered after each send. Both
+// must leave the same tiles, the same scattered memory, every tile
+// ready again, and the same dispatch and retire counts.
+func TestFunctionalDrainMatchesTimed(t *testing.T) {
+	const n = 512
+	program := func(r *rig) memspace.Words {
+		arrA := words(r.sp, 4, "A", 1<<14)
+		arrB := words(r.sp, 4, "B", n)
+		arrC := words(r.sp, 4, "C", 1<<14)
+		for i := 0; i < 1<<14; i++ {
+			arrA.Set(i, uint64(i*3+1))
+		}
+		perm := rand.New(rand.NewSource(5)).Perm(1 << 14)
+		for i := 0; i < n; i++ {
+			arrB.Set(i, uint64(perm[i]))
+		}
+		ac := r.accel
+		for _, a := range []memspace.Words{arrA, arrB, arrC} {
+			ac.TLB().Preload(r.sp.RegionOf(a.Base()))
+		}
+		for _, in := range []Instr{
+			{Op: SLD, DType: U32, Base: arrB.Base(), TD: 0, RS1: 0, RS2: 1, RS3: 2, TC: NoTile},
+			{Op: ILD, DType: U32, Base: arrA.Base(), TD: 1, TS1: 0, TC: NoTile},
+			{Op: IST, DType: U32, Base: arrC.Base(), TS1: 0, TS2: 1, TC: NoTile},
+		} {
+			ac.SetReg(0, 0)
+			ac.SetReg(1, n)
+			ac.SetReg(2, 1)
+			if err := ac.Send(in); err != nil {
+				t.Fatal(err)
+			}
+			ac.SetReg(1, 1) // the snapshot taken at send must win
+		}
+		return arrC
+	}
+	timed, functional := newRig(t, smallCfg()), newRig(t, smallCfg())
+	timedC, funcC := program(timed), program(functional)
+	timed.run(t)
+	if got := functional.accel.FunctionalDrain(); got != 3 || !functional.accel.Idle() {
+		t.Fatalf("drained %d instructions, idle %v; want 3, true", got, functional.accel.Idle())
+	}
+	for i := 0; i < 1<<14; i++ {
+		if timedC.Get(i) != funcC.Get(i) {
+			t.Fatalf("C[%d]: timed %d, functional %d", i, timedC.Get(i), funcC.Get(i))
+		}
+	}
+	for _, tile := range []uint8{0, 1} {
+		tt, ft := timed.accel.Machine().Tile(tile), functional.accel.Machine().Tile(tile)
+		if tt.Size() != n || ft.Size() != n {
+			t.Fatalf("tile %d sizes: timed %d, functional %d; want %d", tile, tt.Size(), ft.Size(), n)
+		}
+		for i := 0; i < n; i++ {
+			if tt.Raw(i) != ft.Raw(i) {
+				t.Fatalf("tile %d[%d]: timed %d, functional %d", tile, i, tt.Raw(i), ft.Raw(i))
+			}
+		}
+	}
+	if functional.accel.TilesBusy() != 0 || timed.accel.TilesBusy() != 0 {
+		t.Error("a tile stayed busy after its instructions retired")
+	}
+	if timed.accel.RetiredInstrs() != functional.accel.RetiredInstrs() {
+		t.Errorf("retired: timed %d, functional %d", timed.accel.RetiredInstrs(), functional.accel.RetiredInstrs())
+	}
+	for _, op := range []Opcode{SLD, ILD, IST} {
+		for _, what := range []string{"dispatch.", "retire."} {
+			name := "dx100." + what + op.String()
+			if timed.st.Get(name) != 1 || functional.st.Get(name) != 1 {
+				t.Errorf("%s: timed %v, functional %v; want 1", name, timed.st.Get(name), functional.st.Get(name))
+			}
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package dx100
 
 import (
-	"fmt"
-
 	"dx100/internal/cache"
 	"dx100/internal/memspace"
 )
@@ -32,40 +30,17 @@ func (a *Accel) FunctionalDrain() int {
 		panic("dx100: FunctionalDrain with staged indirect instructions")
 	}
 	drained := 0
-	for a.qHead < len(a.queue) {
-		fl := a.queue[a.qHead]
-		a.queue[a.qHead] = nil
-		a.qHead++
-		ins := fl.ins
-		a.m.SetReg(ins.RS1, fl.regs[0])
-		a.m.SetReg(ins.RS2, fl.regs[1])
-		a.m.SetReg(ins.RS3, fl.regs[2])
-		if err := a.m.Exec(ins); err != nil {
-			panic(fmt.Sprintf("dx100: functional execution of drained instruction failed: %v", err))
-		}
-		dests, nd, srcs, ns := operandTiles(ins)
-		for _, t := range dests[:nd] {
-			a.tileRefs[t]--
-		}
-		for _, t := range srcs[:ns] {
-			a.tileRefs[t]--
-		}
-		a.retired++
-		a.stats.Inc(a.prefix + "dispatch." + ins.Op.String())
-		a.stats.Inc(a.prefix + "retire." + ins.Op.String())
-		drained++
+	for ; a.QueueLen() > 0; drained++ {
+		fl := a.pop()
+		a.execute(fl)
+		a.release(fl.ins)
 	}
-	a.queue = a.queue[:0]
-	a.qHead = 0
 	return drained
 }
 
-// Touch implements cache.Toucher for the router: scratchpad accesses
-// have no cache state to warm (the SPD port is a fixed-latency
-// pipeline), everything else warms the hierarchy behind it.
+// Touch implements cache.Toucher for the router. The scratchpad port
+// has no cache state to warm (it is a fixed-latency pipeline), so a
+// scratchpad address touches nothing.
 func (r *Router) Touch(addr memspace.PAddr, kind cache.Kind) {
-	if addr >= r.SPDLo && addr < r.SPDHi {
-		return
-	}
-	cache.TouchLevel(r.Default, addr, kind)
+	cache.TouchLevel(r.route(addr), addr, kind)
 }

@@ -50,10 +50,15 @@ func NewRouter(a *Accel, l1 cache.Level) *Router {
 	return &Router{SPDLo: lo, SPDHi: hi, SPD: a.SPDPort(), Default: l1}
 }
 
+// route returns the level addr goes to.
+func (r *Router) route(addr memspace.PAddr) cache.Level {
+	if addr >= r.SPDLo && addr < r.SPDHi {
+		return r.SPD
+	}
+	return r.Default
+}
+
 // Access implements cache.Level.
 func (r *Router) Access(now sim.Cycle, addr memspace.PAddr, kind cache.Kind, onDone func(sim.Cycle)) bool {
-	if addr >= r.SPDLo && addr < r.SPDHi {
-		return r.SPD.Access(now, addr, kind, onDone)
-	}
-	return r.Default.Access(now, addr, kind, onDone)
+	return r.route(addr).Access(now, addr, kind, onDone)
 }

@@ -41,10 +41,9 @@ func newProfiler(s *system, inst *workloads.Instance, opts RunOptions) *profiler
 	}
 
 	st := s.stats
-	dp := s.mem.Params()
 	bytes := st.Counter("dram.bytes")
 	dcycles := st.Counter("dram.cycles")
-	peak := float64(dp.Channels) * dp.PeakBytesPerDRAMCycle()
+	peak := s.mem.PeakBytesPerCycle()
 	p.sampler.Ratio("bw_util",
 		func() float64 { return bytes.Value() },
 		func() float64 { return dcycles.Value() * peak })
@@ -63,19 +62,9 @@ func newProfiler(s *system, inst *workloads.Instance, opts RunOptions) *profiler
 	}
 
 	l1m := st.Counter("l1d.misses")
-	instr := make([]*sim.Counter, len(s.cores))
-	for i := range s.cores {
-		instr[i] = st.Counter(fmt.Sprintf("core%d.instructions", i))
-	}
 	p.sampler.Ratio("mpki",
 		func() float64 { return 1000 * l1m.Value() },
-		func() float64 {
-			t := 0.0
-			for _, c := range instr {
-				t += c.Value()
-			}
-			return t
-		})
+		func() float64 { return total(s.instr) })
 
 	if len(s.accels) > 0 {
 		accels := s.accels

@@ -57,6 +57,19 @@ type system struct {
 	cores  []*cpu.Core
 	accels []*dx100.Accel
 	dmps   []*prefetch.DMP
+	// instr and spin are every core's instructions and spin_cycles
+	// counters, in core order: what the Result, the progress samples,
+	// the profiler and the sampler read.
+	instr, spin []*sim.Counter
+}
+
+// total sums counters in order.
+func total(cs []*sim.Counter) float64 {
+	t := 0.0
+	for _, c := range cs {
+		t += c.Value()
+	}
+	return t
 }
 
 // build assembles the system around an already-generated workload
@@ -95,14 +108,17 @@ func build(inst *workloads.Instance, cfg SystemConfig) *system {
 		case DMP:
 			// DMP observes the core's demand stream and prefetches
 			// into its L2 (§6.3).
-			d := prefetch.New(s.eng, cfg.DMP, inst.Space, s.hier.L1[i], s.hier.L2[i], s.stats, "dmp.")
+			d := prefetch.New(cfg.DMP, inst.Space, s.hier.L1[i], s.hier.L2[i], s.stats, "dmp.")
 			for _, p := range inst.DMP() {
 				d.Register(p)
 			}
 			s.dmps = append(s.dmps, d)
 			front = d
 		}
-		s.cores = append(s.cores, cpu.NewCore(s.eng, cfg.Core, front, translate, s.stats, fmt.Sprintf("core%d.", i)))
+		prefix := fmt.Sprintf("core%d.", i)
+		s.cores = append(s.cores, cpu.NewCore(s.eng, cfg.Core, front, translate, s.stats, prefix))
+		s.instr = append(s.instr, s.stats.Counter(prefix+"instructions"))
+		s.spin = append(s.spin, s.stats.Counter(prefix+"spin_cycles"))
 	}
 	return s
 }
@@ -130,10 +146,7 @@ func (s *system) run() (sim.Cycle, error) {
 
 // collect folds the statistics into a Result.
 func (s *system) collect(name string, end sim.Cycle) Result {
-	instr := 0.0
-	for i := range s.cores {
-		instr += s.stats.Get(fmt.Sprintf("core%d.instructions", i))
-	}
+	instr := total(s.instr)
 	mpki := 0.0
 	if instr > 0 {
 		mpki = s.stats.Get("l1d.misses") / (instr / 1000)
@@ -291,10 +304,6 @@ func (s *system) installCheck(opts RunOptions, p *profiler) {
 		}
 	}
 	s.eng.CheckEvery = checkEvery
-	instr := make([]*sim.Counter, s.cfg.Cores)
-	for i := range instr {
-		instr[i] = s.stats.Counter(fmt.Sprintf("core%d.instructions", i))
-	}
 	reads := s.stats.Counter("dram.reads")
 	writes := s.stats.Counter("dram.writes")
 	var nextProgress sim.Cycle
@@ -306,13 +315,9 @@ func (s *system) installCheck(opts RunOptions, p *profiler) {
 		}
 		if opts.Progress != nil && now >= nextProgress {
 			nextProgress = now + interval
-			sum := 0.0
-			for _, c := range instr {
-				sum += c.Value()
-			}
 			opts.Progress(ProgressSample{
 				Cycles:       now,
-				Instructions: sum,
+				Instructions: total(s.instr),
 				DRAMReads:    reads.Value(),
 				DRAMWrites:   writes.Value(),
 			})

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"dx100/internal/sample"
 	"dx100/internal/sim"
 )
@@ -131,21 +129,7 @@ func (s *system) runSampled(scfg SamplingConfig, onPhase func(string, bool)) (si
 	st := &SamplingStats{}
 	var ipcs, bws, spins []float64
 
-	instr := func() float64 {
-		sum := 0.0
-		for i := range s.cores {
-			sum += s.stats.Get(fmt.Sprintf("core%d.instructions", i))
-		}
-		return sum
-	}
-	spin := func() float64 {
-		sum := 0.0
-		for i := range s.cores {
-			sum += s.stats.Get(fmt.Sprintf("core%d.spin_cycles", i))
-		}
-		return sum
-	}
-	peak := float64(s.cfg.DRAM.Channels) * s.cfg.DRAM.PeakBytesPerDRAMCycle()
+	peak := s.mem.PeakBytesPerCycle()
 
 	for !done() {
 		// Detailed window: unmeasured warm-up first, then measurement.
@@ -162,7 +146,7 @@ func (s *system) runSampled(scfg SamplingConfig, onPhase func(string, bool)) (si
 			}
 		}
 		m0 := s.eng.Now()
-		i0, sp0 := instr(), spin()
+		i0, sp0 := total(s.instr), total(s.spin)
 		b0, dc0 := s.stats.Get("dram.bytes"), s.stats.Get("dram.cycles")
 		if _, err := s.eng.RunUntil(m0+scfg.Detail, done); err != nil {
 			phase("sample.detail", false)
@@ -173,8 +157,8 @@ func (s *system) runSampled(scfg SamplingConfig, onPhase func(string, bool)) (si
 		// actually elapsed.
 		if dc := float64(s.eng.Now() - m0); dc > 0 {
 			st.Windows++
-			ipcs = append(ipcs, (instr()-i0)/(dc*float64(len(s.cores))))
-			spins = append(spins, (spin()-sp0)/(dc*float64(len(s.cores))))
+			ipcs = append(ipcs, (total(s.instr)-i0)/(dc*float64(len(s.cores))))
+			spins = append(spins, (total(s.spin)-sp0)/(dc*float64(len(s.cores))))
 			if dd := s.stats.Get("dram.cycles") - dc0; dd > 0 {
 				bws = append(bws, (s.stats.Get("dram.bytes")-b0)/(dd*peak))
 			} else {

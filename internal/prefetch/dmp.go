@@ -29,9 +29,6 @@ type Pattern struct {
 	IndexSize  int            // element size of B
 	TargetBase memspace.VAddr // &A[0]
 	TargetSize int            // element size of A
-	// Levels > 1 chases multi-level indirection A[B[C[i]]]: the value
-	// loaded from the target is itself an index into NextTarget.
-	Next *Pattern
 }
 
 // Config tunes the prefetcher.
@@ -56,9 +53,6 @@ type DMP struct {
 	forward  cache.Level // demand path (the core's L1)
 	into     cache.Level // prefetch target (the core's L2)
 	patterns []Pattern
-	eng      *sim.Engine
-	stats    *sim.Stats
-	prefix   string
 	// lastElem avoids re-triggering on every word of the same index
 	// element region; indexed parallel to patterns.
 	lastElem []int
@@ -66,15 +60,12 @@ type DMP struct {
 }
 
 // New builds a DMP observing `forward` and prefetching into `into`.
-func New(eng *sim.Engine, cfg Config, space *memspace.Space, forward, into cache.Level, stats *sim.Stats, prefix string) *DMP {
+func New(cfg Config, space *memspace.Space, forward, into cache.Level, stats *sim.Stats, prefix string) *DMP {
 	return &DMP{
 		cfg:     cfg,
 		space:   space,
 		forward: forward,
 		into:    into,
-		eng:     eng,
-		stats:   stats,
-		prefix:  prefix,
 		cIssued: stats.Counter(prefix + "issued"),
 	}
 }
@@ -86,20 +77,39 @@ func (d *DMP) Register(p Pattern) {
 }
 
 // Access implements cache.Level: it forwards to the wrapped level and
-// triggers indirect prefetches on index-stream accesses.
+// prefetches the indirect targets an index-stream load triggers.
 func (d *DMP) Access(now sim.Cycle, addr memspace.PAddr, kind cache.Kind, onDone func(sim.Cycle)) bool {
 	if !d.forward.Access(now, addr, kind, onDone) {
 		return false
 	}
 	if kind == cache.Load {
-		d.trigger(now, addr)
+		p, lo, hi := d.trigger(addr)
+		for i := lo; i < hi; i++ {
+			d.into.Access(now, d.target(p, i), cache.Prefetch, nil)
+		}
 	}
 	return true
 }
 
+// Touch implements cache.Toucher, the functional counterpart of
+// Access: the same trigger prefetches the same targets, each touched
+// into the L2 at once.
+func (d *DMP) Touch(addr memspace.PAddr, kind cache.Kind) {
+	cache.TouchLevel(d.forward, addr, kind)
+	if kind == cache.Load {
+		p, lo, hi := d.trigger(addr)
+		for i := lo; i < hi; i++ {
+			cache.TouchLevel(d.into, d.target(p, i), cache.Prefetch)
+		}
+	}
+}
+
 // trigger checks whether addr falls in a registered index stream and,
-// if so, prefetches the indirect targets Distance ahead.
-func (d *DMP) trigger(now sim.Cycle, addr memspace.PAddr) {
+// unless a trigger just behind it already covered it, returns the
+// index elements [lo, hi) whose targets to prefetch: Degree of them,
+// Distance ahead, clamped to the array. Outside every stream the range
+// is empty.
+func (d *DMP) trigger(addr memspace.PAddr) (p *Pattern, lo, hi int) {
 	for pi := range d.patterns {
 		p := &d.patterns[pi]
 		paBase := d.space.Translate(p.IndexBase)
@@ -109,34 +119,20 @@ func (d *DMP) trigger(now sim.Cycle, addr memspace.PAddr) {
 		}
 		elem := int(uint64(addr)-uint64(paBase)) / p.IndexSize
 		if last := d.lastElem[pi]; last >= 0 && elem <= last && elem > last-2*d.cfg.Distance {
-			return // already triggered around here
+			return nil, 0, 0 // already triggered around here
 		}
 		d.lastElem[pi] = elem
-		for k := 0; k < d.cfg.Degree; k++ {
-			i := elem + d.cfg.Distance + k
-			if i >= p.IndexCount {
-				break
-			}
-			d.chase(now, p, i)
-		}
-		return
+		lo = elem + d.cfg.Distance
+		return p, lo, min(lo+d.cfg.Degree, p.IndexCount)
 	}
+	return nil, 0, 0
 }
 
-// chase computes the indirect target of index element i (reading the
-// real index value, as DMP's value-based matching does) and issues a
-// prefetch, recursing through multi-level patterns.
-func (d *DMP) chase(now sim.Cycle, p *Pattern, i int) {
-	idxVA := p.IndexBase + memspace.VAddr(i*p.IndexSize)
-	idx := d.space.ReadWord(idxVA, p.IndexSize)
-	tgtVA := p.TargetBase + memspace.VAddr(idx*uint64(p.TargetSize))
-	pa := d.space.Translate(tgtVA)
+// target counts one prefetch and returns the physical address of
+// index element i's indirect target, reading the real index value as
+// DMP's value-based matching does.
+func (d *DMP) target(p *Pattern, i int) memspace.PAddr {
+	idx := d.space.ReadWord(p.IndexBase+memspace.VAddr(i*p.IndexSize), p.IndexSize)
 	d.cIssued.Inc()
-	d.into.Access(now, pa, cache.Prefetch, nil)
-	if p.Next != nil {
-		// Multi-level chase after the first level would be ready; the
-		// timing charge is folded into the prefetch pipeline.
-		next := p.Next
-		d.eng.After(8, func(n sim.Cycle) { d.chase(n, next, int(idx)) })
-	}
+	return d.space.Translate(p.TargetBase + memspace.VAddr(idx*uint64(p.TargetSize)))
 }

