@@ -110,3 +110,20 @@ func TestHierarchyTouchAndQuiet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// nonToucher is a Level without a functional path, like the
+// accelerator's scratchpad port.
+type nonToucher struct{}
+
+func (nonToucher) Access(sim.Cycle, memspace.PAddr, Kind, func(sim.Cycle)) bool {
+	panic("cache: a functional touch must not use the timed access path")
+}
+
+// TestTouchLevelSkipsNonToucher: TouchLevel treats a level without
+// Touch as a sink rather than panicking or falling back to timed
+// accesses.
+func TestTouchLevelSkipsNonToucher(t *testing.T) {
+	for a := memspace.PAddr(0); a < 4*memspace.LineSize; a += memspace.LineSize {
+		TouchLevel(nonToucher{}, a, Load)
+	}
+}

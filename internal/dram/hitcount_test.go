@@ -30,21 +30,47 @@ func scanHits(ch *channel, slice int) int {
 	return n
 }
 
-// checkHitCounts fails t unless every bank's count equals the scan and
-// every queued request's Submit-resolved indices match its coordinates.
-func checkHitCounts(t testing.TB, s *System, when string) {
+// checkHitCounts fails t unless every bank's count equals the scan,
+// every queued request's Submit-resolved indices match its coordinates,
+// and the two forms of each timing rule agree for every queued request
+// at the system's last advanced cycle now.
+func checkHitCounts(t testing.TB, s *System, now sim.Cycle, when string) {
 	t.Helper()
+	dc := uint64(now) / uint64(s.p.ClkDiv)
 	for ci, ch := range s.chans {
 		for _, q := range ch.queue {
 			if q.slice != q.coord.Slice(&s.p) || q.bg != q.coord.Rank*s.p.BankGroups+q.coord.BankGroup {
 				t.Fatalf("%s: channel %d: request %+v resolved to slice %d, bank group %d", when, ci, q.coord, q.slice, q.bg)
 			}
+			checkReadyForms(t, ch, q, dc, when)
 		}
 		for bi := range ch.banks {
 			if got, want := ch.banks[bi].hits, scanHits(ch, bi); got != want {
 				t.Fatalf("%s: channel %d bank %d (open row %d): hits = %d, scan = %d",
 					when, ci, bi, ch.banks[bi].openRow, got, want)
 			}
+		}
+	}
+}
+
+// checkReadyForms fails t unless the boolean and cycle forms of the
+// CAS and ACT rules agree for r: casReady(r, x) holds exactly when r's
+// row is open and x >= casReadyAt(r), and actReady(r, x) exactly when
+// its bank is precharged and x >= actReadyAt(r). It probes each rule at
+// its bound - 1, at its bound, and at the current edge dc (a bound of 0
+// probes the largest cycle, where both forms hold as well).
+func checkReadyForms(t testing.TB, ch *channel, r *Request, dc uint64, when string) {
+	t.Helper()
+	open := ch.bankOf(r).openRow
+	cas, act := ch.casReadyAt(r), ch.actReadyAt(r)
+	for _, x := range []uint64{cas - 1, cas, dc} {
+		if want := open == r.coord.Row && x >= cas; ch.casReady(r, x) != want {
+			t.Fatalf("%s: request %+v (open row %d): casReady at %d = %v, casReadyAt = %d", when, r.coord, open, x, !want, cas)
+		}
+	}
+	for _, x := range []uint64{act - 1, act, dc} {
+		if want := open == -1 && x >= act; ch.actReady(r, x) != want {
+			t.Fatalf("%s: request %+v (open row %d): actReady at %d = %v, actReadyAt = %d", when, r.coord, open, x, !want, act)
 		}
 	}
 }
@@ -87,13 +113,13 @@ func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 				break
 			}
 			submitted++
-			checkHitCounts(t, s, "submit")
+			checkHitCounts(t, s, now, "submit")
 		}
 		next := (now/div + 1) * div
 		if rng.Intn(2) == 0 {
 			s.Tick(next)
 			now = next
-			checkHitCounts(t, s, "Tick")
+			checkHitCounts(t, s, now, "Tick")
 			continue
 		}
 		// Jump the way the engine's fast-forward does: account the
@@ -105,7 +131,7 @@ func driveHitCounts(t testing.TB, seed int64, n, rows int) *sim.Stats {
 		s.SkipCycles(now, w)
 		s.Tick(w)
 		now = w
-		checkHitCounts(t, s, "jump")
+		checkHitCounts(t, s, now, "jump")
 	}
 	return stats
 }

@@ -49,19 +49,10 @@ func ParseMode(s string) (Mode, error) {
 // the canonical config hash) independent of the constants' ordering.
 func (m Mode) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
 
-// UnmarshalJSON accepts the name form ("dx100") and, for hand-written
-// payloads, the bare integer.
+// UnmarshalJSON accepts the name form ("dx100") only.
 func (m *Mode) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
-		var n int
-		if err2 := json.Unmarshal(b, &n); err2 == nil {
-			if n < int(Baseline) || n > int(DX) {
-				return fmt.Errorf("exp: mode %d out of range", n)
-			}
-			*m = Mode(n)
-			return nil
-		}
 		return err
 	}
 	v, err := ParseMode(s)

@@ -169,12 +169,7 @@ func (d *driver) emitChunk() error {
 	if d.consume && d.prevN > 0 {
 		want := d.prevSent
 		d.pushBarrier(func() bool { return a.RetiredInstrs() >= want })
-		elems := d.prevN
-		cap := a.Machine().Config().TileElems
-		for e := 0; e < elems; e++ {
-			d.push(cpu.MicroOp{Kind: cpu.Load, Addr: a.TileElemVA(0, e%cap), Dep1: uint32(d.count - (d.lastBar - 1))})
-			d.push(cpu.MicroOp{Kind: cpu.ALU, Dep1: 1})
-		}
+		d.consumePrev()
 	}
 	d.prevSent = d.sent
 	d.prevN = int(hi - lo)
@@ -186,6 +181,17 @@ func (d *driver) emitChunk() error {
 		}
 	}
 	return nil
+}
+
+// consumePrev emits the core's loads of the previous chunk's gathered
+// data from the scratchpad, each behind the latest barrier.
+func (d *driver) consumePrev() {
+	a := d.accel
+	cap := a.Machine().Config().TileElems
+	for e := 0; e < d.prevN; e++ {
+		d.push(cpu.MicroOp{Kind: cpu.Load, Addr: a.TileElemVA(0, e%cap), Dep1: uint32(d.count - (d.lastBar - 1))})
+		d.push(cpu.MicroOp{Kind: cpu.ALU, Dep1: 1})
+	}
 }
 
 // Next implements cpu.Stream.
@@ -200,15 +206,9 @@ func (d *driver) Next(op *cpu.MicroOp) bool {
 			d.finished = true
 			// Final synchronization: wait for the accelerator to go
 			// idle, then consume the trailing chunk.
-			a := d.accel
-			d.pushBarrier(a.Idle)
-			if d.consume && d.prevN > 0 {
-				elems := d.prevN
-				cap := a.Machine().Config().TileElems
-				for e := 0; e < elems; e++ {
-					d.push(cpu.MicroOp{Kind: cpu.Load, Addr: a.TileElemVA(0, e%cap), Dep1: uint32(d.count - (d.lastBar - 1))})
-					d.push(cpu.MicroOp{Kind: cpu.ALU, Dep1: 1})
-				}
+			d.pushBarrier(d.accel.Idle)
+			if d.consume {
+				d.consumePrev()
 			}
 			continue
 		}

@@ -14,7 +14,6 @@ import (
 	"dx100/internal/obs"
 	"dx100/internal/obs/prof"
 	"dx100/internal/prefetch"
-	"dx100/internal/sample"
 	"dx100/internal/sim"
 	"dx100/internal/workloads"
 )
@@ -332,15 +331,15 @@ func (s *system) installCheck(opts RunOptions, p *profiler) {
 // warm-up is functional — pure tag/LRU installs with no events or
 // cycles — so the engine clock stays at zero.
 func (s *system) warmLLC(inst *workloads.Instance) {
-	var ranges []sample.Range
 	for _, r := range inst.Space.Regions() {
 		if strings.Contains(r.Name, "spd") {
 			continue // the scratchpad region is not cacheable data
 		}
 		lo := inst.Space.Translate(r.Base)
-		ranges = append(ranges, sample.Range{Lo: lo, Hi: lo + memspace.PAddr(r.Size)})
+		for a := memspace.LineAddr(lo); a < lo+memspace.PAddr(r.Size); a += memspace.LineSize {
+			s.hier.LLC.Touch(a, cache.Load)
+		}
 	}
-	sample.Warm(s.hier.LLC, ranges)
 	s.stats.Reset()
 }
 
@@ -389,7 +388,7 @@ func RunInstanceOpts(inst *workloads.Instance, cfg SystemConfig, opts RunOptions
 		err error
 	)
 	if opts.Sampling != nil {
-		end, sst, err = s.runSampled(*opts.Sampling, opts.OnPhase)
+		end, sst, err = s.runSampled(*opts.Sampling, opts.phase)
 	} else {
 		end, err = s.run()
 	}

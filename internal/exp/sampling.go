@@ -1,7 +1,9 @@
 package exp
 
 import (
-	"dx100/internal/sample"
+	"math"
+
+	"dx100/internal/cpu"
 	"dx100/internal/sim"
 )
 
@@ -17,11 +19,10 @@ import (
 // documented in internal/cpu/sample.go: fetch pauses, the engine runs
 // until the machine is quiescent (no events, caches and DRAM quiet,
 // accelerators idle, core windows drained or parked on a barrier),
-// the functional executor advances every core by the interval quota,
-// and fetch resumes. The engine clock does not advance during
-// functional phases, so cumulative DRAM-derived metrics (bandwidth,
-// row-buffer hit rate, occupancy) remain well-defined over exactly
-// the detailed cycles.
+// functionalPhase advances every core by the interval quota, and fetch
+// resumes. The engine clock does not advance during functional phases,
+// so cumulative DRAM-derived metrics (bandwidth, row-buffer hit rate,
+// occupancy) remain well-defined over exactly the detailed cycles.
 
 // SamplingConfig parameterizes the interval sampler. It is part of
 // the Spec wire format (and therefore of the dx100d content hash):
@@ -66,12 +67,46 @@ type SamplingStats struct {
 	// DetailedCycles + FunctionalInstructions / (cores × IPC.Mean).
 	EstimatedCycles sim.Cycle `json:"estimated_cycles"`
 	// IPC is per-core instructions per cycle across windows.
-	IPC sample.CI `json:"ipc"`
+	IPC CI `json:"ipc"`
 	// BWUtil is DRAM bandwidth utilization across windows.
-	BWUtil sample.CI `json:"bw_util"`
+	BWUtil CI `json:"bw_util"`
 	// SpinFrac is the fraction of core cycles spent spinning on
 	// barriers across windows.
-	SpinFrac sample.CI `json:"spin_frac"`
+	SpinFrac CI `json:"spin_frac"`
+}
+
+// CI is a mean with a symmetric 95% confidence half-interval over n
+// samples.
+type CI struct {
+	Mean float64 `json:"mean"`
+	Half float64 `json:"half"` // 95% half-width: mean ± half
+	N    int     `json:"n"`
+}
+
+// summarize folds interval samples into a CI using the normal
+// approximation (z = 1.96), the standard SMARTS treatment for the
+// 30+ windows a sampled run takes. Fewer than two samples yield a
+// zero interval.
+func summarize(xs []float64) CI {
+	n := len(xs)
+	if n == 0 {
+		return CI{}
+	}
+	sum := 0.0
+	for _, v := range xs {
+		sum += v
+	}
+	mean := sum / float64(n)
+	if n < 2 {
+		return CI{Mean: mean, N: n}
+	}
+	ss := 0.0
+	for _, v := range xs {
+		d := v - mean
+		ss += d * d
+	}
+	sd := math.Sqrt(ss / float64(n-1))
+	return CI{Mean: mean, Half: 1.96 * sd / math.Sqrt(float64(n)), N: n}
 }
 
 // quiescent reports whether the machine has fully drained: no pending
@@ -99,31 +134,62 @@ func (s *system) quiescent() bool {
 }
 
 // drainAccels functionally executes everything queued at the
-// accelerators, returning how many instructions were drained. It is
-// the executor's barrier-unblocking hook.
-func (s *system) drainAccels() int {
+// accelerators and reports whether it drained anything. It is the hook
+// a barrier-blocked core calls during a functional phase, since
+// accelerator progress (tile ready bits, queue credits, retirement
+// counts) is what core-side barrier predicates poll.
+func (s *system) drainAccels() bool {
 	n := 0
 	for _, a := range s.accels {
 		n += a.FunctionalDrain()
 	}
-	return n
+	return n > 0
+}
+
+// functionalPhase runs one functional phase at the frozen cycle now:
+// each core executes up to quota instruction weight with architectural
+// side effects only, no cycles. Parked window entries left from the
+// detailed drain are consumed first and count toward the quota. The
+// phase ends when every core has reached its quota, finished its
+// stream, or blocked on a barrier that neither drain nor a peer can
+// satisfy this phase (the peer already reached quota). It returns the
+// total weight executed and whether every core finished its stream.
+func functionalPhase(cores []*cpu.Core, quota int, now sim.Cycle, drain func() bool) (executed int, allDone bool) {
+	used := make([]int, len(cores))
+	for progress := true; progress; {
+		progress = false
+		for i, c := range cores {
+			if used[i] >= quota || c.Done() {
+				continue
+			}
+			w := c.RunFunctional(quota-used[i], now, drain)
+			used[i] += w
+			executed += w
+			progress = progress || w > 0
+		}
+	}
+	// Every unfinished core has reached its quota, finished, or is
+	// barrier-blocked with the accelerators drained. A blocked core
+	// waits on work from a peer that reached its quota, so the next
+	// detailed window (or functional phase) resolves it; a genuine
+	// program deadlock surfaces identically in a full-detail run.
+	for _, c := range cores {
+		if !c.Done() {
+			return executed, false
+		}
+	}
+	return executed, true
 }
 
 // runSampled drives the engine under interval sampling until every
 // core has retired its stream, detailed or functionally. It returns
 // the engine cycle at completion (detailed cycles only — the clock
 // freezes during functional phases) and the sampler's statistics.
-// onPhase, when non-nil, observes every detailed and functional phase
-// as begin/end pairs ("sample.detail" / "sample.functional") — the
-// lifecycle-span feed.
-func (s *system) runSampled(scfg SamplingConfig, onPhase func(string, bool)) (sim.Cycle, *SamplingStats, error) {
+// phase observes every detailed and functional phase as one begin/end
+// pair ("sample.detail" / "sample.functional") — the lifecycle-span
+// feed.
+func (s *system) runSampled(scfg SamplingConfig, phase func(string, bool)) (sim.Cycle, *SamplingStats, error) {
 	scfg = scfg.withDefaults()
-	phase := func(name string, begin bool) {
-		if onPhase != nil {
-			onPhase(name, begin)
-		}
-	}
-	ex := &sample.Executor{Eng: s.eng, Cores: s.cores, Drain: s.drainAccels}
 	done := s.allDone
 	start := s.eng.Now()
 	st := &SamplingStats{}
@@ -131,28 +197,24 @@ func (s *system) runSampled(scfg SamplingConfig, onPhase func(string, bool)) (si
 
 	peak := s.mem.PeakBytesPerCycle()
 
-	for !done() {
-		// Detailed window: unmeasured warm-up first, then measurement.
-		// RunUntil (not a Now() >= edge predicate) so the window edges
-		// land on exactly the same cycle with fast-forward on and off —
-		// a caller-side predicate overshoots by a jump-dependent amount,
-		// which would make sampled estimates depend on the stepping
-		// strategy.
-		phase("sample.detail", true)
+	// detail runs one detailed window: unmeasured warm-up first, then
+	// measurement. RunUntil (not a Now() >= edge predicate) so the
+	// window edges land on exactly the same cycle with fast-forward on
+	// and off — a caller-side predicate overshoots by a jump-dependent
+	// amount, which would make sampled estimates depend on the stepping
+	// strategy.
+	detail := func() error {
 		if scfg.Warmup > 0 {
 			if _, err := s.eng.RunUntil(s.eng.Now()+scfg.Warmup, done); err != nil {
-				phase("sample.detail", false)
-				return 0, nil, err
+				return err
 			}
 		}
 		m0 := s.eng.Now()
 		i0, sp0 := total(s.instr), total(s.spin)
 		b0, dc0 := s.stats.Get("dram.bytes"), s.stats.Get("dram.cycles")
 		if _, err := s.eng.RunUntil(m0+scfg.Detail, done); err != nil {
-			phase("sample.detail", false)
-			return 0, nil, err
+			return err
 		}
-		phase("sample.detail", false)
 		// The run can end inside the window; measure the cycles that
 		// actually elapsed.
 		if dc := float64(s.eng.Now() - m0); dc > 0 {
@@ -165,37 +227,57 @@ func (s *system) runSampled(scfg SamplingConfig, onPhase func(string, bool)) (si
 				bws = append(bws, 0)
 			}
 		}
-		if done() {
-			break
+		return nil
+	}
+	// functional hands over: it stops fetch, lets in-flight work
+	// complete under detailed timing, then fast-forwards functionally.
+	// It reports whether the run is over.
+	functional := func() (bool, error) {
+		for _, c := range s.cores {
+			c.Pause()
 		}
-		// Hand over: stop fetch, let in-flight work complete under
-		// detailed timing, then fast-forward functionally.
-		phase("sample.functional", true)
-		ex.Pause()
+		defer func() {
+			for _, c := range s.cores {
+				c.Resume()
+			}
+		}()
 		if _, err := s.eng.Run(func() bool { return done() || s.quiescent() }); err != nil {
-			ex.Resume()
-			phase("sample.functional", false)
+			return false, err
+		}
+		if done() {
+			return true, nil
+		}
+		w, allDone := functionalPhase(s.cores, scfg.Interval, s.eng.Now(), s.drainAccels)
+		st.FunctionalInstructions += float64(w)
+		return allDone, nil
+	}
+
+	for !done() {
+		phase("sample.detail", true)
+		err := detail()
+		phase("sample.detail", false)
+		if err != nil {
 			return 0, nil, err
 		}
 		if done() {
-			ex.Resume()
-			phase("sample.functional", false)
 			break
 		}
-		w, allDone := ex.Advance(scfg.Interval)
-		st.FunctionalInstructions += float64(w)
-		ex.Resume()
+		phase("sample.functional", true)
+		over, err := functional()
 		phase("sample.functional", false)
-		if allDone {
+		if err != nil {
+			return 0, nil, err
+		}
+		if over {
 			break
 		}
 	}
 
 	end := s.eng.Now()
 	st.DetailedCycles = end - start
-	st.IPC = sample.Summarize(ipcs)
-	st.BWUtil = sample.Summarize(bws)
-	st.SpinFrac = sample.Summarize(spins)
+	st.IPC = summarize(ipcs)
+	st.BWUtil = summarize(bws)
+	st.SpinFrac = summarize(spins)
 	est := end - start
 	if st.IPC.Mean > 0 {
 		est += sim.Cycle(st.FunctionalInstructions / (st.IPC.Mean * float64(len(s.cores))))

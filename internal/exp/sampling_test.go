@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"dx100/internal/cache"
+	"dx100/internal/cpu"
+	"dx100/internal/memspace"
+	"dx100/internal/sim"
 	"dx100/internal/workloads"
 )
 
@@ -179,5 +183,194 @@ func TestSampledDigests(t *testing.T) {
 				t.Error("final memory differs from the interpreter's")
 			}
 		})
+	}
+}
+
+func TestSummarize(t *testing.T) {
+	if ci := summarize(nil); ci != (CI{}) {
+		t.Errorf("summarize(nil) = %+v, want zero", ci)
+	}
+	if ci := summarize([]float64{2.5}); ci.Mean != 2.5 || ci.Half != 0 || ci.N != 1 {
+		t.Errorf("summarize(one) = %+v, want mean=2.5 half=0 n=1", ci)
+	}
+	// Known sample: mean 3, sd 1, n 5 → half = 1.96/√5.
+	ci := summarize([]float64{2, 2, 3, 4, 4})
+	if ci.N != 5 || math.Abs(ci.Mean-3) > 1e-15 {
+		t.Fatalf("summarize = %+v, want mean=3 n=5", ci)
+	}
+	want := 1.96 * 1 / math.Sqrt(5)
+	if math.Abs(ci.Half-want) > 1e-12 {
+		t.Errorf("half = %v, want %v", ci.Half, want)
+	}
+	// Identical samples give a zero-width interval.
+	if ci := summarize([]float64{7, 7, 7}); ci.Half != 0 || ci.Mean != 7 {
+		t.Errorf("summarize(const) = %+v, want mean=7 half=0", ci)
+	}
+}
+
+// fixedMem is a core-side Level with a fixed timed latency and a
+// counting functional path.
+type fixedMem struct {
+	eng     *sim.Engine
+	touches int
+}
+
+func (m *fixedMem) Access(_ sim.Cycle, _ memspace.PAddr, _ cache.Kind, onDone func(sim.Cycle)) bool {
+	if onDone != nil {
+		m.eng.After(30, onDone)
+	}
+	return true
+}
+
+func (m *fixedMem) Touch(memspace.PAddr, cache.Kind) { m.touches++ }
+
+// stubMachine builds one core per stream over a shared fixedMem.
+func stubMachine(streams ...[]cpu.MicroOp) (*sim.Engine, []*cpu.Core, *fixedMem, *sim.Stats) {
+	eng := sim.NewEngine()
+	eng.MaxCycles = 1_000_000
+	st := sim.NewStats()
+	mem := &fixedMem{eng: eng}
+	var cores []*cpu.Core
+	for i, ops := range streams {
+		c := cpu.NewCore(eng, cpu.SkylakeLike(), mem, func(v memspace.VAddr) memspace.PAddr { return memspace.PAddr(v) },
+			st, fmt.Sprintf("core%d.", i))
+		c.Run(&cpu.SliceStream{Ops: ops})
+		cores = append(cores, c)
+	}
+	return eng, cores, mem, st
+}
+
+// handOver pauses the cores and runs the engine to the quiescent
+// handoff point, as runSampled does before functionalPhase.
+func handOver(t *testing.T, eng *sim.Engine, cores []*cpu.Core) {
+	t.Helper()
+	for _, c := range cores {
+		c.Pause()
+	}
+	if _, err := eng.Run(func() bool {
+		if eng.EventsPending() {
+			return false
+		}
+		for _, c := range cores {
+			if !c.Quiesced() {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func loadStream(n int) []cpu.MicroOp {
+	ops := make([]cpu.MicroOp, n)
+	for i := range ops {
+		if i%2 == 0 {
+			ops[i] = cpu.MicroOp{Kind: cpu.Load, Addr: memspace.VAddr(i * memspace.LineSize)}
+		} else {
+			ops[i] = cpu.MicroOp{Kind: cpu.ALU, Dep1: 1, Weight: 2}
+		}
+	}
+	return ops
+}
+
+func noDrain() bool { return false }
+
+// TestFunctionalPhaseAlternates: detailed windows and quota-bounded
+// functional phases alternate to completion, and the cores retire
+// every instruction of their streams exactly once.
+func TestFunctionalPhaseAlternates(t *testing.T) {
+	const n, quota = 8000, 1000
+	eng, cores, mem, st := stubMachine(loadStream(n), loadStream(n))
+	done := func() bool { return cores[0].Done() && cores[1].Done() }
+	want := float64(n/2*1 + n/2*2)
+	phases := 0
+	for !done() {
+		if _, err := eng.RunUntil(eng.Now()+100, done); err != nil {
+			t.Fatal(err)
+		}
+		if done() {
+			break
+		}
+		handOver(t, eng, cores)
+		if done() {
+			break
+		}
+		executed, allDone := functionalPhase(cores, quota, eng.Now(), noDrain)
+		// A core stops at its quota, or short of it at its stream's end;
+		// an ALU op of weight 2 can overshoot the quota by one.
+		if executed > 2*(quota+1) || (!allDone && executed < 2*quota) {
+			t.Fatalf("phase %d executed %d weight, want %d per core", phases, executed, quota)
+		}
+		for _, c := range cores {
+			c.Resume()
+		}
+		phases++
+		if allDone {
+			break
+		}
+	}
+	if phases < 2 {
+		t.Fatalf("%d functional phases, want several", phases)
+	}
+	for i := range cores {
+		got := st.Get(fmt.Sprintf("core%d.instructions", i))
+		if got != want {
+			t.Errorf("core %d retired %v instructions, want %v", i, got, want)
+		}
+	}
+	if mem.touches == 0 {
+		t.Fatal("functional phases never touched memory")
+	}
+}
+
+// TestFunctionalPhaseDrainUnblocksParkedBarrier: a barrier parked at
+// the head of the window when detail hands over is released by the
+// accelerator drain hook, and the phase runs the stream to the end.
+func TestFunctionalPhaseDrainUnblocksParkedBarrier(t *testing.T) {
+	released := false
+	ops := append([]cpu.MicroOp{{Kind: cpu.Barrier, Ready: func() bool { return released }}}, loadStream(100)...)
+	eng, cores, _, _ := stubMachine(ops)
+	drains := 0
+	drain := func() bool {
+		drains++
+		released = true
+		return true
+	}
+	if _, err := eng.RunUntil(100, nil); err != nil {
+		t.Fatal(err)
+	}
+	handOver(t, eng, cores)
+	if cores[0].Drained() {
+		t.Fatal("setup: the barrier did not park the window")
+	}
+	if _, allDone := functionalPhase(cores, 1<<20, eng.Now(), drain); !allDone || drains != 1 {
+		t.Fatalf("allDone %v after %d drains, want true after 1", allDone, drains)
+	}
+}
+
+// TestFunctionalPhaseBarrierWaitsOnPeer: a barrier met in the stream
+// that no drain can satisfy waits until a peer core's functional
+// effect releases it within the same phase; with the peer at its quota
+// the phase ends with the barrier held for the next one.
+func TestFunctionalPhaseBarrierWaitsOnPeer(t *testing.T) {
+	released := false
+	waiter := append(loadStream(10), cpu.MicroOp{Kind: cpu.Barrier, Ready: func() bool { return released }})
+	waiter = append(waiter, loadStream(10)...)
+	releaser := append(loadStream(40), cpu.MicroOp{Kind: cpu.Effect, Emit: func(sim.Cycle) { released = true }})
+	eng, cores, _, _ := stubMachine(waiter, releaser)
+
+	// The releaser's effect lies past a quota of 20: the waiter blocks
+	// and the phase ends short.
+	if executed, allDone := functionalPhase(cores, 20, eng.Now(), noDrain); allDone || released || executed >= 40 {
+		t.Fatalf("executed %d, allDone %v, released %v; want a short phase with the barrier held", executed, allDone, released)
+	}
+	if cores[0].Done() {
+		t.Fatal("waiter finished past an unreleased barrier")
+	}
+	// The next phase reaches the effect, and the waiter resumes
+	// behind it in the same phase.
+	if _, allDone := functionalPhase(cores, 1<<20, eng.Now(), noDrain); !allDone || !released {
+		t.Fatalf("allDone %v, released %v; want both", allDone, released)
 	}
 }

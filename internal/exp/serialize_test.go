@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -55,6 +56,14 @@ func TestSpecCanonicalModeByName(t *testing.T) {
 	}
 	if !bytes.Contains(b, []byte(`"mode":"dx100"`)) {
 		t.Fatalf("canonical form does not carry the mode by name: %s", b[:120])
+	}
+	// The name is the only form a mode decodes from.
+	var m Mode
+	if err := json.Unmarshal([]byte(`"dmp"`), &m); err != nil || m != DMP {
+		t.Fatalf(`"dmp" decoded to %v, %v; want DMP`, m, err)
+	}
+	if err := json.Unmarshal([]byte(`2`), &m); err == nil {
+		t.Fatalf("mode 2 decoded to %v, want it refused", m)
 	}
 }
 

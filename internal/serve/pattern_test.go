@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -101,14 +103,12 @@ func TestPatternSubmitRejects(t *testing.T) {
 	}
 }
 
-// TestSubmitBodyLimit pins the POST /v1/runs body bound from both
-// sides: the largest pattern file pattern.Validate accepts, indented,
-// is admitted, and a body one byte over maxRunBody gets 413.
-func TestSubmitBodyLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	// MaxEntries "gs" entries of two MaxPatternLen patterns each, with
-	// 128-byte names and the largest indices the file-span cap leaves
-	// every pattern.
+// maximalPattern is the largest file pattern.Validate accepts:
+// MaxEntries "gs" entries of two MaxPatternLen patterns each, with
+// 128-byte names and the largest indices the file-span cap leaves
+// every pattern.
+func maximalPattern(t *testing.T) pattern.File {
+	t.Helper()
 	perPattern := int64(pattern.MaxFileSpan / (2 * pattern.MaxEntries))
 	f := pattern.File{Name: strings.Repeat("f", 128)}
 	for e := 0; e < pattern.MaxEntries; e++ {
@@ -125,6 +125,16 @@ func TestSubmitBodyLimit(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatalf("maximal file rejected by Validate: %v", err)
 	}
+	return f
+}
+
+// TestSubmitBodyLimit pins the POST /v1/runs body bound from both
+// sides: the largest pattern file pattern.Validate accepts, indented,
+// is admitted under the Spec it describes, and a body one byte over
+// maxRunBody gets 413.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	f := maximalPattern(t)
 	// The test pins admission, not the run: a one-cycle budget ends the
 	// accepted job at once.
 	oneCycle := uint64(1)
@@ -136,6 +146,24 @@ func TestSubmitBodyLimit(t *testing.T) {
 	body, err := json.MarshalIndent(req, "", "    ")
 	if err != nil {
 		t.Fatal(err)
+	}
+	spec, _, err := decodeRun(nil, io.NopCloser(bytes.NewReader(body)))
+	if err != nil {
+		t.Fatalf("maximal pattern refused: %v", err)
+	}
+	cfg := exp.Default(exp.Baseline)
+	cfg.MaxCycles = 1
+	n := f.Normalized()
+	got, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exp.Spec{Scale: 1, Config: cfg, Pattern: &n}.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("maximal pattern decoded to spec %s, want %s", got, want)
 	}
 	sr, code := postRun(t, ts, string(body))
 	if code != http.StatusAccepted {
@@ -149,5 +177,44 @@ func TestSubmitBodyLimit(t *testing.T) {
 	over := prefix + strings.Repeat("x", maxRunBody+1-len(prefix)-2) + `"}`
 	if _, code := postRun(t, ts, over); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("%d-byte body -> %d, want 413", len(over), code)
+	}
+}
+
+// TestDecodeRunAllocBound: a pattern body over the entry or index caps
+// is refused with 400 before its entries or indices are built, so
+// decoding it allocates less than allocPerByte bytes per body byte, in
+// both pattern syntaxes.
+func TestDecodeRunAllocBound(t *testing.T) {
+	const allocPerByte = 8
+	// repeat fills a body of about size bytes: head, then elem joined by
+	// commas, then tail.
+	repeat := func(head, elem, tail string, size int) string {
+		var b strings.Builder
+		b.Grow(size + len(elem))
+		b.WriteString(head + elem)
+		for b.Len()+len(tail) < size {
+			b.WriteString("," + elem)
+		}
+		b.WriteString(tail)
+		return b.String()
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"1 MiB of empty entries", repeat(`{"pattern":[`, `{}`, `]}`, 1<<20)},
+		{"4 MiB of empty entries", repeat(`{"pattern":[`, `{}`, `]}`, 4<<20)},
+		{"4 MiB of empty entries, object syntax", repeat(`{"pattern":{"entries":[`, `{}`, `]}}`, 4<<20)},
+		{"one pattern filling the body", repeat(`{"pattern":[{"kernel":"gather","pattern":[`, `0`, `]}]}`, maxRunBody-16)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, status, err := decodeRun(nil, io.NopCloser(strings.NewReader(tc.body)))
+		runtime.ReadMemStats(&after)
+		if err == nil || status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%v), want 400", tc.name, status, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d-byte body, %.1f MiB allocated (%.1fx)", tc.name, len(tc.body), float64(alloc)/(1<<20), float64(alloc)/float64(len(tc.body)))
+		if alloc > allocPerByte*uint64(len(tc.body)) {
+			t.Errorf("%s: %d-byte body allocated %d bytes, over %dx its size", tc.name, len(tc.body), alloc, allocPerByte)
+		}
 	}
 }

@@ -17,6 +17,7 @@
 package pattern
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -50,9 +51,9 @@ const (
 type Entry struct {
 	Name    string  `json:"name,omitempty"`
 	Kernel  string  `json:"kernel"`
-	Pattern []int64 `json:"pattern,omitempty"`
-	Gather  []int64 `json:"pattern_gather,omitempty"`
-	Scatter []int64 `json:"pattern_scatter,omitempty"`
+	Pattern Indices `json:"pattern,omitempty"`
+	Gather  Indices `json:"pattern_gather,omitempty"`
+	Scatter Indices `json:"pattern_scatter,omitempty"`
 	Delta   int64   `json:"delta,omitempty"`
 	Count   int64   `json:"count,omitempty"`
 	// Wrap, when positive, folds the effective index modulo Wrap —
@@ -63,8 +64,57 @@ type Entry struct {
 // File is a parsed pattern file. The JSON form doubles as the
 // canonical encoding embedded in exp.Spec.
 type File struct {
-	Name    string  `json:"name,omitempty"`
-	Entries []Entry `json:"entries"`
+	Name    string    `json:"name,omitempty"`
+	Entries EntryList `json:"entries"`
+}
+
+// Indices is one index pattern. It decodes only up to MaxPatternLen
+// indices: a longer list is refused before any of it is built.
+type Indices []int64
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *Indices) UnmarshalJSON(b []byte) error {
+	return decodeCapped(b, (*[]int64)(p), MaxPatternLen, "indices in a pattern")
+}
+
+// EntryList is a file's entries. It decodes only up to MaxEntries
+// entries: a longer list is refused before any entry is built.
+type EntryList []Entry
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (l *EntryList) UnmarshalJSON(b []byte) error {
+	return decodeCapped(b, (*[]Entry)(l), MaxEntries, "entries")
+}
+
+// decodeCapped decodes the JSON array b into v unless b holds more
+// than max elements, which it counts first as the commas at the
+// array's own depth. encoding/json checks the whole input before it
+// calls an UnmarshalJSON method, so b's brackets balance and its
+// strings close. Left to Validate, the caps would come too late: a
+// 4 MiB body of empty entries decodes into 1.4M entries first.
+func decodeCapped(b []byte, v any, max int, what string) error {
+	commas, depth, inString := 0, 0, false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}':
+			depth--
+		case c == ',' && depth == 1:
+			if commas++; commas >= max {
+				return fmt.Errorf("more than %d %s", max, what)
+			}
+		}
+	}
+	return json.Unmarshal(b, v)
 }
 
 // Parse decodes pattern JSON in either accepted syntax — a bare
@@ -72,10 +122,13 @@ type File struct {
 // and validates it.
 func Parse(data []byte) (*File, error) {
 	var f File
-	var entries []Entry
-	if err := json.Unmarshal(data, &entries); err == nil {
-		f.Entries = entries
-	} else if err := json.Unmarshal(data, &f); err != nil {
+	var err error
+	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '[' {
+		err = json.Unmarshal(data, &f.Entries)
+	} else {
+		err = json.Unmarshal(data, &f)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("pattern: parse: %w", err)
 	}
 	f.normalize()
