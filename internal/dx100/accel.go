@@ -64,10 +64,14 @@ type inflight struct {
 	inserted  int
 	responded int
 	draining  bool
-	// holding and writeQueue drain head-first; the head indices avoid
-	// reslicing so the backing arrays are reused once empty.
-	holding    []ColumnReq
-	holdHead   int
+	// held is the column the request stage issues next, at physical
+	// address heldPA. holding marks one that its target refused; the
+	// stage retries it before popping another.
+	held    ColumnReq
+	heldPA  memspace.PAddr
+	holding bool
+	// writeQueue drains head-first; wqHead avoids reslicing so the
+	// backing array is reused once empty.
 	writeQueue []*dram.Request
 	wqHead     int
 	writesPend int
@@ -94,7 +98,6 @@ type inflight struct {
 type Accel struct {
 	cfg    Config
 	eng    *sim.Engine
-	stats  *sim.Stats
 	prefix string
 
 	m      *Machine
@@ -124,6 +127,12 @@ type Accel struct {
 	cReqLLC     *sim.Counter
 	cReqDirect  *sim.Counter
 	cWritebacks *sim.Counter
+	cSPD        *sim.Counter
+	cTLBMisses  *sim.Counter
+	cDispatch   [len(opcodeNames)]*sim.Counter
+	cRetire     [len(opcodeNames)]*sim.Counter
+	// Row Table work per retired indirect instruction.
+	cRTCoalesced, cRTCols, cRTInserts, cRTStalls *sim.Counter
 
 	// trace, when non-nil, receives request-buffer enqueue and retire
 	// drain events. Both sites are nil-guarded, off the per-cycle path.
@@ -183,7 +192,6 @@ func New(eng *sim.Engine, cfg Config, space *memspace.Space, mem *dram.System, l
 	a := &Accel{
 		cfg:    cfg,
 		eng:    eng,
-		stats:  stats,
 		prefix: prefix,
 		m:      NewMachine(space, cfg.Machine),
 		space:  space,
@@ -210,6 +218,16 @@ func New(eng *sim.Engine, cfg Config, space *memspace.Space, mem *dram.System, l
 	a.cReqLLC = stats.Counter(prefix + "req.llc")
 	a.cReqDirect = stats.Counter(prefix + "req.direct")
 	a.cWritebacks = stats.Counter(prefix + "writebacks")
+	a.cSPD = stats.Counter(prefix + "spd.accesses")
+	a.cTLBMisses = stats.Counter(prefix + "tlb.misses")
+	for op := range opcodeNames {
+		a.cDispatch[op] = stats.Counter(prefix + "dispatch." + Opcode(op).String())
+		a.cRetire[op] = stats.Counter(prefix + "retire." + Opcode(op).String())
+	}
+	a.cRTCoalesced = stats.Counter(prefix + "rt.coalesced")
+	a.cRTCols = stats.Counter(prefix + "rt.cols")
+	a.cRTInserts = stats.Counter(prefix + "rt.inserts")
+	a.cRTStalls = stats.Counter(prefix + "rt.stalls")
 	eng.Register(a)
 	return a
 }
@@ -411,30 +429,22 @@ func (a *Accel) Tick(now sim.Cycle) bool {
 	return !a.Idle()
 }
 
-// stallWake returns the cycle a stalled instruction resumes at, when
-// that lies in the future (dispatch latency, directory transfer, TLB
-// miss). Until then its unit does nothing.
-func stallWake(fl *inflight, now sim.Cycle) (sim.Cycle, bool) {
-	w := fl.startAt
-	if fl.stallUntil > w {
-		w = fl.stallUntil
-	}
-	if w > now {
-		return w, true
-	}
-	return 0, false
-}
+// resumeAt returns the cycle from which an instruction's unit may act:
+// past its dispatch latency, any directory transfer and the page walk
+// of its last TLB miss. It is the stall gate of every step, of the fill
+// ports and of every wake bound.
+func (fl *inflight) resumeAt() sim.Cycle { return max(fl.startAt, fl.stallUntil) }
 
 // NextWake implements sim.WakeHinter: the minimum over the wake bounds
-// of the dispatch stage and every active unit. Hints of now+1 mark
-// states where the next tick could mutate something — issue a request
-// (LLC ports recover by pure passage of time), advance a compute lane,
-// insert into a Row Table, or retire. States waiting purely on
-// responses return NeverWake: the completions arrive as scheduled
-// events, and back-pressure from the DRAM request buffers clears only
-// when the DRAM system acts, which its own hint bounds. A fill blocked
-// on a full Row Table slice waits for a response too; SkipCycles
-// counts the stalls its elided retries would have counted.
+// of the dispatch stage and every active instruction. A stalled
+// instruction wakes when its stall ends (resumeAt). Past it, it wakes on
+// the next cycle exactly when a guard its unit's step tests holds; a
+// blocked fill's retry changes nothing but the two counters SkipCycles
+// accounts, so it does not wake. States waiting purely on responses
+// return NeverWake: the completions arrive as scheduled events, and
+// back-pressure from the DRAM request buffers clears only when the DRAM
+// system acts, which its own hint bounds. A queued write-back, like a
+// held column refused by a full channel, retries in vain until then.
 func (a *Accel) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 	if a.Idle() {
 		return sim.NeverWake, true
@@ -443,33 +453,32 @@ func (a *Accel) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 		return now + 1, true
 	}
 	wake := sim.NeverWake
-	min := func(w sim.Cycle) bool {
-		if w <= now+1 {
-			return true
+	for u, fl := range a.units {
+		if fl == nil {
+			continue
 		}
-		if w < wake {
-			wake = w
+		var ready bool
+		if r := fl.resumeAt(); r > now {
+			wake = min(wake, r)
+		} else if unit(u) == uStream {
+			ready = streamDone(fl) || a.lineReady(fl, a.streamLimit(fl))
+		} else {
+			ready = computeReady(fl, a.srcLimit(fl))
 		}
-		return false
-	}
-	if fl := a.units[uStream]; fl != nil {
-		if min(a.streamWake(fl, now)) {
-			return now + 1, true
-		}
-	}
-	if fl := a.units[uALU]; fl != nil {
-		if min(a.computeWake(fl, now)) {
-			return now + 1, true
-		}
-	}
-	if fl := a.units[uRange]; fl != nil {
-		if min(a.computeWake(fl, now)) {
+		if ready || wake == now+1 {
 			return now + 1, true
 		}
 	}
 	target := a.fillTarget(now + 1)
-	for i, fl := range a.indQ {
-		if min(a.indirectWake(fl, now, i == 0, fl == target)) {
+	for _, fl := range a.indQ {
+		var ready bool
+		if r := fl.resumeAt(); r > now {
+			wake = min(wake, r)
+		} else {
+			ready = fl == target && fillReady(fl, a.srcLimit(fl)) && !a.fillBlocked(fl) ||
+				fl == a.indQ[0] && (a.indirectDone(fl) || a.drainEngaged(fl) && a.requestReady(fl))
+		}
+		if ready || wake == now+1 {
 			return now + 1, true
 		}
 	}
@@ -489,84 +498,12 @@ func (a *Accel) SkipCycles(from, to sim.Cycle) {
 	a.tlb.Hits += n
 }
 
-// streamWake bounds the stream unit's next action.
-func (a *Accel) streamWake(fl *inflight, now sim.Cycle) sim.Cycle {
-	if w, stalled := stallWake(fl, now); stalled {
-		return w
-	}
-	if fl.linesIssued == len(fl.linePA) {
-		if fl.linesDone == len(fl.linePA) {
-			return now + 1 // retires on the next tick
-		}
-		return sim.NeverWake // responses arrive as events
-	}
-	if fl.outstanding >= a.cfg.ReqTable {
-		return sim.NeverWake // a response event frees a request slot
-	}
-	if fl.ins.Op == SST && fl.lineElemEnd[fl.linesIssued] > a.srcLimit(fl) {
-		return sim.NeverWake // chained producer's own hint covers it
-	}
-	return now + 1 // will attempt an LLC access
-}
-
-// computeWake bounds the ALU / Range Fuser's next action.
-func (a *Accel) computeWake(fl *inflight, now sim.Cycle) sim.Cycle {
-	if w, stalled := stallWake(fl, now); stalled {
-		return w
-	}
-	if fl.progress < a.srcLimit(fl) || fl.progress >= fl.n {
-		return now + 1
-	}
-	return sim.NeverWake // caught up with a chained producer
-}
-
-// indirectWake bounds one staged indirect instruction's next action.
-// Its fill stage acts only while it holds the fill port (fills), its
-// producers have released the next index, and it is not blocked on a
-// full Row Table slice.
-func (a *Accel) indirectWake(fl *inflight, now sim.Cycle, isHead, fills bool) sim.Cycle {
-	if w, stalled := stallWake(fl, now); stalled {
-		return w
-	}
-	if fills && fl.fill < a.srcLimit(fl) && !a.fillBlocked(fl) {
-		return now + 1
-	}
-	if isHead {
-		if a.indirectDone(fl) {
-			return now + 1 // retires on the next tick
-		}
-		threshold := int(a.cfg.DrainFrac * float64(a.cfg.Machine.TileElems))
-		engaged := fl.draining || fl.fill >= fl.n || fl.rt.Pending() >= threshold
-		if engaged {
-			if fl.holdHead < len(fl.holding) {
-				if !a.awaitsChannel(fl.rt, fl.holding[fl.holdHead]) {
-					return now + 1 // the head held column can be retried
-				}
-			} else if fl.rt.Pending() > 0 {
-				return now + 1 // request stage has columns to issue
-			}
-		}
-		// A held column refused by a full channel, like a queued
-		// write-back, retries in vain against the DRAM request buffers:
-		// the slot frees only when that channel issues a command, which
-		// the DRAM hint bounds.
-	}
-	return sim.NeverWake
-}
-
-// awaitsChannel reports whether req is DRAM-routed and its channel's
-// request buffer is full, so issueColumn would refuse it without side
-// effects.
-func (a *Accel) awaitsChannel(rt *RowTable, req ColumnReq) bool {
-	return !req.Hit && !a.cfg.ForceLLCRoute && !a.mem.CanAccept(a.mapper.Unmap(rt.Coord(req)))
-}
-
 // fillTarget returns the instruction the shared fill ports serve at
 // cycle at: the oldest staged indirect instruction that is past its
 // stall and still has indices to fill.
 func (a *Accel) fillTarget(at sim.Cycle) *inflight {
 	for _, fl := range a.indQ {
-		if at >= fl.startAt && at >= fl.stallUntil && fl.fill < fl.n {
+		if at >= fl.resumeAt() && fl.fill < fl.n {
 			return fl
 		}
 	}
@@ -585,7 +522,7 @@ func (a *Accel) fillBlocked(fl *inflight) bool {
 func (a *Accel) stepIndirectQueue(now sim.Cycle) {
 	target := a.fillTarget(now)
 	for _, fl := range a.indQ {
-		if now < fl.startAt || now < fl.stallUntil {
+		if now < fl.resumeAt() {
 			continue
 		}
 		if fl == target {
@@ -655,7 +592,7 @@ func (a *Accel) execute(fl *inflight) {
 	if err := a.m.Exec(ins); err != nil {
 		panic(fmt.Sprintf("dx100: functional execution of %v failed: %v", ins.Op, err))
 	}
-	a.stats.Inc(a.prefix + "dispatch." + ins.Op.String())
+	a.cDispatch[ins.Op].Inc()
 }
 
 // dispatch executes the instruction and initializes the unit's timing
@@ -728,15 +665,15 @@ func (a *Accel) retire(u unit, fl *inflight) {
 				break
 			}
 		}
-		a.stats.Add(a.prefix+"rt.coalesced", float64(fl.rt.Coalesced-fl.snapCoal))
-		a.stats.Add(a.prefix+"rt.cols", float64(fl.rt.ColsAlloc-fl.snapCols))
-		a.stats.Add(a.prefix+"rt.inserts", float64(fl.rt.Inserts-fl.snapIns))
-		a.stats.Add(a.prefix+"rt.stalls", float64(fl.rt.Stalls-fl.snapStall))
+		a.cRTCoalesced.Add(float64(fl.rt.Coalesced - fl.snapCoal))
+		a.cRTCols.Add(float64(fl.rt.ColsAlloc - fl.snapCols))
+		a.cRTInserts.Add(float64(fl.rt.Inserts - fl.snapIns))
+		a.cRTStalls.Add(float64(fl.rt.Stalls - fl.snapStall))
 	} else {
 		a.units[u] = nil
 	}
 	a.release(fl.ins)
-	a.stats.Set(a.prefix+"tlb.misses", float64(a.tlb.Misses))
+	a.cTLBMisses.Set(float64(a.tlb.Misses))
 }
 
 // release drops the instruction's tile references, which Send took,
@@ -750,7 +687,7 @@ func (a *Accel) release(ins Instr) {
 		a.tileRefs[t]--
 	}
 	a.retired++
-	a.stats.Inc(a.prefix + "retire." + ins.Op.String())
+	a.cRetire[ins.Op].Inc()
 }
 
 // srcLimit bounds per-element consumption by the progress of in-flight
@@ -767,7 +704,7 @@ func (a *Accel) srcLimit(fl *inflight) int {
 }
 
 func (a *Accel) step(u unit, fl *inflight, now sim.Cycle) {
-	if now < fl.startAt || now < fl.stallUntil {
+	if now < fl.resumeAt() {
 		return
 	}
 	switch u {
@@ -780,14 +717,21 @@ func (a *Accel) step(u unit, fl *inflight, now sim.Cycle) {
 	}
 }
 
+// computeReady reports whether an ALU or Range Fuser instruction acts:
+// it is behind its chained producers (limit, from srcLimit), or it has
+// all n elements and retires.
+func computeReady(fl *inflight, limit int) bool {
+	return fl.progress < limit || fl.progress >= fl.n
+}
+
 // stepCompute advances an ALU or Range Fuser instruction by up to rate
 // elements per cycle, bounded by chained producers.
 func (a *Accel) stepCompute(u unit, fl *inflight, rate int) {
 	limit := a.srcLimit(fl)
-	fl.progress += rate
-	if fl.progress > limit {
-		fl.progress = limit
+	if !computeReady(fl, limit) {
+		return
 	}
+	fl.progress = min(fl.progress+rate, limit)
 	if fl.progress >= fl.n {
 		fl.progress = fl.n
 		a.retire(u, fl)

@@ -37,11 +37,35 @@ func (a *Accel) initStream(fl *inflight) {
 	fl.lineDone = make([]bool, len(fl.linePA))
 }
 
+// streamDone reports whether every line of a stream instruction has
+// returned, so it retires.
+func streamDone(fl *inflight) bool { return fl.linesDone == len(fl.linePA) }
+
+// streamLimit bounds the elements whose lines may issue: a streaming
+// store's line goes out only once its source elements exist, while a
+// load waits on no producer.
+func (a *Accel) streamLimit(fl *inflight) int {
+	if fl.ins.Op != SST {
+		return fl.n
+	}
+	return a.srcLimit(fl)
+}
+
+// lineReady reports whether the stream unit's next line may issue: one
+// is left, the request table has a free entry, and the line's last
+// element lies within limit (streamLimit).
+func (a *Accel) lineReady(fl *inflight, limit int) bool {
+	k := fl.linesIssued
+	return k < len(fl.linePA) && fl.outstanding < a.cfg.ReqTable && fl.lineElemEnd[k] <= limit
+}
+
 // stepStream issues up to StreamRate line requests per cycle through
 // the Cache Interface (streaming accesses have high locality, §3.6)
-// and advances the in-order progress as responses return.
+// and advances the in-order progress as responses return. Responses
+// arrive as events, never during the tick that issues, so the
+// instruction retires on the first tick after its last one.
 func (a *Accel) stepStream(fl *inflight, now sim.Cycle) {
-	if fl.linesIssued == len(fl.linePA) && fl.linesDone == len(fl.linePA) {
+	if streamDone(fl) {
 		fl.progress = fl.n
 		a.retire(uStream, fl)
 		return
@@ -50,19 +74,11 @@ func (a *Accel) stepStream(fl *inflight, now sim.Cycle) {
 	if fl.ins.Op == SST {
 		kind = cache.Store
 	}
-	limit := a.srcLimit(fl)
-	for issued := 0; issued < a.cfg.StreamRate && fl.linesIssued < len(fl.linePA); issued++ {
-		if fl.outstanding >= a.cfg.ReqTable {
-			break
-		}
+	limit := a.streamLimit(fl)
+	for issued := 0; issued < a.cfg.StreamRate && a.lineReady(fl, limit); issued++ {
 		k := fl.linesIssued
-		// A store line can only go out once its source elements exist.
-		if fl.ins.Op == SST && fl.lineElemEnd[k] > limit {
-			break
-		}
-		idx := k
 		if !a.llc.Access(now, fl.linePA[k], kind, func(n sim.Cycle) {
-			fl.lineDone[idx] = true
+			fl.lineDone[k] = true
 			fl.linesDone++
 			fl.outstanding--
 			for fl.linePrefix < len(fl.lineDone) && fl.lineDone[fl.linePrefix] {
@@ -76,10 +92,6 @@ func (a *Accel) stepStream(fl *inflight, now sim.Cycle) {
 		fl.linesIssued++
 		a.cStreamLn.Inc()
 	}
-	if fl.linesIssued == len(fl.linePA) && fl.linesDone == len(fl.linePA) {
-		fl.progress = fl.n
-		a.retire(uStream, fl)
-	}
 }
 
 // stepIndirectDrain advances the request and response stages of one
@@ -89,21 +101,39 @@ func (a *Accel) stepStream(fl *inflight, now sim.Cycle) {
 // separately (stepIndirectQueue) so it can overlap the drain of the
 // previous instruction.
 func (a *Accel) stepIndirectDrain(fl *inflight, now sim.Cycle) {
-	// The request stage engages once the fill is complete or the Row
-	// Table holds enough columns to preserve the reordering window.
-	threshold := int(a.cfg.DrainFrac * float64(a.cfg.Machine.TileElems))
-	if fl.fill >= fl.n || fl.rt.Pending() >= threshold || fl.draining {
+	if a.drainEngaged(fl) {
 		fl.draining = true
 		a.indirectRequest(fl, now)
 	}
 	a.flushWrites(fl)
 }
 
+// drainEngaged reports whether the request stage runs: it engages once
+// the fill is complete or the Row Table holds enough columns to
+// preserve the reordering window, and stays engaged.
+func (a *Accel) drainEngaged(fl *inflight) bool {
+	return fl.draining || fl.fill >= fl.n || fl.rt.Pending() >= int(a.cfg.DrainFrac*float64(a.cfg.Machine.TileElems))
+}
+
+// requestReady reports whether the request stage has a column to
+// issue: the held one unless its channel's buffer is full
+// (awaitsChannel), else any pending column of the Row Table.
+func (a *Accel) requestReady(fl *inflight) bool {
+	if fl.holding {
+		return !a.awaitsChannel(fl.held, fl.heldPA)
+	}
+	return fl.rt.Pending() > 0
+}
+
 // indirectDone reports whether the instruction's stages all drained.
 func (a *Accel) indirectDone(fl *inflight) bool {
 	return fl.fill >= fl.n && fl.responded == fl.inserted && fl.rt.Outstanding() == 0 &&
-		fl.holdHead == len(fl.holding) && fl.wqHead == len(fl.writeQueue) && fl.writesPend == 0
+		!fl.holding && fl.wqHead == len(fl.writeQueue) && fl.writesPend == 0
 }
+
+// fillReady reports whether the fill stage has an index left that its
+// chained producers released (limit, from srcLimit).
+func fillReady(fl *inflight, limit int) bool { return fl.fill < limit }
 
 // indirectFill runs the fill stage: up to FillRate indices per cycle,
 // bounded by chained producers.
@@ -112,7 +142,7 @@ func (a *Accel) indirectFill(fl *inflight) {
 	esz := int64(ins.DType.Size())
 	idxTile := a.m.Tile(ins.TS1)
 	limit := a.srcLimit(fl)
-	for budget := a.cfg.FillRate; budget > 0 && fl.fill < limit; budget-- {
+	for budget := a.cfg.FillRate; budget > 0 && fillReady(fl, limit); budget-- {
 		i := fl.fill
 		if ins.TC != NoTile && a.m.Tile(ins.TC).Raw(i) == 0 {
 			fl.fill++
@@ -150,37 +180,44 @@ func (a *Accel) indirectFill(fl *inflight) {
 // cycle, routed to the LLC when the H bit is set and directly into the
 // DRAM controllers otherwise.
 func (a *Accel) indirectRequest(fl *inflight, now sim.Cycle) {
-	for budget := a.cfg.ReqRate; budget > 0; budget-- {
-		var req ColumnReq
-		if fl.holdHead < len(fl.holding) {
-			req = fl.holding[fl.holdHead]
-			if !a.issueColumn(fl, req, now) {
+	for budget := a.cfg.ReqRate; budget > 0 && a.requestReady(fl); budget-- {
+		if !fl.holding {
+			req, ok := fl.rt.NextRequest()
+			if !ok {
 				return
 			}
-			fl.holdHead++
-			if fl.holdHead == len(fl.holding) {
-				fl.holding = fl.holding[:0]
-				fl.holdHead = 0
-			}
-			continue
+			fl.held, fl.heldPA = req, a.mapper.Unmap(fl.rt.Coord(req))
 		}
-		r, ok := fl.rt.NextRequest()
-		if !ok {
-			return
-		}
-		req = r
-		if !a.issueColumn(fl, req, now) {
-			fl.holding = append(fl.holding, req)
+		fl.holding = !a.issueColumn(fl, now)
+		if fl.holding {
 			return
 		}
 	}
 }
 
-// issueColumn sends one column request; it reports false when the
-// target (channel buffer or LLC port) cannot accept it this cycle.
-func (a *Accel) issueColumn(fl *inflight, req ColumnReq, now sim.Cycle) bool {
-	pa := a.mapper.Unmap(fl.rt.Coord(req))
-	if req.Hit || a.cfg.ForceLLCRoute {
+// viaLLC reports whether a column goes through the Cache Interface: its
+// line is cached (the H bit), or the LLC-inject ablation routes every
+// column there.
+func (a *Accel) viaLLC(req ColumnReq) bool { return req.Hit || a.cfg.ForceLLCRoute }
+
+// awaitsChannel reports whether issueColumn refuses req, whose line is
+// at pa, without side effects: the column is DRAM-routed and its
+// channel's request buffer is full. LLC ports recover by the passage of
+// time alone, so an LLC-routed column never waits here.
+func (a *Accel) awaitsChannel(req ColumnReq, pa memspace.PAddr) bool {
+	return !a.viaLLC(req) && !a.mem.CanAccept(pa)
+}
+
+// issueColumn sends the held column's request; it reports false when
+// the target (channel buffer or LLC port) cannot accept it this cycle.
+func (a *Accel) issueColumn(fl *inflight, now sim.Cycle) bool {
+	req, pa := fl.held, fl.heldPA
+	// A full channel buffer is the common refusal while DX100 keeps them
+	// topped up; check it before building the request and its closure.
+	if a.awaitsChannel(req, pa) {
+		return false
+	}
+	if a.viaLLC(req) {
 		// Cache Interface: the line lives in the hierarchy; loads and
 		// stores both resolve there, keeping coherence (§3.6).
 		kind := cache.Load
@@ -193,12 +230,7 @@ func (a *Accel) issueColumn(fl *inflight, req ColumnReq, now sim.Cycle) bool {
 		a.cReqLLC.Inc()
 		return true
 	}
-	// DRAM Interface: read the line directly from memory. A full
-	// channel buffer is the common refusal while DX100 keeps them
-	// topped up; check it before building the request and its closure.
-	if !a.mem.CanAccept(pa) {
-		return false
-	}
+	// DRAM Interface: read the line directly from memory.
 	r := &dram.Request{Addr: pa, Kind: dram.Read, OnDone: func(n sim.Cycle) {
 		a.respond(fl, req)
 		if fl.ins.Op == IST || fl.ins.Op == IRMW {

@@ -26,7 +26,7 @@ func TestHeldColumnSleepsOnFullChannel(t *testing.T) {
 	if !ok {
 		t.Fatal("no column to request")
 	}
-	fl := &inflight{ins: Instr{Op: ILD}, n: 1, fill: 1, inserted: 1, draining: true, rt: rt, holding: []ColumnReq{req}}
+	fl := &inflight{ins: Instr{Op: ILD}, n: 1, fill: 1, inserted: 1, draining: true, rt: rt, held: req, holding: true}
 	a.indQ = []*inflight{fl}
 	pa := r.mem.Mapper().Unmap(rt.Coord(req))
 	for i := 0; r.mem.CanAccept(pa); i++ {
@@ -35,11 +35,11 @@ func TestHeldColumnSleepsOnFullChannel(t *testing.T) {
 	if w, _ := a.NextWake(0); w != sim.NeverWake {
 		t.Fatalf("NextWake = %d with the held column's channel full, want NeverWake", w)
 	}
-	fl.holding[0].Hit = true
+	fl.held.Hit = true
 	if w, _ := a.NextWake(0); w != 1 {
 		t.Fatalf("NextWake = %d for an LLC-routed held column, want 1", w)
 	}
-	fl.holding[0].Hit = false
+	fl.held.Hit = false
 	// Step the DRAM alone until the channel issues a column command.
 	now := sim.Cycle(0)
 	for !r.mem.CanAccept(pa) {

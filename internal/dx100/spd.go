@@ -28,7 +28,7 @@ func (p *spdPort) Access(now sim.Cycle, addr memspace.PAddr, kind cache.Kind, on
 		return false
 	}
 	a.spdUsed++
-	a.stats.Inc(a.prefix + "spd.accesses")
+	a.cSPD.Inc()
 	if onDone != nil {
 		a.eng.After(a.cfg.SPDLatency, onDone)
 	}

@@ -74,18 +74,11 @@ func newDriver(a *dx100.Accel, inst *workloads.Instance, tileElems int, part, pa
 		if err != nil {
 			return nil, fmt.Errorf("exp: compile %s: %w", k.Name, err)
 		}
-		env := &loopir.Env{Params: k.Params}
-		lo, hi, err := loopir.InterpretBounds(k, env)
+		lo, hi, err := partBounds(k, part, parts)
 		if err != nil {
 			return nil, err
 		}
-		span := hi - lo
-		ck := &compiledKernel{
-			c:     c,
-			lo:    lo + span*int64(part)/int64(parts),
-			hi:    lo + span*int64(part+1)/int64(parts),
-			chunk: inst.ChunkFor(ki, tileElems),
-		}
+		ck := &compiledKernel{c: c, lo: lo, hi: hi, chunk: inst.ChunkFor(ki, tileElems)}
 		// Probe whether one chunk's program fits half the scratchpad.
 		if ck.lo < ck.hi {
 			probeHi := ck.lo + int64(ck.chunk)

@@ -13,18 +13,18 @@ import (
 // elem 5, 300 mW static at 3.2 GHz).
 func syntheticResult(mode Mode) Result {
 	st := sim.NewStats()
-	st.Add("dram.reads", 800)
-	st.Add("dram.writes", 200) // 1000 accesses -> 10 uJ
-	st.Add("llc.accesses", 1000)
-	st.Add("l2.accesses", 2000)
-	st.Add("l1d.accesses", 10000) // caches: 0.6+0.3+0.3 = 1.2 uJ
-	instr := 100000.0             // core: 7 uJ
+	st.Counter("dram.reads").Add(800)
+	st.Counter("dram.writes").Add(200) // 1000 accesses -> 10 uJ
+	st.Counter("llc.accesses").Add(1000)
+	st.Counter("l2.accesses").Add(2000)
+	st.Counter("l1d.accesses").Add(10000) // caches: 0.6+0.3+0.3 = 1.2 uJ
+	instr := 100000.0                     // core: 7 uJ
 	if mode == DX {
-		st.Add("dx100.0.spd.accesses", 1000) // 15000 pJ
-		st.Add("dx100.0.rt.inserts", 500)
-		st.Add("dx100.0.stream.lines", 300)
-		st.Add("dx100.0.words", 200) // 1000 elems -> 5000 pJ
-		instr = 10000                // core: 0.7 uJ
+		st.Counter("dx100.0.spd.accesses").Add(1000) // 15000 pJ
+		st.Counter("dx100.0.rt.inserts").Add(500)
+		st.Counter("dx100.0.stream.lines").Add(300)
+		st.Counter("dx100.0.words").Add(200) // 1000 elems -> 5000 pJ
+		instr = 10000                        // core: 0.7 uJ
 	}
 	return Result{
 		Workload:     "synthetic",

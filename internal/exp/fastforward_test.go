@@ -25,12 +25,20 @@ func exact(c cell) cell {
 	return c
 }
 
+// TestFastForwardResultEquivalence runs detNames in every mode, plus
+// the DX100 cells that dispatch the opcodes detNames never does: CG
+// (ALUV), BFS (conditional IST) and PRO (SST).
 func TestFastForwardResultEquivalence(t *testing.T) {
+	var cells []cell
 	for _, name := range detNames {
 		for _, mode := range []Mode{Baseline, DMP, DX} {
-			on, off := ref(t, plain(name, mode)), ref(t, exact(plain(name, mode)))
-			requireSame(t, name+"/"+mode.String()+" with fast-forward off", on.String(), off.String())
+			cells = append(cells, plain(name, mode))
 		}
+	}
+	cells = append(cells, plain("CG", DX), plain("BFS", DX), plain("PRO", DX))
+	for _, c := range cells {
+		on, off := ref(t, c), ref(t, exact(c))
+		requireSame(t, c.name+"/"+c.cfg.Mode.String()+" with fast-forward off", on.String(), off.String())
 	}
 }
 

@@ -81,3 +81,30 @@ func TestSampledFastForwardEquivalence(t *testing.T) {
 			runPatternJSON(t, 4, cfg, RunOptions{Sampling: scfg, NoFastForward: true}))
 	})
 }
+
+// TestWarmLLCIgnoresRegionNames: the All-Hit warm-up knows the
+// scratchpads by address, not by name. Region names carry the
+// workload's name, so a pattern file named "spd" must warm and run
+// exactly as the same file under another name does, on both systems.
+func TestWarmLLCIgnoresRegionNames(t *testing.T) {
+	for _, mode := range []Mode{Baseline, DX} {
+		cfg := Default(mode)
+		cfg.WarmLLC = true
+		var wire [2]string
+		for i, name := range []string{"abc", "spd"} {
+			f := patternFile(t)
+			f.Name = name
+			inst, err := pattern.Compile(f, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunInstance(inst, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Workload = ""
+			wire[i] = wireOf(t, res)
+		}
+		requireSame(t, mode.String()+" warmed run of the file named \"spd\"", wire[0], wire[1])
+	}
+}

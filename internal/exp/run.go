@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"dx100/internal/cache"
 	"dx100/internal/cpu"
@@ -331,11 +330,18 @@ func (s *system) installCheck(opts RunOptions, p *profiler) {
 // warm-up is functional — pure tag/LRU installs with no events or
 // cycles — so the engine clock stays at zero.
 func (s *system) warmLLC(inst *workloads.Instance) {
+	// The accelerators' scratchpads are not cacheable data. They are
+	// known by address: region names carry the workload's name.
+	spd := make(map[memspace.PAddr]bool, len(s.accels))
+	for _, a := range s.accels {
+		lo, _ := a.SPDRange()
+		spd[lo] = true
+	}
 	for _, r := range inst.Space.Regions() {
-		if strings.Contains(r.Name, "spd") {
-			continue // the scratchpad region is not cacheable data
-		}
 		lo := inst.Space.Translate(r.Base)
+		if spd[lo] {
+			continue
+		}
 		for a := memspace.LineAddr(lo); a < lo+memspace.PAddr(r.Size); a += memspace.LineSize {
 			s.hier.LLC.Touch(a, cache.Load)
 		}
@@ -425,6 +431,17 @@ func (s *seqStream) Next(op *cpu.MicroOp) bool {
 	return false
 }
 
+// partBounds returns part's share of kernel k's outer iterations: the
+// part-th of parts contiguous ranges, whose sizes differ by at most one.
+func partBounds(k *loopir.Kernel, part, parts int) (lo, hi int64, err error) {
+	lo, hi, err = loopir.InterpretBounds(k, &loopir.Env{Params: k.Params})
+	if err != nil {
+		return 0, 0, err
+	}
+	span := hi - lo
+	return lo + span*int64(part)/int64(parts), lo + span*int64(part+1)/int64(parts), nil
+}
+
 // attachBaselineStreams partitions each kernel's outer iterations
 // across the cores, with a global barrier between kernels.
 func (s *system) attachBaselineStreams(inst *workloads.Instance) error {
@@ -433,15 +450,11 @@ func (s *system) attachBaselineStreams(inst *workloads.Instance) error {
 	for c := 0; c < n; c++ {
 		var parts []cpu.Stream
 		for ki, k := range inst.Kernels {
-			env := &loopir.Env{Params: k.Params}
-			lo, hi, err := loopir.InterpretBounds(k, env)
+			lo, hi, err := partBounds(k, c, n)
 			if err != nil {
 				return err
 			}
-			span := hi - lo
-			myLo := lo + span*int64(c)/int64(n)
-			myHi := lo + span*int64(c+1)/int64(n)
-			g, err := loopir.NewUopGen(k, inst.Binder, inst.Space, myLo, myHi, inst.AtomicRMW && n > 1)
+			g, err := loopir.NewUopGen(k, inst.Binder, inst.Space, lo, hi, inst.AtomicRMW && n > 1)
 			if err != nil {
 				return err
 			}

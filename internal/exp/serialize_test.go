@@ -69,8 +69,8 @@ func TestSpecCanonicalModeByName(t *testing.T) {
 
 func TestResultJSONRoundTrip(t *testing.T) {
 	st := sim.NewStats()
-	st.Add("dram.reads", 1000)
-	st.Add("core0.instructions", 250.5)
+	st.Counter("dram.reads").Add(1000)
+	st.Counter("core0.instructions").Add(250.5)
 	r := Result{
 		Workload: "micro.gather", Mode: DX, Cycles: 12345,
 		Instructions: 250.5, BWUtil: 0.82, RBH: 0.5, Occupancy: 0.25,

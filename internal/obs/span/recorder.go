@@ -8,8 +8,7 @@ import (
 	"dx100/internal/obs"
 )
 
-// Recorder collects one trace's (or one server's) spans into a
-// ring-buffered obs sink. The sink itself is single-goroutine by
+// Recorder collects one trace's spans into a ring-buffered obs sink. The sink itself is single-goroutine by
 // contract, so the recorder serializes emissions behind a mutex —
 // spans start and end on HTTP handler and worker goroutines
 // concurrently.
@@ -67,12 +66,9 @@ func (r *Recorder) start(name string, parent Context, async bool) *Span {
 	if r == nil {
 		return nil
 	}
-	s := &Span{rec: r, name: name, parent: parent.Span, start: r.now(), async: async}
+	s := &Span{rec: r, name: name, ctx: Child(parent), start: r.now(), async: async}
 	if parent.Valid() {
-		s.ctx = Context{Trace: parent.Trace, Span: NewSpanID(), Flags: parent.Flags | 1}
-	} else {
-		s.ctx = Context{Trace: NewTraceID(), Span: NewSpanID(), Flags: 1}
-		s.parent = SpanID{}
+		s.parent = parent.Span
 	}
 	if async {
 		r.emit(obs.EvSpanBegin, s, s.start, 0)

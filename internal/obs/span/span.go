@@ -192,6 +192,17 @@ func randomID(b []byte) {
 	}
 }
 
+// Child returns the trace position of a new span under parent: a fresh
+// span id in parent's trace, or a fresh trace when parent is invalid.
+// A Recorder places every span it starts with it; a caller that needs
+// only a span's context, not its record, calls it directly.
+func Child(parent Context) Context {
+	if parent.Valid() {
+		return Context{Trace: parent.Trace, Span: NewSpanID(), Flags: parent.Flags | 1}
+	}
+	return Context{Trace: NewTraceID(), Span: NewSpanID(), Flags: 1}
+}
+
 // NewTraceID returns a fresh random trace id.
 func NewTraceID() TraceID {
 	var t TraceID

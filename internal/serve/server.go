@@ -98,11 +98,6 @@ type Server struct {
 	handler http.Handler // mux wrapped in the tracing/logging middleware
 	log     *slog.Logger
 
-	// httpSpans records the request-level spans the middleware opens;
-	// per-job lifecycle spans live in each job's own recorder so GET
-	// /v1/runs/{id}/trace serves exactly that run's trace.
-	httpSpans *span.Recorder
-
 	ctx    context.Context // canceled only when Shutdown gives up waiting
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -136,15 +131,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		cache:     cache,
-		q:         make(chan *job, cfg.QueueDepth),
-		log:       cfg.Logger,
-		httpSpans: span.NewRecorder(0),
-		ctx:       ctx,
-		cancel:    cancel,
-		jobs:      make(map[string]*job),
-		start:     time.Now(),
+		cfg:    cfg,
+		cache:  cache,
+		q:      make(chan *job, cfg.QueueDepth),
+		log:    cfg.Logger,
+		ctx:    ctx,
+		cancel: cancel,
+		jobs:   make(map[string]*job),
+		start:  time.Now(),
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))

@@ -23,8 +23,8 @@ func requestSpanContext(ctx context.Context) span.Context {
 	return c
 }
 
-// statusRecorder captures the response status for the request span and
-// log line while forwarding Flush, which the SSE handlers require.
+// statusRecorder captures the response status for the request's log
+// line while forwarding Flush, which the SSE handlers require.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -55,10 +55,11 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWrite
 
 // traceMiddleware wraps every route: it parses an incoming W3C
 // traceparent header (continuing the caller's trace when one is sent,
-// starting a fresh one otherwise), echoes the request span's context
-// back in the response traceparent header, records the span in the
-// server's recorder, and writes one structured log line per request
-// correlated by trace_id/span_id.
+// starting a fresh one otherwise), gives the request a span context,
+// echoes it back in the response traceparent header, and writes one
+// structured log line per request correlated by trace_id/span_id. The
+// request span is not recorded: a job's root span parents on it, and
+// each job's own recorder serves that run's trace.
 func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var parent span.Context
@@ -67,19 +68,14 @@ func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 				parent = c
 			}
 		}
-		sp := s.httpSpans.Start("http "+r.Method+" "+r.URL.Path, parent)
-		c := sp.Context()
-		if c.Valid() {
-			w.Header().Set("traceparent", c.Traceparent())
-		}
+		c := span.Child(parent)
+		w.Header().Set("traceparent", c.Traceparent())
 		sr := &statusRecorder{ResponseWriter: w}
 		began := time.Now()
 		next.ServeHTTP(sr, r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, c)))
 		if sr.status == 0 {
 			sr.status = http.StatusOK
 		}
-		sp.SetStatus(int64(sr.status))
-		sp.End()
 		s.log.Info("http",
 			"method", r.Method, "path", r.URL.Path, "status", sr.status,
 			"dur_ms", float64(time.Since(began).Microseconds())/1000,

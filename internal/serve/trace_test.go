@@ -39,8 +39,9 @@ func TestSpanResultNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get("traceparent"); !strings.HasPrefix(got, "00-4bf92f3577b34da6a3ce929d0e0e4736-") {
-		t.Fatalf("response traceparent %q does not continue the request trace", got)
+	echoed, err := span.ParseTraceparent(resp.Header.Get("traceparent"))
+	if err != nil || echoed.Trace.String() != "4bf92f3577b34da6a3ce929d0e0e4736" {
+		t.Fatalf("response traceparent %q does not continue the request trace (%v)", resp.Header.Get("traceparent"), err)
 	}
 	if sr.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("submit trace_id = %q, want the caller's trace", sr.TraceID)
@@ -52,6 +53,34 @@ func TestSpanResultNeutral(t *testing.T) {
 	}
 	if v.TraceID != sr.TraceID {
 		t.Fatalf("status trace_id = %q, want %q", v.TraceID, sr.TraceID)
+	}
+	// The job's root span parents on the request span echoed above.
+	tr, err := http.Get(ts.URL + "/v1/runs/" + sr.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Args struct {
+				Parent string `json:"parent_span_id"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	err = json.NewDecoder(tr.Body).Decode(&doc)
+	tr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parents []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "job.run" && ev.Ph == "b" {
+			parents = append(parents, ev.Args.Parent)
+		}
+	}
+	if len(parents) != 1 || parents[0] != echoed.Span.String() {
+		t.Fatalf("job.run parents on %v, want the echoed request span %s", parents, echoed.Span)
 	}
 
 	res, err := exp.Run("graph.pr.pull", 1, exp.Default(exp.DX))

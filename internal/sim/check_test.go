@@ -98,8 +98,8 @@ func TestCheckResultNeutral(t *testing.T) {
 
 func TestStatsJSONRoundTrip(t *testing.T) {
 	s := NewStats()
-	s.Add("dram.reads", 1234)
-	s.Add("core0.instructions", 5678.5)
+	s.Counter("dram.reads").Add(1234)
+	s.Counter("core0.instructions").Add(5678.5)
 	s.Counter("untouched.counter") // handle created but never bumped
 	b1, err := json.Marshal(s)
 	if err != nil {

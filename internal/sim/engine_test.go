@@ -133,9 +133,9 @@ func TestEngineChainedEvents(t *testing.T) {
 
 func TestStatsBasics(t *testing.T) {
 	s := NewStats()
-	s.Inc("a")
-	s.Add("a", 2)
-	s.Set("b", 7)
+	s.Counter("a").Inc()
+	s.Counter("a").Add(2)
+	s.Counter("b").Set(7)
 	if got := s.Get("a"); got != 3 {
 		t.Fatalf("a = %v, want 3", got)
 	}
@@ -206,12 +206,12 @@ func TestEventOrderProperty(t *testing.T) {
 
 func TestStatsReset(t *testing.T) {
 	s := NewStats()
-	s.Add("x", 5)
+	s.Counter("x").Add(5)
 	s.Reset()
 	if s.Get("x") != 0 || len(s.Names()) != 0 {
 		t.Fatal("Reset did not clear counters")
 	}
-	s.Inc("y")
+	s.Counter("y").Inc()
 	if s.Get("y") != 1 {
 		t.Fatal("registry unusable after Reset")
 	}
@@ -234,7 +234,7 @@ func TestTickerFuncAdapter(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	s := NewStats()
-	s.Set("alpha", 1)
+	s.Counter("alpha").Set(1)
 	if out := s.String(); out == "" {
 		t.Fatal("empty String")
 	}

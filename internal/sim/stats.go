@@ -9,14 +9,13 @@ import (
 	"dx100/internal/obs"
 )
 
-// Counter is one named statistic. Components on per-cycle paths hold a
-// *Counter obtained once from Stats.Counter and bump it directly —
-// no map lookup, no string concatenation, no allocation — while cold
-// paths keep using the string-keyed Stats methods. A counter is
+// Counter is one named statistic. A component obtains each of its
+// counters once, from Stats.Counter, and bumps it directly: no map
+// lookup, no string concatenation, no allocation. A counter is
 // "touched" once any Add/Inc/Set hits it; Names and String list only
-// touched counters, so handle-based and string-based usage render
-// identically (including across Reset, which un-touches every counter
-// while keeping handles valid).
+// touched counters, so a handle taken at construction renders nothing
+// until it counts (Reset un-touches every counter while keeping
+// handles valid).
 //
 // Counter is an alias for obs.Counter: the simulator's statistics live
 // in an obs.Registry, so the same run registry can also carry
@@ -25,13 +24,12 @@ import (
 type Counter = obs.Counter
 
 // Stats is a flat registry of named counters shared by the simulator
-// components, backed by an obs.Registry. Components add to counters by
-// name (or through *Counter handles on hot paths); the experiment
-// harness snapshots and formats them. Histograms registered on the
-// same registry (DRAM occupancy, queue depths) ride along in obs
-// snapshots but are deliberately excluded from Stats' JSON form, which
-// stays a flat counters-only object so experiment Results remain
-// byte-stable.
+// components, backed by an obs.Registry. Components add to counters
+// through *Counter handles; the experiment harness snapshots and
+// formats them. Histograms registered on the same registry (DRAM
+// occupancy, queue depths) ride along in obs snapshots but are
+// deliberately excluded from Stats' JSON form, which stays a flat
+// counters-only object so experiment Results remain byte-stable.
 type Stats struct {
 	reg *obs.Registry
 }
@@ -51,21 +49,11 @@ func (s *Stats) Registry() *obs.Registry {
 }
 
 // Counter returns the handle for name, creating it (untouched) on
-// first use. Handles remain valid across Reset.
+// first use; it is the only way to write a statistic. Handles remain
+// valid across Reset.
 func (s *Stats) Counter(name string) *Counter {
 	return s.Registry().Counter(name)
 }
-
-// Add increments counter name by v.
-func (s *Stats) Add(name string, v float64) {
-	s.Counter(name).Add(v)
-}
-
-// Inc increments counter name by one.
-func (s *Stats) Inc(name string) { s.Add(name, 1) }
-
-// Set overwrites counter name.
-func (s *Stats) Set(name string, v float64) { s.Counter(name).Set(v) }
 
 // Reset zeroes every counter and clears every histogram (components
 // keep their registry pointer and their handles, so measurement can

@@ -10,13 +10,13 @@ func TestStatsCountersMergeByName(t *testing.T) {
 	s := NewStats()
 	// Two components reporting under the same name accumulate into one
 	// counter — the merge semantics the per-channel DRAM stats rely on.
-	s.Add("dram.bytes", 64)
-	s.Add("dram.bytes", 64)
-	s.Inc("dram.bytes")
+	s.Counter("dram.bytes").Add(64)
+	s.Counter("dram.bytes").Add(64)
+	s.Counter("dram.bytes").Inc()
 	if got := s.Get("dram.bytes"); got != 129 {
 		t.Fatalf("merged counter = %v, want 129", got)
 	}
-	s.Set("dram.bytes", 5)
+	s.Counter("dram.bytes").Set(5)
 	if got := s.Get("dram.bytes"); got != 5 {
 		t.Fatalf("Set did not overwrite: %v", got)
 	}
@@ -30,7 +30,7 @@ func TestStatsResetKeepsRegistrySharedWithComponents(t *testing.T) {
 	// A component captures the registry pointer at build time; the
 	// warm-LLC phase resets counters between warm-up and measurement
 	// and the component's later adds must land in the same registry.
-	componentAdd := func(v float64) { s.Add("llc.hits", v) }
+	componentAdd := func(v float64) { s.Counter("llc.hits").Add(v) }
 	componentAdd(100)
 	if s.Get("llc.hits") != 100 {
 		t.Fatal("setup failed")
@@ -50,9 +50,9 @@ func TestStatsResetKeepsRegistrySharedWithComponents(t *testing.T) {
 
 func TestStatsNamesSortedAndStringStable(t *testing.T) {
 	s := NewStats()
-	s.Inc("zeta")
-	s.Inc("alpha")
-	s.Inc("mid")
+	s.Counter("zeta").Inc()
+	s.Counter("alpha").Inc()
+	s.Counter("mid").Inc()
 	names := s.Names()
 	want := []string{"alpha", "mid", "zeta"}
 	for i, n := range want {
@@ -68,9 +68,9 @@ func TestStatsNamesSortedAndStringStable(t *testing.T) {
 		t.Fatalf("String() not sorted:\n%s", out)
 	}
 	s2 := NewStats()
-	s2.Inc("mid")
-	s2.Inc("zeta")
-	s2.Inc("alpha")
+	s2.Counter("mid").Inc()
+	s2.Counter("zeta").Inc()
+	s2.Counter("alpha").Inc()
 	if s2.String() != out {
 		t.Fatalf("equal registries render differently:\n%s\nvs\n%s", out, s2.String())
 	}
