@@ -383,7 +383,7 @@ func writeTimeline(path string, res exp.Result) error {
 // the histograms the flat Result JSON leaves out): Prometheus text by
 // default, JSON when the path ends in .json.
 func writeMetrics(path string, res exp.Result) error {
-	snap := res.Stats.Registry().Snapshot()
+	snap := res.Stats.Snapshot()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

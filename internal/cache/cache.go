@@ -147,9 +147,9 @@ type Cache struct {
 
 	// classify, when non-nil, attributes demand hits and misses to an
 	// access class (hub vs tail data, say) beside the regular counters.
-	// The class counters live in the caller's own registry, never in
-	// the run's stats — classification is observation only and must not
-	// perturb the Result wire form.
+	// The class counters belong to the caller, never to the run's
+	// stats — classification is observation only and must not perturb
+	// the Result wire form.
 	classify    func(line memspace.PAddr) int
 	classHits   []*sim.Counter
 	classMisses []*sim.Counter

@@ -48,7 +48,6 @@ type channel struct {
 	// Refresh state: at nextRefresh all banks precharge and the
 	// channel blocks for tRFC.
 	nextRefresh uint64
-	refreshes   uint64
 }
 
 func newChannel(p Params) *channel {
@@ -74,7 +73,6 @@ func (ch *channel) maybeRefresh(dc uint64) bool {
 	}
 	if dc >= ch.nextRefresh {
 		ch.hintValid = false
-		ch.refreshes++
 		end := dc + uint64(ch.p.TRFC)
 		for i := range ch.banks {
 			b := &ch.banks[i]

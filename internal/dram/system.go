@@ -34,8 +34,8 @@ type System struct {
 	cBytes     *sim.Counter
 
 	// hOccupancy is the request-buffer occupancy distribution, one
-	// observation per channel per DRAM cycle. It lives in the stats
-	// registry (obs snapshots carry it) but not in the Result JSON.
+	// observation per channel per DRAM cycle. It lives in the run's
+	// Stats (their Snapshot carries it) but not in the Result JSON.
 	hOccupancy *obs.Histogram
 
 	// trace, when non-nil, receives one event per issued DRAM command
@@ -62,7 +62,7 @@ func NewSystem(eng *sim.Engine, p Params, stats *sim.Stats, prefix string) *Syst
 	s.cReads = stats.Counter(prefix + "reads")
 	s.cWrites = stats.Counter(prefix + "writes")
 	s.cBytes = stats.Counter(prefix + "bytes")
-	s.hOccupancy = stats.Registry().Histogram(prefix+"occupancy", obs.ExpBounds(p.RequestBuffer))
+	s.hOccupancy = stats.Histogram(prefix+"occupancy", obs.ExpBounds(p.RequestBuffer))
 	for i := 0; i < p.Channels; i++ {
 		ch := newChannel(p)
 		ch.idx = i

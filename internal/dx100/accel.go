@@ -64,11 +64,10 @@ type inflight struct {
 	inserted  int
 	responded int
 	draining  bool
-	// held is the column the request stage issues next, at physical
-	// address heldPA. holding marks one that its target refused; the
-	// stage retries it before popping another.
+	// held is the column the request stage issues next. holding marks
+	// one that its target refused; the stage retries it before popping
+	// another.
 	held    ColumnReq
-	heldPA  memspace.PAddr
 	holding bool
 	// writeQueue drains head-first; wqHead avoids reslicing so the
 	// backing array is reused once empty.
@@ -79,10 +78,10 @@ type inflight struct {
 	// blocked is set when an insert found its Row Table slice full,
 	// and blockedMisses holds the TLB miss count at that moment. Only a
 	// response frees a slice entry (respond clears the flag), so until
-	// then every retry repeats the same failing insert: one TLB hit and
-	// one stall per cycle, which SkipCycles can count in bulk. A TLB
-	// miss may evict the retried element's page, so the block holds
-	// only while the miss count is unchanged.
+	// then every retry repeats the same failing insert: one stall per
+	// cycle, which SkipCycles can count in bulk. A TLB miss may evict
+	// the retried element's page, so the block holds only while the
+	// miss count is unchanged.
 	blocked       bool
 	blockedMisses int
 
@@ -117,7 +116,6 @@ type Accel struct {
 	qHead int
 	units [numUnits]*inflight
 	indQ  []*inflight // indirect unit: up to two staged instructions
-	refs  []WordRef   // Row Table response buffer, reused by respond
 
 	cInstrs     *sim.Counter
 	cSnoops     *sim.Counter
@@ -201,8 +199,8 @@ func New(eng *sim.Engine, cfg Config, space *memspace.Space, mem *dram.System, l
 		snoop:  snoop,
 		tlb:    NewTLB(space, cfg.TLBEntries),
 	}
-	a.rts[0] = NewRowTable(mem.Params(), cfg.RowTable, cfg.Machine.TileElems)
-	a.rts[1] = NewRowTable(mem.Params(), cfg.RowTable, cfg.Machine.TileElems)
+	a.rts[0] = NewRowTable(mem.Params(), cfg.RowTable)
+	a.rts[1] = NewRowTable(mem.Params(), cfg.RowTable)
 	nt := cfg.Machine.Tiles
 	a.tileRefs = make([]int, nt)
 	a.tileUse = make([]int, nt)
@@ -487,15 +485,13 @@ func (a *Accel) NextWake(now sim.Cycle) (sim.Cycle, bool) {
 
 // SkipCycles implements sim.CycleSkipper. The one per-cycle side
 // effect a sleeping accelerator has is a blocked fill's retry, which
-// counts a TLB hit and a Row Table stall on every elided cycle.
+// counts a Row Table stall on every elided cycle.
 func (a *Accel) SkipCycles(from, to sim.Cycle) {
 	fl := a.fillTarget(from + 1)
 	if fl == nil || !a.fillBlocked(fl) {
 		return
 	}
-	n := int(to - from - 1)
-	fl.rt.Stalls += n
-	a.tlb.Hits += n
+	fl.rt.Stalls += int(to - from - 1)
 }
 
 // fillTarget returns the instruction the shared fill ports serve at

@@ -120,7 +120,7 @@ func (a *Accel) drainEngaged(fl *inflight) bool {
 // (awaitsChannel), else any pending column of the Row Table.
 func (a *Accel) requestReady(fl *inflight) bool {
 	if fl.holding {
-		return !a.awaitsChannel(fl.held, fl.heldPA)
+		return !a.awaitsChannel(fl.held)
 	}
 	return fl.rt.Pending() > 0
 }
@@ -154,8 +154,6 @@ func (a *Accel) indirectFill(fl *inflight) {
 			fl.stallUntil = a.eng.Now() + a.cfg.TLBMissLat
 			return
 		}
-		coord := a.mapper.Map(pa)
-		wordOff := int(uint64(pa) % memspace.LineSize / uint64(esz))
 		la := memspace.LineAddr(pa)
 		snoop := func() bool {
 			h := a.snoop != nil && a.snoop.Present(la)
@@ -165,7 +163,7 @@ func (a *Accel) indirectFill(fl *inflight) {
 			}
 			return h
 		}
-		if !fl.rt.Insert(i, coord, wordOff, snoop) {
+		if !fl.rt.Insert(a.mapper.Map(pa), la, snoop) {
 			// Table full: drain until a response frees an entry.
 			fl.draining = true
 			fl.blocked, fl.blockedMisses = true, a.tlb.Misses
@@ -186,7 +184,7 @@ func (a *Accel) indirectRequest(fl *inflight, now sim.Cycle) {
 			if !ok {
 				return
 			}
-			fl.held, fl.heldPA = req, a.mapper.Unmap(fl.rt.Coord(req))
+			fl.held = req
 		}
 		fl.holding = !a.issueColumn(fl, now)
 		if fl.holding {
@@ -200,21 +198,21 @@ func (a *Accel) indirectRequest(fl *inflight, now sim.Cycle) {
 // column there.
 func (a *Accel) viaLLC(req ColumnReq) bool { return req.Hit || a.cfg.ForceLLCRoute }
 
-// awaitsChannel reports whether issueColumn refuses req, whose line is
-// at pa, without side effects: the column is DRAM-routed and its
-// channel's request buffer is full. LLC ports recover by the passage of
-// time alone, so an LLC-routed column never waits here.
-func (a *Accel) awaitsChannel(req ColumnReq, pa memspace.PAddr) bool {
-	return !a.viaLLC(req) && !a.mem.CanAccept(pa)
+// awaitsChannel reports whether issueColumn refuses req without side
+// effects: the column is DRAM-routed and its channel's request buffer
+// is full. LLC ports recover by the passage of time alone, so an
+// LLC-routed column never waits here.
+func (a *Accel) awaitsChannel(req ColumnReq) bool {
+	return !a.viaLLC(req) && !a.mem.CanAccept(req.Line)
 }
 
 // issueColumn sends the held column's request; it reports false when
 // the target (channel buffer or LLC port) cannot accept it this cycle.
 func (a *Accel) issueColumn(fl *inflight, now sim.Cycle) bool {
-	req, pa := fl.held, fl.heldPA
+	req := fl.held
 	// A full channel buffer is the common refusal while DX100 keeps them
 	// topped up; check it before building the request and its closure.
-	if a.awaitsChannel(req, pa) {
+	if a.awaitsChannel(req) {
 		return false
 	}
 	if a.viaLLC(req) {
@@ -224,20 +222,20 @@ func (a *Accel) issueColumn(fl *inflight, now sim.Cycle) bool {
 		if fl.ins.Op != ILD {
 			kind = cache.Store
 		}
-		if !a.llc.Access(now, pa, kind, func(n sim.Cycle) { a.respond(fl, req) }) {
+		if !a.llc.Access(now, req.Line, kind, func(n sim.Cycle) { a.respond(fl, req) }) {
 			return false
 		}
 		a.cReqLLC.Inc()
 		return true
 	}
 	// DRAM Interface: read the line directly from memory.
-	r := &dram.Request{Addr: pa, Kind: dram.Read, OnDone: func(n sim.Cycle) {
+	r := &dram.Request{Addr: req.Line, Kind: dram.Read, OnDone: func(n sim.Cycle) {
 		a.respond(fl, req)
 		if fl.ins.Op == IST || fl.ins.Op == IRMW {
 			// Word Modifier merges the new words and writes the line
 			// back (§3.2, operation stage 3).
 			fl.writesPend++
-			w := &dram.Request{Addr: pa, Kind: dram.Write, OnDone: func(sim.Cycle) { fl.writesPend-- }}
+			w := &dram.Request{Addr: req.Line, Kind: dram.Write, OnDone: func(sim.Cycle) { fl.writesPend-- }}
 			if !a.mem.Submit(w) {
 				fl.writeQueue = append(fl.writeQueue, w)
 			}
@@ -251,12 +249,12 @@ func (a *Accel) issueColumn(fl *inflight, now sim.Cycle) bool {
 	return true
 }
 
-// respond consumes a column response: the Word Table walk yields the
-// served tile elements.
+// respond consumes a column response, which serves the column's tile
+// elements.
 func (a *Accel) respond(fl *inflight, req ColumnReq) {
-	a.refs = fl.rt.Respond(req, a.refs[:0])
-	fl.responded += len(a.refs)
-	a.cWords.Add(float64(len(a.refs)))
+	fl.rt.Respond(req)
+	fl.responded += req.Words
+	a.cWords.Add(float64(req.Words))
 	fl.blocked = false // the freed entry may admit the blocked insert
 }
 

@@ -1,6 +1,9 @@
 package dx100
 
-import "dx100/internal/dram"
+import (
+	"dx100/internal/dram"
+	"dx100/internal/memspace"
+)
 
 // RowTableConfig sizes the Indirect Access unit's reordering structure
 // (§3.2, Figure 4): each DRAM bank gets a slice whose BCAM holds Rows
@@ -13,22 +16,17 @@ type RowTableConfig struct {
 // DefaultRowTableConfig returns the 64x8 organization of Table 3.
 func DefaultRowTableConfig() RowTableConfig { return RowTableConfig{Rows: 64, Cols: 8} }
 
-// wordEntry is one Word Table slot: the word offset within its cache
-// line and a link to the previous iteration targeting the same column
-// (Figure 4c).
-type wordEntry struct {
-	wordOff uint8
-	prev    int32
-}
-
-// colEntry is one SRAM column slot (Figure 4b).
+// colEntry is one SRAM column slot (Figure 4b). The model keeps the
+// number of tile elements the column serves, not their Word Table list
+// (Figure 4c): the functional machine moved the data at dispatch, so
+// timing needs only the count.
 type colEntry struct {
 	valid bool
 	sent  bool
 	col   int
-	hit   bool  // H bit: line present in the cache hierarchy
-	tail  int32 // head of the word linked list (most recent iteration)
+	hit   bool // H bit: line present in the cache hierarchy
 	words int
+	line  memspace.PAddr // the column's cache-line address
 }
 
 // rowEntry is one BCAM row slot.
@@ -46,7 +44,7 @@ type slice struct {
 
 // ColumnReq identifies one generated memory request: the slice/row/col
 // entry coordinates (used to locate the entry on response) plus the
-// decoded DRAM target.
+// DRAM target and its cache-line address.
 type ColumnReq struct {
 	GSlice  int // global slice = channel * banksPerChannel + slice
 	RowSlot int
@@ -54,23 +52,16 @@ type ColumnReq struct {
 	Row     int
 	Col     int
 	Hit     bool
-	Words   int
-}
-
-// WordRef is one tile element served by a column response.
-type WordRef struct {
-	Iter    int
-	WordOff int
+	Words   int // tile elements the column serves; fixed once sent
+	Line    memspace.PAddr
 }
 
 // RowTable is the full reordering structure: one slice per DRAM bank
-// across all channels, plus the Word Table linking tile elements to
-// columns. It is purely structural — the timing unit drives it.
+// across all channels. It is purely structural — the timing unit
+// drives it.
 type RowTable struct {
 	p      dram.Params
-	cfg    RowTableConfig
 	slices []slice
-	words  []wordEntry
 	order  []int // slice visit order: channel-interleaved, then bank-group
 	cursor int
 
@@ -81,20 +72,13 @@ type RowTable struct {
 	Inserts   int // total words inserted
 	Coalesced int // words merged into an existing unsent column
 	ColsAlloc int // column entries allocated (= memory requests)
-	RowsAlloc int // row entries allocated
 	Stalls    int // failed inserts (table full)
 }
 
-// NewRowTable builds the structure for the given DRAM organization and
-// tile capacity (the Word Table has one slot per tile element).
-func NewRowTable(p dram.Params, cfg RowTableConfig, tileCap int) *RowTable {
+// NewRowTable builds the structure for the given DRAM organization.
+func NewRowTable(p dram.Params, cfg RowTableConfig) *RowTable {
 	n := p.TotalBanks()
-	rt := &RowTable{
-		p:      p,
-		cfg:    cfg,
-		slices: make([]slice, n),
-		words:  make([]wordEntry, tileCap),
-	}
+	rt := &RowTable{p: p, slices: make([]slice, n)}
 	for i := range rt.slices {
 		rows := make([]rowEntry, cfg.Rows)
 		for r := range rows {
@@ -130,12 +114,12 @@ func (rt *RowTable) Pending() int { return rt.pendingCols }
 // processed.
 func (rt *RowTable) Outstanding() int { return rt.pendingCols + rt.sentCols }
 
-// Insert records that tile element iter targets the given DRAM
-// coordinate at word offset wordOff within its cache line. snoop is
-// called once per newly allocated column to fill the H bit (§3.6). It
-// reports false when the target slice is full, in which case the fill
-// stage must stall until a drain frees entries.
-func (rt *RowTable) Insert(iter int, c dram.Coord, wordOff int, snoop func() bool) bool {
+// Insert records that one tile element targets the cache line at DRAM
+// coordinate c, whose address is line. snoop is called once per newly
+// allocated column to fill the H bit (§3.6). It reports false when the
+// target slice is full, in which case the fill stage must stall until a
+// drain frees entries.
+func (rt *RowTable) Insert(c dram.Coord, line memspace.PAddr, snoop func() bool) bool {
 	gs := c.GlobalBank(&rt.p)
 	s := &rt.slices[gs]
 	var freeRow = -1
@@ -160,9 +144,7 @@ func (rt *RowTable) Insert(iter int, c dram.Coord, wordOff int, snoop func() boo
 				continue
 			}
 			if ce.col == c.Column && !ce.sent {
-				// Coalesce: link this word into the column's list.
-				rt.words[iter] = wordEntry{wordOff: uint8(wordOff), prev: ce.tail}
-				ce.tail = int32(iter)
+				// Coalesce: the column serves one more element.
 				ce.words++
 				rt.Inserts++
 				rt.Coalesced++
@@ -170,7 +152,7 @@ func (rt *RowTable) Insert(iter int, c dram.Coord, wordOff int, snoop func() boo
 			}
 		}
 		if freeCol >= 0 {
-			rt.allocCol(&re.cols[freeCol], iter, c, wordOff, snoop)
+			rt.allocCol(&re.cols[freeCol], c, line, snoop)
 			s.pending++
 			return true
 		}
@@ -186,19 +168,17 @@ func (rt *RowTable) Insert(iter int, c dram.Coord, wordOff int, snoop func() boo
 	re := &s.rows[freeRow]
 	re.valid = true
 	re.row = c.Row
-	rt.RowsAlloc++
-	rt.allocCol(&re.cols[0], iter, c, wordOff, snoop)
+	rt.allocCol(&re.cols[0], c, line, snoop)
 	s.pending++
 	return true
 }
 
-func (rt *RowTable) allocCol(ce *colEntry, iter int, c dram.Coord, wordOff int, snoop func() bool) {
+func (rt *RowTable) allocCol(ce *colEntry, c dram.Coord, line memspace.PAddr, snoop func() bool) {
 	hit := false
 	if snoop != nil {
 		hit = snoop()
 	}
-	*ce = colEntry{valid: true, col: c.Column, hit: hit, tail: int32(iter), words: 1}
-	rt.words[iter] = wordEntry{wordOff: uint8(wordOff), prev: -1}
+	*ce = colEntry{valid: true, col: c.Column, hit: hit, words: 1, line: line}
 	rt.Inserts++
 	rt.ColsAlloc++
 	rt.pendingCols++
@@ -232,7 +212,7 @@ func (rt *RowTable) NextRequest() (ColumnReq, bool) {
 		s.curRow = r
 		return ColumnReq{
 			GSlice: gs, RowSlot: r, ColSlot: c,
-			Row: s.rows[r].row, Col: ce.col, Hit: ce.hit, Words: ce.words,
+			Row: s.rows[r].row, Col: ce.col, Hit: ce.hit, Words: ce.words, Line: ce.line,
 		}, true
 	}
 	return ColumnReq{}, false
@@ -266,19 +246,14 @@ func unsentCol(re *rowEntry) int {
 	return -1
 }
 
-// Respond consumes the response for req: it walks the word linked
-// list, frees the column (and the row once empty), and appends the
-// tile elements the line serves to dst. Freed entries are zeroed, so a
-// table whose responses have all arrived is as empty as a new one and
-// serves the next instruction without a reset.
-func (rt *RowTable) Respond(req ColumnReq, dst []WordRef) []WordRef {
+// Respond consumes the response for req: it frees the column (and the
+// row once empty). Freed entries are zeroed, so a table whose responses
+// have all arrived is as empty as a new one and serves the next
+// instruction without a reset.
+func (rt *RowTable) Respond(req ColumnReq) {
 	s := &rt.slices[req.GSlice]
 	re := &s.rows[req.RowSlot]
-	ce := &re.cols[req.ColSlot]
-	for it := ce.tail; it >= 0; it = rt.words[it].prev {
-		dst = append(dst, WordRef{Iter: int(it), WordOff: int(rt.words[it].wordOff)})
-	}
-	*ce = colEntry{}
+	re.cols[req.ColSlot] = colEntry{}
 	rt.sentCols--
 	empty := true
 	for c := range re.cols {
@@ -293,16 +268,4 @@ func (rt *RowTable) Respond(req ColumnReq, dst []WordRef) []WordRef {
 			s.curRow = -1
 		}
 	}
-	return dst
-}
-
-// Coord reconstructs the DRAM coordinate of a request.
-func (rt *RowTable) Coord(req ColumnReq) dram.Coord {
-	bpc := rt.p.BanksPerChannel()
-	ch := req.GSlice / bpc
-	sl := req.GSlice % bpc
-	bank := sl % rt.p.Banks
-	bg := (sl / rt.p.Banks) % rt.p.BankGroups
-	rank := sl / (rt.p.Banks * rt.p.BankGroups)
-	return dram.Coord{Channel: ch, Rank: rank, BankGroup: bg, Bank: bank, Row: req.Row, Column: req.Col}
 }

@@ -11,15 +11,21 @@ import (
 
 func newRT() (*RowTable, *dram.Mapper) {
 	p := dram.DDR4_3200()
-	return NewRowTable(p, DefaultRowTableConfig(), 16384), dram.NewMapper(p)
+	return NewRowTable(p, DefaultRowTableConfig()), dram.NewMapper(p)
+}
+
+// insert records one tile element targeting coordinate c, at c's line
+// address, as the fill stage does.
+func insert(rt *RowTable, m *dram.Mapper, c dram.Coord, snoop func() bool) bool {
+	return rt.Insert(c, m.Unmap(c), snoop)
 }
 
 func TestRowTableCoalescing(t *testing.T) {
-	rt, _ := newRT()
+	rt, m := newRT()
 	c := dram.Coord{Row: 3, Column: 7}
-	// Four words in the same cache line: one request, four word refs.
+	// Four words in the same cache line: one request serving four.
 	for i := 0; i < 4; i++ {
-		if !rt.Insert(i, c, i, nil) {
+		if !insert(rt, m, c, nil) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
@@ -33,27 +39,17 @@ func TestRowTableCoalescing(t *testing.T) {
 	if req.Words != 4 {
 		t.Fatalf("req.Words = %d", req.Words)
 	}
-	refs := rt.Respond(req, nil)
-	if len(refs) != 4 {
-		t.Fatalf("word refs = %d, want 4", len(refs))
+	if req.Line != m.Unmap(c) {
+		t.Fatalf("req.Line = %#x, want %#x", req.Line, m.Unmap(c))
 	}
-	seen := map[int]bool{}
-	for _, r := range refs {
-		seen[r.Iter] = true
-		if r.WordOff != r.Iter {
-			t.Fatalf("word off %d for iter %d", r.WordOff, r.Iter)
-		}
-	}
-	if len(seen) != 4 {
-		t.Fatal("duplicate iterations in word list")
-	}
+	rt.Respond(req)
 	if rt.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after respond", rt.Outstanding())
 	}
 }
 
 func TestRowTableDrainOrderInterleavesChannels(t *testing.T) {
-	rt, _ := newRT()
+	rt, m := newRT()
 	p := dram.DDR4_3200()
 	// Insert one column in every bank of both channels.
 	iter := 0
@@ -61,7 +57,7 @@ func TestRowTableDrainOrderInterleavesChannels(t *testing.T) {
 		for bg := 0; bg < p.BankGroups; bg++ {
 			for ba := 0; ba < p.Banks; ba++ {
 				c := dram.Coord{Channel: ch, BankGroup: bg, Bank: ba, Row: 1, Column: 0}
-				if !rt.Insert(iter, c, 0, nil) {
+				if !insert(rt, m, c, nil) {
 					t.Fatal("insert failed")
 				}
 				iter++
@@ -78,7 +74,7 @@ func TestRowTableDrainOrderInterleavesChannels(t *testing.T) {
 			break
 		}
 		reqs = append(reqs, req)
-		co := rt.Coord(req)
+		co := m.Map(req.Line)
 		if lastCh != -1 && co.Channel == lastCh {
 			t.Fatalf("consecutive requests in channel %d", co.Channel)
 		}
@@ -91,7 +87,7 @@ func TestRowTableDrainOrderInterleavesChannels(t *testing.T) {
 	bgSeen := map[int]bool{}
 	cnt := 0
 	for _, r := range reqs {
-		co := rt.Coord(r)
+		co := m.Map(r.Line)
 		if co.Channel == 0 && cnt < 4 {
 			bgSeen[co.BankGroup] = true
 			cnt++
@@ -103,15 +99,13 @@ func TestRowTableDrainOrderInterleavesChannels(t *testing.T) {
 }
 
 func TestRowTableGroupsRowsPerBank(t *testing.T) {
-	rt, _ := newRT()
+	rt, m := newRT()
 	// Two rows in the same bank, columns interleaved adversarially at
 	// insert time. Drain order must still group each row's columns.
 	cols := []int{0, 5, 9}
-	iter := 0
 	for _, col := range cols {
 		for _, row := range []int{1, 2} {
-			rt.Insert(iter, dram.Coord{Row: row, Column: col}, 0, nil)
-			iter++
+			insert(rt, m, dram.Coord{Row: row, Column: col}, nil)
 		}
 	}
 	var rows []int
@@ -121,7 +115,7 @@ func TestRowTableGroupsRowsPerBank(t *testing.T) {
 			break
 		}
 		rows = append(rows, req.Row)
-		rt.Respond(req, nil)
+		rt.Respond(req)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("drained %d", len(rows))
@@ -140,11 +134,11 @@ func TestRowTableGroupsRowsPerBank(t *testing.T) {
 
 func TestRowTableCapacityStall(t *testing.T) {
 	p := dram.DDR4_3200()
-	rt := NewRowTable(p, RowTableConfig{Rows: 2, Cols: 2}, 1024)
+	rt, m := NewRowTable(p, RowTableConfig{Rows: 2, Cols: 2}), dram.NewMapper(p)
 	// Same bank, distinct rows: capacity 2 rows.
-	ok1 := rt.Insert(0, dram.Coord{Row: 1, Column: 0}, 0, nil)
-	ok2 := rt.Insert(1, dram.Coord{Row: 2, Column: 0}, 0, nil)
-	ok3 := rt.Insert(2, dram.Coord{Row: 3, Column: 0}, 0, nil)
+	ok1 := insert(rt, m, dram.Coord{Row: 1, Column: 0}, nil)
+	ok2 := insert(rt, m, dram.Coord{Row: 2, Column: 0}, nil)
+	ok3 := insert(rt, m, dram.Coord{Row: 3, Column: 0}, nil)
 	if !ok1 || !ok2 || ok3 {
 		t.Fatalf("capacity behaviour wrong: %v %v %v", ok1, ok2, ok3)
 	}
@@ -153,22 +147,28 @@ func TestRowTableCapacityStall(t *testing.T) {
 	}
 	// Drain one and retry.
 	req, _ := rt.NextRequest()
-	rt.Respond(req, nil)
-	if !rt.Insert(2, dram.Coord{Row: 3, Column: 0}, 0, nil) {
+	rt.Respond(req)
+	if !insert(rt, m, dram.Coord{Row: 3, Column: 0}, nil) {
 		t.Fatal("insert after drain failed")
 	}
 }
 
 func TestRowTableDuplicateRowWhenColsFull(t *testing.T) {
 	p := dram.DDR4_3200()
-	rt := NewRowTable(p, RowTableConfig{Rows: 4, Cols: 2}, 1024)
+	rt, m := NewRowTable(p, RowTableConfig{Rows: 4, Cols: 2}), dram.NewMapper(p)
 	// Three distinct columns of one row with only 2 col slots: third
 	// allocates a duplicate row entry.
-	rt.Insert(0, dram.Coord{Row: 1, Column: 0}, 0, nil)
-	rt.Insert(1, dram.Coord{Row: 1, Column: 1}, 0, nil)
-	rt.Insert(2, dram.Coord{Row: 1, Column: 2}, 0, nil)
-	if rt.RowsAlloc != 2 {
-		t.Fatalf("rows allocated = %d, want 2", rt.RowsAlloc)
+	insert(rt, m, dram.Coord{Row: 1, Column: 0}, nil)
+	insert(rt, m, dram.Coord{Row: 1, Column: 1}, nil)
+	insert(rt, m, dram.Coord{Row: 1, Column: 2}, nil)
+	rows := 0
+	for _, re := range rt.slices[0].rows {
+		if re.valid && re.row == 1 {
+			rows++
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("row entries for row 1 = %d, want 2", rows)
 	}
 	total := 0
 	for {
@@ -176,7 +176,8 @@ func TestRowTableDuplicateRowWhenColsFull(t *testing.T) {
 		if !ok {
 			break
 		}
-		total += len(rt.Respond(req, nil))
+		rt.Respond(req)
+		total += req.Words
 	}
 	if total != 3 {
 		t.Fatalf("words drained = %d", total)
@@ -184,11 +185,11 @@ func TestRowTableDuplicateRowWhenColsFull(t *testing.T) {
 }
 
 func TestRowTableNoCoalesceAfterSent(t *testing.T) {
-	rt, _ := newRT()
+	rt, m := newRT()
 	c := dram.Coord{Row: 1, Column: 0}
-	rt.Insert(0, c, 0, nil)
+	insert(rt, m, c, nil)
 	req, _ := rt.NextRequest() // column now sent
-	if !rt.Insert(1, c, 1, nil) {
+	if !insert(rt, m, c, nil) {
 		t.Fatal("insert after send failed")
 	}
 	if rt.Coalesced != 0 {
@@ -197,28 +198,28 @@ func TestRowTableNoCoalesceAfterSent(t *testing.T) {
 	if rt.ColsAlloc != 2 {
 		t.Fatalf("cols = %d, want 2", rt.ColsAlloc)
 	}
-	// Both responses return exactly their own words.
-	refs1 := rt.Respond(req, nil)
-	if len(refs1) != 1 || refs1[0].Iter != 0 {
-		t.Fatalf("first response refs %v", refs1)
+	// Both responses serve exactly their own word.
+	if req.Words != 1 {
+		t.Fatalf("first request serves %d words, want 1", req.Words)
 	}
+	rt.Respond(req)
 	req2, ok := rt.NextRequest()
 	if !ok {
 		t.Fatal("second request missing")
 	}
-	refs2 := rt.Respond(req2, nil)
-	if len(refs2) != 1 || refs2[0].Iter != 1 {
-		t.Fatalf("second response refs %v", refs2)
+	if req2.Words != 1 || req2.Line != req.Line {
+		t.Fatalf("second request serves %d words of line %#x, want 1 of %#x", req2.Words, req2.Line, req.Line)
 	}
+	rt.Respond(req2)
 }
 
 func TestRowTableSnoopOncePerColumn(t *testing.T) {
-	rt, _ := newRT()
+	rt, m := newRT()
 	snoops := 0
 	snoop := func() bool { snoops++; return true }
 	c := dram.Coord{Row: 1, Column: 0}
-	rt.Insert(0, c, 0, snoop)
-	rt.Insert(1, c, 1, snoop)
+	insert(rt, m, c, snoop)
+	insert(rt, m, c, snoop)
 	if snoops != 1 {
 		t.Fatalf("snoops = %d, want 1 (once per column)", snoops)
 	}
@@ -230,29 +231,31 @@ func TestRowTableSnoopOncePerColumn(t *testing.T) {
 
 func TestRowTableRandomizedConservation(t *testing.T) {
 	// Property: every inserted word comes back exactly once across all
-	// responses, for random address patterns with interleaved drains.
+	// responses, on its own line, for random address patterns with
+	// interleaved drains.
 	rng := rand.New(rand.NewSource(7))
 	p := dram.DDR4_3200()
-	rt := NewRowTable(p, DefaultRowTableConfig(), 16384)
+	rt := NewRowTable(p, DefaultRowTableConfig())
 	mapper := dram.NewMapper(p)
 	n := 5000
-	got := make([]int, n)
+	pending := map[memspace.PAddr]int{} // words inserted minus words served, per line
 	inserted := 0
 	drainOne := func() bool {
 		req, ok := rt.NextRequest()
 		if !ok {
 			return false
 		}
-		for _, w := range rt.Respond(req, nil) {
-			got[w.Iter]++
+		if co := mapper.Map(req.Line); co.Row != req.Row || co.Column != req.Col {
+			t.Fatalf("request for row %d col %d carries line %#x at row %d col %d", req.Row, req.Col, req.Line, co.Row, co.Column)
 		}
+		rt.Respond(req)
+		pending[req.Line] -= req.Words
 		return true
 	}
 	for inserted < n {
-		pa := uint64(rng.Intn(1 << 26))
-		co := mapper.Map(memspace.PAddr(pa &^ 63))
-		off := int(pa % 64 / 4)
-		if rt.Insert(inserted, co, off, nil) {
+		line := memspace.PAddr(rng.Intn(1<<26)) &^ 63
+		if rt.Insert(mapper.Map(line), line, nil) {
+			pending[line]++
 			inserted++
 		} else if !drainOne() {
 			t.Fatal("table full but nothing to drain")
@@ -260,9 +263,9 @@ func TestRowTableRandomizedConservation(t *testing.T) {
 	}
 	for drainOne() {
 	}
-	for i, g := range got {
-		if g != 1 {
-			t.Fatalf("iter %d returned %d times", i, g)
+	for line, d := range pending {
+		if d != 0 {
+			t.Fatalf("line %#x served %d words more than inserted", line, -d)
 		}
 	}
 	if rt.Outstanding() != 0 {
@@ -279,13 +282,14 @@ func TestRowTableDrainsToFresh(t *testing.T) {
 	cfg := RowTableConfig{Rows: 4, Cols: 2}
 	mapper := dram.NewMapper(p)
 	rng := rand.New(rand.NewSource(13))
-	rt := NewRowTable(p, cfg, 4096)
+	rt := NewRowTable(p, cfg)
 	for round := 0; round < 3; round++ {
 		var sent []ColumnReq
 		words := 0
 		respond := func() {
 			i := rng.Intn(len(sent))
-			words += len(rt.Respond(sent[i], nil))
+			rt.Respond(sent[i])
+			words += sent[i].Words
 			sent[i] = sent[len(sent)-1]
 			sent = sent[:len(sent)-1]
 		}
@@ -298,8 +302,8 @@ func TestRowTableDrainsToFresh(t *testing.T) {
 			case x == 1 && len(sent) > 0:
 				respond()
 			default:
-				co := mapper.Map(memspace.PAddr(rng.Intn(1<<20)) &^ 63)
-				if rt.Insert(iter, co, rng.Intn(16), nil) {
+				line := memspace.PAddr(rng.Intn(1<<20)) &^ 63
+				if rt.Insert(mapper.Map(line), line, nil) {
 					iter++
 				}
 			}
@@ -317,7 +321,7 @@ func TestRowTableDrainsToFresh(t *testing.T) {
 		if words != 4096 || rt.Outstanding() != 0 {
 			t.Fatalf("round %d: %d of 4096 words returned, %d columns outstanding", round, words, rt.Outstanding())
 		}
-		if !reflect.DeepEqual(rt.slices, NewRowTable(p, cfg, 4096).slices) {
+		if !reflect.DeepEqual(rt.slices, NewRowTable(p, cfg).slices) {
 			t.Fatalf("round %d: the drained Row Table's slices differ from a new table's", round)
 		}
 	}

@@ -19,7 +19,8 @@ func TestHeldColumnSleepsOnFullChannel(t *testing.T) {
 	a := r.accel
 	p := r.mem.Params()
 	rt := a.rts[0]
-	if !rt.Insert(0, dram.Coord{Row: 5, Column: 3}, 0, nil) {
+	c := dram.Coord{Row: 5, Column: 3}
+	if !rt.Insert(c, r.mem.Mapper().Unmap(c), nil) {
 		t.Fatal("insert into an empty Row Table failed")
 	}
 	req, ok := rt.NextRequest()
@@ -28,7 +29,7 @@ func TestHeldColumnSleepsOnFullChannel(t *testing.T) {
 	}
 	fl := &inflight{ins: Instr{Op: ILD}, n: 1, fill: 1, inserted: 1, draining: true, rt: rt, held: req, holding: true}
 	a.indQ = []*inflight{fl}
-	pa := r.mem.Mapper().Unmap(rt.Coord(req))
+	pa := req.Line
 	for i := 0; r.mem.CanAccept(pa); i++ {
 		r.mem.Submit(&dram.Request{Addr: r.mem.Mapper().Unmap(dram.Coord{Row: 100 + i}), Kind: dram.Read})
 	}
@@ -57,16 +58,15 @@ func TestHeldColumnSleepsOnFullChannel(t *testing.T) {
 // TestBlockedFillSkipMatchesStepping runs gathers through one-entry
 // Row Table slices, so the fill stage blocks on full slices most of the
 // time, and checks that sleeping through the blocks and counting their
-// stalls in SkipCycles gives exactly the cycles, statistics and TLB
-// hits of stepping every cycle.
+// stalls in SkipCycles gives exactly the cycles and statistics of
+// stepping every cycle.
 func TestBlockedFillSkipMatchesStepping(t *testing.T) {
 	type outcome struct {
-		end     sim.Cycle
-		stalls  float64
-		words   float64
-		tlbHits int
-		jumps   uint64
-		stats   string
+		end    sim.Cycle
+		stalls float64
+		words  float64
+		jumps  uint64
+		stats  string
 	}
 	run := func(noFF bool) outcome {
 		cfg := smallCfg()
@@ -93,7 +93,7 @@ func TestBlockedFillSkipMatchesStepping(t *testing.T) {
 		jumps, _ := r.eng.FastForwarded()
 		return outcome{
 			end: end, stalls: r.st.Get("dx100.rt.stalls"), words: r.st.Get("dx100.words"),
-			tlbHits: ac.TLB().Hits, jumps: jumps, stats: r.st.String(),
+			jumps: jumps, stats: r.st.String(),
 		}
 	}
 	on, off := run(false), run(true)
@@ -103,9 +103,9 @@ func TestBlockedFillSkipMatchesStepping(t *testing.T) {
 	if on.jumps == 0 {
 		t.Fatal("fast-forward never engaged")
 	}
-	if on.end != off.end || on.stalls != off.stalls || on.words != off.words || on.tlbHits != off.tlbHits {
-		t.Fatalf("fast-forward changed the run: end %d/%d, stalls %v/%v, words %v/%v, TLB hits %d/%d",
-			on.end, off.end, on.stalls, off.stalls, on.words, off.words, on.tlbHits, off.tlbHits)
+	if on.end != off.end || on.stalls != off.stalls || on.words != off.words {
+		t.Fatalf("fast-forward changed the run: end %d/%d, stalls %v/%v, words %v/%v",
+			on.end, off.end, on.stalls, off.stalls, on.words, off.words)
 	}
 	if on.stats != off.stats {
 		t.Fatalf("statistics differ:\n--- ff on ---\n%s\n--- ff off ---\n%s", on.stats, off.stats)
@@ -114,8 +114,8 @@ func TestBlockedFillSkipMatchesStepping(t *testing.T) {
 
 // TestBlockedFillSleepRules pins the fill stage's wake rules on a
 // hand-built block: an insert refused by a full Row Table slice sleeps,
-// and each skipped cycle counts exactly the TLB hit and stall that a
-// Tick's retry counts. A TLB miss since the block may have evicted the
+// and each skipped cycle counts exactly the stall that a Tick's retry
+// counts. A TLB miss since the block may have evicted the
 // retried element's page, and a response may have freed an entry;
 // either one wakes the fill on the next cycle.
 func TestBlockedFillSleepRules(t *testing.T) {
@@ -158,17 +158,17 @@ func TestBlockedFillSleepRules(t *testing.T) {
 	if w, _ := a.NextWake(0); w != sim.NeverWake {
 		t.Fatalf("NextWake = %d for a blocked fill, want NeverWake", w)
 	}
-	stalls, hits := fl.rt.Stalls, a.TLB().Hits
+	stalls := fl.rt.Stalls
 	a.SkipCycles(0, 11)
-	if fl.rt.Stalls-stalls != 10 || a.TLB().Hits-hits != 10 {
-		t.Fatalf("SkipCycles over 10 cycles counted %d stalls, %d TLB hits; want 10, 10", fl.rt.Stalls-stalls, a.TLB().Hits-hits)
+	if fl.rt.Stalls-stalls != 10 {
+		t.Fatalf("SkipCycles over 10 cycles counted %d stalls, want 10", fl.rt.Stalls-stalls)
 	}
-	stalls, hits = fl.rt.Stalls, a.TLB().Hits
+	stalls = fl.rt.Stalls
 	for now := sim.Cycle(11); now <= 20; now++ {
 		a.Tick(now)
 	}
-	if fl.rt.Stalls-stalls != 10 || a.TLB().Hits-hits != 10 || fl.fill != 1 {
-		t.Fatalf("10 Ticks counted %d stalls, %d TLB hits, filled to %d; want 10, 10, 1", fl.rt.Stalls-stalls, a.TLB().Hits-hits, fl.fill)
+	if fl.rt.Stalls-stalls != 10 || fl.fill != 1 {
+		t.Fatalf("10 Ticks counted %d stalls, filled to %d; want 10, 1", fl.rt.Stalls-stalls, fl.fill)
 	}
 	a.TLB().Translate(other.Base()) // a miss elsewhere
 	if w, _ := a.NextWake(20); w != 21 {

@@ -12,7 +12,6 @@ type TLB struct {
 	order    []uint64          // FIFO replacement
 	space    *memspace.Space
 
-	Hits   int
 	Misses int
 }
 
@@ -52,7 +51,6 @@ func (t *TLB) insert(vpn, pfn uint64) {
 func (t *TLB) Translate(va memspace.VAddr) (memspace.PAddr, bool) {
 	vpn := uint64(va) >> memspace.HugePageBits
 	if pfn, ok := t.entries[vpn]; ok {
-		t.Hits++
 		return memspace.PAddr(pfn<<memspace.HugePageBits | uint64(va)&(memspace.HugePageSize-1)), true
 	}
 	t.Misses++

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -38,7 +39,36 @@ func TestFastForwardResultEquivalence(t *testing.T) {
 	cells = append(cells, plain("CG", DX), plain("BFS", DX), plain("PRO", DX))
 	for _, c := range cells {
 		on, off := ref(t, c), ref(t, exact(c))
-		requireSame(t, c.name+"/"+c.cfg.Mode.String()+" with fast-forward off", on.String(), off.String())
+		what := c.name + "/" + c.cfg.Mode.String() + " with fast-forward off"
+		requireSame(t, what, on.String(), off.String())
+		// The metrics snapshot adds the occupancy histogram, which a
+		// jump fills through ObserveN.
+		requireSame(t, what+", metrics snapshot", on.metrics, off.metrics)
+	}
+}
+
+// TestOccupancyHistogramCountsEveryChannelCycle pins the DRAM
+// request-buffer occupancy histogram that rides beside a run's counters
+// in its metrics snapshot: one observation per channel per DRAM cycle,
+// whose sum is the dram.occupancy_sum counter.
+func TestOccupancyHistogramCountsEveryChannelCycle(t *testing.T) {
+	for _, name := range detNames {
+		c := plain(name, DX)
+		var snap obs.Snapshot
+		if err := json.Unmarshal([]byte(ref(t, c).metrics), &snap); err != nil {
+			t.Fatal(err)
+		}
+		h, ok := snap.Histograms["dram.occupancy"]
+		if !ok {
+			t.Fatalf("%s: metrics snapshot has no dram.occupancy histogram", name)
+		}
+		want := float64(c.cfg.DRAM.Channels) * snap.Counters["dram.cycles"]
+		if want == 0 || float64(h.Count) != want {
+			t.Errorf("%s: occupancy histogram counts %d observations, want channels x dram.cycles = %v", name, h.Count, want)
+		}
+		if h.Sum != snap.Counters["dram.occupancy_sum"] {
+			t.Errorf("%s: occupancy histogram sums to %v, dram.occupancy_sum is %v", name, h.Sum, snap.Counters["dram.occupancy_sum"])
+		}
 	}
 }
 
@@ -58,7 +88,9 @@ func TestFastForwardEquivalenceUnderBackPressure(t *testing.T) {
 	if on.result(t).Stats.Get("dx100.0.rt.stalls") == 0 {
 		t.Fatal("IS/dx100 at scale 3 counted no Row Table stalls: the case no longer reaches a blocked fill")
 	}
-	requireSame(t, "IS/dx100 scale 3 wire form with fast-forward off", on.wire, ref(t, exact(c)).wire)
+	off := ref(t, exact(c))
+	requireSame(t, "IS/dx100 scale 3 wire form with fast-forward off", on.wire, off.wire)
+	requireSame(t, "IS/dx100 scale 3 metrics snapshot with fast-forward off", on.metrics, off.metrics)
 }
 
 // TestTraceSteppingNeutral pins that fast-forward changes only the

@@ -27,8 +27,7 @@ import (
 var updateGoldens = flag.Bool("update", false, "rewrite golden trace files under testdata/ from the current model")
 
 // TestTraceResultNeutral pins the observation-only contract promised in
-// RunOptions.Trace: a run with a trace sink attached (and therefore the
-// full metrics registry, histograms included, active) produces
+// RunOptions.Trace: a run with a trace sink attached produces
 // byte-identical wire-form Results to a plain run, on two workloads
 // with different access patterns, under the full DX100 system.
 func TestTraceResultNeutral(t *testing.T) {

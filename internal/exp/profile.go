@@ -102,18 +102,13 @@ func newProfiler(s *system, inst *workloads.Instance, opts RunOptions) *profiler
 
 	// Hub/tail hit attribution: when the workload marks its hot node
 	// set (skewed graphs), classify the LLC's demand hits and misses
-	// per class. The class counters live in a profiler-private registry
-	// — the run's stats (and therefore the Result wire form) never see
-	// them, which TestSpanResultNeutral and the byte-identity pins rely
-	// on.
+	// per class. The class counters belong to the profiler, not to the
+	// run's stats, so the Result wire form never sees them, which
+	// TestSpanResultNeutral and the byte-identity pins rely on.
 	if inst != nil && inst.HotClass != nil {
-		side := obs.NewRegistry()
-		hubH := side.Counter("llc.hub.hits")
-		hubM := side.Counter("llc.hub.misses")
-		tailH := side.Counter("llc.tail.hits")
-		tailM := side.Counter("llc.tail.misses")
+		var hubH, hubM, tailH, tailM sim.Counter
 		s.hier.LLC.SetAccessClasses(inst.HotClass,
-			[]*sim.Counter{hubH, tailH}, []*sim.Counter{hubM, tailM})
+			[]*sim.Counter{&hubH, &tailH}, []*sim.Counter{&hubM, &tailM})
 		p.sampler.Ratio("llc.hub_hit_rate",
 			func() float64 { return hubH.Value() },
 			func() float64 { return hubH.Value() + hubM.Value() })

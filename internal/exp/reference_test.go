@@ -3,6 +3,7 @@ package exp
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -51,9 +52,10 @@ func (c cell) key() string {
 // reference is what a cell's one simulation leaves behind. It holds
 // only immutable values, so no pin can change what another reads.
 type reference struct {
-	wire string   // ResultJSON
-	key  string   // resultKey
-	mem  [32]byte // memDigest of every kernel array after the run
+	wire    string   // ResultJSON
+	key     string   // resultKey
+	metrics string   // JSON of the run's Stats.Snapshot (dx100sim -metrics)
+	mem     [32]byte // memDigest of every kernel array after the run
 }
 
 // String is everything observable about the run: its full-precision
@@ -99,7 +101,11 @@ func simulate(c cell) (reference, error) {
 	if err != nil {
 		return reference{}, err
 	}
-	return reference{wire: string(wire), key: resultKey(res), mem: memDigest(arrays(inst))}, nil
+	metrics, err := json.Marshal(res.Stats.Snapshot())
+	if err != nil {
+		return reference{}, err
+	}
+	return reference{wire: string(wire), key: resultKey(res), metrics: string(metrics), mem: memDigest(arrays(inst))}, nil
 }
 
 // arrays reads the current contents of every kernel array of inst.

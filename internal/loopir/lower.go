@@ -91,7 +91,16 @@ type lowerCtx struct {
 	ops      []Op
 	nextTile int
 	nextReg  int
-	memo     map[string]operand
+	memo     map[exprKey]operand
+	vars     map[string]uint8 // outer induction-variable tiles, by name
+	pvars    map[uint8]uint8  // parent-variable tiles, by fused position tile
+}
+
+// exprKey is one expression lowered in one frame. Every Expr type is a
+// comparable value, so structurally equal expressions share a key.
+type exprKey struct {
+	f *frame
+	x Expr
 }
 
 func (ctx *lowerCtx) allocTile() (uint8, error) {
@@ -121,7 +130,10 @@ func (c *Compiled) TileProgram(lo, hi int64) ([]Op, error) {
 	if hi-lo > int64(c.TileElems) {
 		return nil, fmt.Errorf("loopir: tile [%d,%d) exceeds %d elements", lo, hi, c.TileElems)
 	}
-	ctx := &lowerCtx{c: c, memo: make(map[string]operand), nextTile: c.TileBase, nextReg: c.RegBase}
+	ctx := &lowerCtx{
+		c: c, nextTile: c.TileBase, nextReg: c.RegBase,
+		memo: make(map[exprKey]operand), vars: make(map[string]uint8), pvars: make(map[uint8]uint8),
+	}
 	f := &frame{varName: c.K.Var, outer: true, lo: lo, hi: hi}
 	if err := ctx.lowerStmts(f, c.K.Body); err != nil {
 		return nil, err
@@ -190,9 +202,8 @@ func (ctx *lowerCtx) varTile(f *frame) (uint8, error) {
 	if !f.outer {
 		return f.jTile, nil
 	}
-	key := fmt.Sprintf("var:%s", f.varName)
-	if op, ok := ctx.memo[key]; ok {
-		return op.tile, nil
+	if t, ok := ctx.vars[f.varName]; ok {
+		return t, nil
 	}
 	loT, err := ctx.allocTile()
 	if err != nil {
@@ -220,7 +231,7 @@ func (ctx *lowerCtx) varTile(f *frame) (uint8, error) {
 		Regs:  []RegSet{{strideReg, 1}},
 		Instr: &dx100.Instr{Op: dx100.RNG, TD: posT, TD2: iotaT, TS1: loT, TS2: hiT, RS1: strideReg, TC: dx100.NoTile},
 	})
-	ctx.memo[key] = operand{tile: iotaT}
+	ctx.vars[f.varName] = iotaT
 	return iotaT, nil
 }
 
@@ -231,9 +242,8 @@ func (ctx *lowerCtx) parentVarTile(f *frame) (uint8, error) {
 	if p == nil || !p.outer {
 		return 0, fmt.Errorf("loopir: reference to variable beyond the enclosing loop is unsupported")
 	}
-	key := fmt.Sprintf("pvar:%d", f.posTile)
-	if op, ok := ctx.memo[key]; ok {
-		return op.tile, nil
+	if t, ok := ctx.pvars[f.posTile]; ok {
+		return t, nil
 	}
 	out, err := ctx.allocTile()
 	if err != nil {
@@ -247,7 +257,7 @@ func (ctx *lowerCtx) parentVarTile(f *frame) (uint8, error) {
 		Regs:  []RegSet{{reg, uint64(p.lo)}},
 		Instr: &dx100.Instr{Op: dx100.ALUS, DType: dx100.U64, ALU: dx100.OpAdd, TD: out, TS1: f.posTile, RS1: reg, TC: dx100.NoTile},
 	})
-	ctx.memo[key] = operand{tile: out}
+	ctx.pvars[f.posTile] = out
 	return out, nil
 }
 
@@ -261,7 +271,7 @@ var cmpMirror = map[dx100.ALUOp]dx100.ALUOp{
 
 // lowerExpr lowers an expression in frame f, memoizing tile results.
 func (ctx *lowerCtx) lowerExpr(f *frame, x Expr) (operand, error) {
-	key := fmt.Sprintf("%p|%#v", f, x)
+	key := exprKey{f, x}
 	if op, ok := ctx.memo[key]; ok {
 		return op, nil
 	}

@@ -3,51 +3,45 @@ package obs
 import (
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
 func TestCounterTouchedSemantics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a")
+	var c Counter
 	if c.Touched() {
 		t.Fatal("fresh counter is touched")
 	}
-	if got := r.CounterNames(); len(got) != 0 {
-		t.Fatalf("untouched counter listed: %v", got)
-	}
 	c.Add(2)
 	c.Inc()
-	if c.Value() != 3 {
-		t.Fatalf("value = %v, want 3", c.Value())
+	if c.Value() != 3 || !c.Touched() {
+		t.Fatalf("value = %v touched = %v, want 3, true", c.Value(), c.Touched())
 	}
-	if got := r.CounterNames(); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("names = %v", got)
-	}
-	// Handles survive reset; reset un-touches.
-	r.ResetCounters()
+	// Reset un-touches and zeroes; the handle keeps working.
+	c.Reset()
 	if c.Touched() || c.Value() != 0 {
 		t.Fatalf("reset did not clear: touched=%v v=%v", c.Touched(), c.Value())
 	}
 	c.Set(9)
-	if r.CounterValue("a") != 9 {
-		t.Fatalf("post-reset handle write lost: %v", r.CounterValue("a"))
+	if c.Value() != 9 || !c.Touched() {
+		t.Fatalf("post-reset handle write lost: %v", c.Value())
 	}
-	// Same name returns the same handle.
-	if r.Counter("a") != c {
-		t.Fatal("Counter(name) returned a different handle")
+	// A zero Add still touches: a statistic that ran and counted
+	// nothing is listed, one never written is not.
+	var z Counter
+	z.Add(0)
+	if !z.Touched() {
+		t.Fatal("zero Add left the counter untouched")
 	}
 }
 
 func TestHistogramBucketsAndObserveN(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("occ", []float64{0, 1, 2, 4})
+	h := NewHistogram([]float64{0, 1, 2, 4})
 	h.Observe(0)
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(100) // +Inf bucket
 	h.ObserveN(3, 5)
-	snap := r.Snapshot().Histograms["occ"]
+	snap := h.Snapshot()
 	wantCounts := []uint64{1, 1, 0, 6, 1}
 	for i, c := range wantCounts {
 		if snap.Counts[i] != c {
@@ -61,15 +55,20 @@ func TestHistogramBucketsAndObserveN(t *testing.T) {
 		t.Fatalf("sum = %v", snap.Sum)
 	}
 	// ObserveN(v, n) must equal n unit observes bit-for-bit.
-	a := r.Histogram("a", []float64{0, 2, 8})
-	b := r.Histogram("b", []float64{0, 2, 8})
+	a := NewHistogram([]float64{0, 2, 8})
+	b := NewHistogram([]float64{0, 2, 8})
 	a.ObserveN(5, 1000)
 	for i := 0; i < 1000; i++ {
 		b.Observe(5)
 	}
-	sa, sb := a.snapshot(), b.snapshot()
+	sa, sb := a.Snapshot(), b.Snapshot()
 	if sa.Sum != sb.Sum || sa.Count != sb.Count {
 		t.Fatalf("ObserveN diverges from unit observes: %+v vs %+v", sa, sb)
+	}
+	// Reset clears the observations and keeps the bounds.
+	h.Reset()
+	if r := h.Snapshot(); r.Count != 0 || r.Sum != 0 || len(r.Bounds) != 4 || r.Counts[3] != 0 {
+		t.Fatalf("reset left %+v", r)
 	}
 }
 
@@ -86,48 +85,14 @@ func TestExpBounds(t *testing.T) {
 	}
 }
 
-func TestSyncMetricsAreRaceFree(t *testing.T) {
-	r := NewRegistry()
-	c := r.SyncCounter("hits")
-	g := r.Gauge("depth")
-	h := r.SyncHistogram("lat", ExpBounds(8))
-	r.GaugeFunc("fn", func() float64 { return 42 })
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				c.Inc()
-				g.Add(1)
-				h.Observe(float64(j % 10))
-				_ = r.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 4000 {
-		t.Fatalf("sync counter = %d, want 4000", c.Value())
-	}
-	if g.Value() != 4000 {
-		t.Fatalf("gauge = %v, want 4000", g.Value())
-	}
-	snap := r.Snapshot()
-	if snap.Gauges["fn"] != 42 {
-		t.Fatalf("gauge func = %v", snap.Gauges["fn"])
-	}
-	if snap.Histograms["lat"].Count != 4000 {
-		t.Fatalf("sync histogram count = %d", snap.Histograms["lat"].Count)
-	}
-}
-
 func TestWritePrometheusDeterministicAndLabeled(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("dram.rowhits").Add(12)
-	r.Counter("core0.instructions").Add(3)
-	r.Gauge("queue.depth").Set(5)
-	r.Histogram("occ", []float64{0, 1}).ObserveN(1, 4)
-	snap := r.Snapshot()
+	occ := NewHistogram([]float64{0, 1})
+	occ.ObserveN(1, 4)
+	snap := Snapshot{
+		Counters:   map[string]float64{"dram.rowhits": 12, "core0.instructions": 3},
+		Gauges:     map[string]float64{"queue.depth": 5},
+		Histograms: map[string]HistogramSnapshot{"occ": occ.Snapshot()},
+	}
 	var a, b strings.Builder
 	if err := snap.WritePrometheus(&a, "dx100_run_", Label{"run", "abc"}); err != nil {
 		t.Fatal(err)
@@ -172,11 +137,13 @@ func TestPromName(t *testing.T) {
 }
 
 func TestSnapshotJSONRoundTrips(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(1)
-	r.Gauge("g").Set(2)
-	r.Histogram("h", []float64{0, 1}).Observe(1)
-	b, err := json.Marshal(r.Snapshot())
+	h := NewHistogram([]float64{0, 1})
+	h.Observe(1)
+	b, err := json.Marshal(Snapshot{
+		Counters:   map[string]float64{"c": 1},
+		Gauges:     map[string]float64{"g": 2},
+		Histograms: map[string]HistogramSnapshot{"h": h.Snapshot()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,11 @@ import (
 )
 
 func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	h.bounds = []float64{1, 2, 4, 8}
-	h.counts = make([]uint64, len(h.bounds)+1)
+	h := NewHistogram([]float64{1, 2, 4, 8})
 	// 100 observations uniformly in (1,2]: every quantile interpolates
 	// inside that single bucket.
 	h.ObserveN(1.5, 100)
-	s := h.snapshot()
+	s := h.Snapshot()
 	for _, tc := range []struct{ q, want float64 }{
 		{0.5, 1.5},
 		{0.95, 1.95},
@@ -26,13 +24,11 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestHistogramQuantileAcrossBuckets(t *testing.T) {
-	var h Histogram
-	h.bounds = []float64{1, 2, 4, 8}
-	h.counts = make([]uint64, len(h.bounds)+1)
+	h := NewHistogram([]float64{1, 2, 4, 8})
 	h.ObserveN(0.5, 50) // bucket (0,1]
 	h.ObserveN(3, 30)   // bucket (2,4]
 	h.ObserveN(6, 20)   // bucket (4,8]
-	s := h.snapshot()
+	s := h.Snapshot()
 	// Rank 50 sits exactly at the top of the first bucket.
 	if got := s.Quantile(0.5); math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("p50 = %v, want 1.0", got)
@@ -44,15 +40,13 @@ func TestHistogramQuantileAcrossBuckets(t *testing.T) {
 }
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
-	var h Histogram
-	h.bounds = []float64{1, 2}
-	h.counts = make([]uint64, len(h.bounds)+1)
-	s := h.snapshot()
+	h := NewHistogram([]float64{1, 2})
+	s := h.Snapshot()
 	if got := s.Quantile(0.5); !math.IsNaN(got) {
 		t.Errorf("empty histogram quantile = %v, want NaN", got)
 	}
 	h.Observe(100) // lands in +Inf bucket
-	s = h.snapshot()
+	s = h.Snapshot()
 	// Everything in the overflow bucket clamps to the last finite bound.
 	if got := s.Quantile(0.5); got != 2 {
 		t.Errorf("overflow-bucket quantile = %v, want clamp to 2", got)

@@ -164,7 +164,6 @@ type Sink struct {
 	spill       io.Writer
 	chrome      bool
 	wroteHeader bool
-	spilled     uint64
 	buf         []byte
 	err         error
 }
@@ -316,7 +315,6 @@ func (s *Sink) flushRing() {
 			s.buf = append(s.buf, '\n')
 		}
 		s.write(s.buf)
-		s.spilled++
 	}
 	s.ring = s.ring[:0]
 }

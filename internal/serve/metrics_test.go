@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func scrape(t *testing.T, ts *httptest.Server, path string) (string, int) {
@@ -48,6 +49,54 @@ func metricValue(out, name string) (string, bool) {
 	return "", false
 }
 
+// serviceSeries is every series GET /metrics exposes, with its type:
+// seven counters, eight gauges and one histogram.
+var serviceSeries = map[string]string{
+	"dx100d_submissions":               "counter",
+	"dx100d_cache_hits":                "counter",
+	"dx100d_coalesced":                 "counter",
+	"dx100d_jobs_done":                 "counter",
+	"dx100d_jobs_failed":               "counter",
+	"dx100d_sim_runs":                  "counter",
+	"dx100d_go_gc_pause_seconds_total": "counter",
+	"dx100d_jobs_inflight":             "gauge",
+	"dx100d_queue_depth":               "gauge",
+	"dx100d_cache_entries":             "gauge",
+	"dx100d_draining":                  "gauge",
+	"dx100d_uptime_seconds":            "gauge",
+	"dx100d_go_goroutines":             "gauge",
+	"dx100d_go_heap_alloc_bytes":       "gauge",
+	"dx100d_go_heap_objects":           "gauge",
+	"dx100d_job_duration_seconds":      "histogram",
+}
+
+// requireServiceSeries fails t unless out, a /metrics scrape, types
+// exactly the series of serviceSeries and gives each a value.
+func requireServiceSeries(t *testing.T, out string) {
+	t.Helper()
+	var typed []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			typed = append(typed, line)
+		}
+	}
+	if len(typed) != len(serviceSeries) {
+		t.Errorf("/metrics types %d series, want %d:\n%s", len(typed), len(serviceSeries), strings.Join(typed, "\n"))
+	}
+	for name, typ := range serviceSeries {
+		if !strings.Contains(out, "# TYPE "+name+" "+typ+"\n") {
+			t.Errorf("/metrics lacks # TYPE %s %s:\n%s", name, typ, out)
+		}
+		series := name
+		if typ == "histogram" {
+			series += "_count"
+		}
+		if _, ok := metricValue(out, series); !ok {
+			t.Errorf("/metrics missing %s:\n%s", series, out)
+		}
+	}
+}
+
 func TestMetricsEndpointExposesServiceGauges(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -55,15 +104,7 @@ func TestMetricsEndpointExposesServiceGauges(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", code)
 	}
-	for _, series := range []string{
-		"dx100d_queue_depth", "dx100d_cache_entries", "dx100d_jobs_inflight",
-		"dx100d_submissions", "dx100d_cache_hits", "dx100d_sim_runs",
-		"dx100d_draining", "dx100d_job_duration_seconds_count",
-	} {
-		if _, ok := metricValue(out, series); !ok {
-			t.Errorf("/metrics missing %s:\n%s", series, out)
-		}
-	}
+	requireServiceSeries(t, out)
 	if v, _ := metricValue(out, "dx100d_sim_runs"); v != "0" {
 		t.Fatalf("fresh server reports sim_runs %q", v)
 	}
@@ -78,6 +119,7 @@ func TestMetricsEndpointExposesServiceGauges(t *testing.T) {
 	postRun(t, ts, `{"workload":"micro.gather","mode":"dx100","scale":1}`)
 
 	out, _ = scrape(t, ts, "/metrics")
+	requireServiceSeries(t, out)
 	if v, _ := metricValue(out, "dx100d_sim_runs"); v != "1" {
 		t.Errorf("sim_runs = %q, want 1", v)
 	}
@@ -219,5 +261,41 @@ func TestMetricsScrapeUnderChurn(t *testing.T) {
 	out, _ := scrape(t, ts, "/metrics")
 	if v, ok := metricValue(out, "dx100d_submissions"); !ok || v == "0" {
 		t.Fatalf("no submissions recorded after churn (got %q)", v)
+	}
+}
+
+// TestServerMetricsAreRaceFree bumps a request-path counter, the
+// in-flight gauge and the job-duration histogram from many goroutines
+// while others snapshot them; under -race it pins serverMetrics'
+// synchronization, and the totals pin that no update is lost.
+func TestServerMetricsAreRaceFree(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	m := s.metrics
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				m.submissions.Add(1)
+				m.inFlight.Add(1)
+				m.observeJob(time.Duration(j%10) * time.Millisecond)
+				_ = s.metricsSnapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	snap := s.metricsSnapshot()
+	if snap.Counters["submissions"] != 4000 {
+		t.Fatalf("submissions = %v, want 4000", snap.Counters["submissions"])
+	}
+	if snap.Gauges["jobs.inflight"] != 4000 {
+		t.Fatalf("jobs.inflight = %v, want 4000", snap.Gauges["jobs.inflight"])
+	}
+	if snap.Gauges["cache.entries"] != 0 {
+		t.Fatalf("live cache.entries gauge = %v on an empty cache", snap.Gauges["cache.entries"])
+	}
+	if snap.Histograms["job.duration_seconds"].Count != 4000 {
+		t.Fatalf("job duration count = %d, want 4000", snap.Histograms["job.duration_seconds"].Count)
 	}
 }

@@ -112,8 +112,7 @@ type Server struct {
 	// it, and /healthz and /metrics expose it.
 	simRuns atomic.Int64
 
-	// metrics is the service-level observability registry behind GET
-	// /metrics; initMetrics wires it before the handlers start.
+	// metrics holds the service-level counters behind GET /metrics.
 	metrics *serverMetrics
 }
 
@@ -131,19 +130,19 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:    cfg,
-		cache:  cache,
-		q:      make(chan *job, cfg.QueueDepth),
-		log:    cfg.Logger,
-		ctx:    ctx,
-		cancel: cancel,
-		jobs:   make(map[string]*job),
-		start:  time.Now(),
+		cfg:     cfg,
+		cache:   cache,
+		q:       make(chan *job, cfg.QueueDepth),
+		log:     cfg.Logger,
+		ctx:     ctx,
+		cancel:  cancel,
+		jobs:    make(map[string]*job),
+		start:   time.Now(),
+		metrics: newServerMetrics(),
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s.initMetrics()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
 	s.mux.HandleFunc("GET /v1/runs", s.handleListRuns)
@@ -231,7 +230,7 @@ func (s *Server) execute(j *job) {
 	began := time.Now()
 	defer func() {
 		s.metrics.inFlight.Add(-1)
-		s.metrics.jobSeconds.Observe(time.Since(began).Seconds())
+		s.metrics.observeJob(time.Since(began))
 	}()
 	var out json.RawMessage
 	var err error
@@ -247,11 +246,11 @@ func (s *Server) execute(j *job) {
 		s.log.Warn("job failed", "job", j.id[:12], "kind", j.kind,
 			"trace_id", j.trace.Trace.String(), "err", err,
 			"elapsed", time.Since(began))
-		s.metrics.jobsFailed.Inc()
+		s.metrics.jobsFailed.Add(1)
 		j.finish(nil, err)
 		return
 	}
-	s.metrics.jobsDone.Inc()
+	s.metrics.jobsDone.Add(1)
 	put := j.spans.Start("cache.put", j.trace)
 	cerr := s.cache.Put(j.id, out)
 	put.End()
@@ -332,7 +331,7 @@ func (s *Server) submit(j *job) (*job, bool, error) {
 	if s.closed {
 		return nil, false, ErrQueueClosed
 	}
-	s.metrics.submissions.Inc()
+	s.metrics.submissions.Add(1)
 	if existing, ok := s.jobs[j.id]; ok {
 		existing.mu.Lock()
 		st := existing.state
@@ -341,7 +340,7 @@ func (s *Server) submit(j *job) (*job, bool, error) {
 		// Coalesce onto any live or successfully finished job; only
 		// failed/canceled jobs are retried with a fresh submission.
 		if done || !st.terminal() {
-			s.metrics.coalesced.Inc()
+			s.metrics.coalesced.Add(1)
 			return existing, done, nil
 		}
 	}
@@ -350,7 +349,7 @@ func (s *Server) submit(j *job) (*job, bool, error) {
 	lookup.End()
 	if hit {
 		// Materialize a terminal job so status/events work uniformly.
-		s.metrics.cacheHits.Inc()
+		s.metrics.cacheHits.Add(1)
 		j.finish(cached, nil)
 		s.jobs[j.id] = j
 		return j, true, nil

@@ -92,7 +92,7 @@ type WakeHinter interface {
 // cycle `from` to cycle `to`, it first calls SkipCycles(from, to) on
 // every registered CycleSkipper: the component must account for the
 // cycles strictly between from and to — exactly the cycles whose Tick
-// calls were elided — such that the statistics registry ends up
+// calls were elided — such that the run's statistics end up
 // byte-identical to a cycle-by-cycle run. SkipCycles must not mutate
 // any other state and must not schedule events.
 type CycleSkipper interface {
@@ -270,8 +270,8 @@ func (e *Engine) EventsPending() bool {
 
 // FastForwarded reports how many clock jumps Run has taken and how
 // many idle cycles they skipped in total — wall-clock diagnostics
-// only; deliberately kept out of the Stats registry so simulated
-// results stay independent of the stepping strategy.
+// only; deliberately kept out of Stats so simulated results stay
+// independent of the stepping strategy.
 func (e *Engine) FastForwarded() (jumps, skippedCycles uint64) {
 	return e.ffJumps, e.ffSkipped
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -89,5 +90,56 @@ func TestGeomeanEdgeCases(t *testing.T) {
 	// Non-positive entries are ignored, not zeroed.
 	if g := Geomean([]float64{2, 8, 0}); math.Abs(g-4) > 1e-12 {
 		t.Fatalf("Geomean(2,8,0) = %v, want 4", g)
+	}
+}
+
+// TestStatsTouchedRuleAndHistograms pins what a run's table lists: only
+// touched counters (a zero Add touches), one handle per name that
+// survives Reset, and histograms in Snapshot but not in the JSON form.
+// It starts from the zero value, as a Stats decoded from a Result does.
+func TestStatsTouchedRuleAndHistograms(t *testing.T) {
+	var s Stats
+	c := s.Counter("a")
+	if got := s.Names(); len(got) != 0 {
+		t.Fatalf("untouched counter listed: %v", got)
+	}
+	if s.Counter("a") != c {
+		t.Fatal("Counter(name) returned a different handle")
+	}
+	s.Counter("z").Add(0)
+	c.Add(2)
+	if got := s.Names(); len(got) != 2 || got[0] != "a" || got[1] != "z" {
+		t.Fatalf("names = %v, want [a z]", got)
+	}
+	h := s.Histogram("occ", []float64{0, 1})
+	h.ObserveN(1, 4)
+	if s.Histogram("occ", nil) != h {
+		t.Fatal("Histogram(name) returned a different histogram")
+	}
+	snap := s.Snapshot()
+	if len(snap.Counters) != 2 || snap.Counters["a"] != 2 || snap.Counters["z"] != 0 {
+		t.Fatalf("snapshot counters = %v", snap.Counters)
+	}
+	if snap.Gauges == nil || len(snap.Gauges) != 0 {
+		t.Fatalf("snapshot gauges = %#v, want empty", snap.Gauges)
+	}
+	if occ := snap.Histograms["occ"]; occ.Count != 4 || occ.Sum != 4 || len(occ.Bounds) != 2 {
+		t.Fatalf("snapshot histogram = %+v", occ)
+	}
+	s.Reset()
+	snap = s.Snapshot()
+	if len(s.Names()) != 0 || len(snap.Counters) != 0 || snap.Histograms["occ"].Count != 0 {
+		t.Fatalf("Reset left names %v, snapshot %+v", s.Names(), snap)
+	}
+	c.Set(9)
+	if s.Get("a") != 9 {
+		t.Fatalf("post-reset handle write lost: %v", s.Get("a"))
+	}
+	b, err := json.Marshal(&s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != `{"a":9}` {
+		t.Fatalf("JSON form = %s, want the touched counters only", b)
 	}
 }
